@@ -24,7 +24,7 @@ from .graphs import (
     reduce_to_core,
     unicyclic_decompose,
 )
-from .spectra import count_interval, multiplicity
+from .spectra import shifted_inertia
 
 GAMMA_CAP_DEFAULT = 32
 
@@ -166,8 +166,10 @@ def analyze(g: Graph, gamma_cap: int = GAMMA_CAP_DEFAULT) -> BoundReport:
     dec = unicyclic_decompose(g)
     r = dec.girth
     d, _ = diameter_and_path(g)
-    count01 = count_interval(g, 0, 1).count
-    mult1 = multiplicity(g, 1)
+    # L is positive semidefinite, so one elimination at 1 gives both the
+    # count in [0, 1) (its negatives) and the multiplicity of 1 (its zeros)
+    at_one = shifted_inertia(g, 1)
+    count01, mult1 = at_one.negatives, at_one.zeros
     gamma = domination_number(g, cap=gamma_cap) if g.n <= gamma_cap else None
     core = reduce_to_core(g)
 

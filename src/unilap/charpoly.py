@@ -11,8 +11,8 @@ rational determinants at integer sample points, then interpolation) and
 exists to cross-examine the recurrences.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InternalConsistencyError, InvalidParameterError
 from .graphs import Graph, join_with_edge, make_cycle, make_lollipop, make_path

@@ -12,8 +12,8 @@ exact graph-isomorphism deduplication within a fixed girth. Distinct girths
 never collide.
 """
 
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import InvalidParameterError
 from .graphs import Graph

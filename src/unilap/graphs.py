@@ -20,8 +20,9 @@ package can address vertices by index):
 """
 
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from typing import TextIO
 
 from .errors import (
     EdgeNotPresentError,
@@ -38,6 +39,38 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        """Reject adjacency that is not a simple undirected graph, in O(n + m).
+
+        Each list must be strictly increasing, in range and loop-free, and w
+        must list v exactly when v lists w. Visiting v in increasing order,
+        the lists naming w are met in the order of w's own sorted list, so
+        one cursor per vertex checks symmetry.
+        """
+        n, adj = self.n, self.adj
+        if n < 1:
+            raise InvalidParameterError(f"graph needs at least one vertex, got n={n}")
+        if len(adj) != n:
+            raise InvalidParameterError(f"need {n} adjacency lists, got {len(adj)}")
+        cursor = [0] * n
+        for v, nbrs in enumerate(adj):
+            prev = -1
+            for w in nbrs:
+                if not prev < w < n or w == v:
+                    raise InvalidParameterError(
+                        f"adjacency of vertex {v} must be sorted, in range and loop-free: {nbrs}"
+                    )
+                prev = w
+                k = cursor[w]
+                if k >= len(adj[w]) or adj[w][k] != v:
+                    raise InvalidParameterError(f"adjacency lists of {v} and {w} disagree")
+                cursor[w] = k + 1
+        for w in range(n):
+            if cursor[w] != len(adj[w]):
+                raise InvalidParameterError(
+                    f"adjacency lists of {w} and {adj[w][cursor[w]]} disagree"
+                )
+
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 1:
@@ -52,7 +85,12 @@ class Graph:
                 raise InvalidParameterError(f"duplicate edge ({u},{v})")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+        # the edges were checked one by one and the lists are built sorted and
+        # symmetric, so __post_init__'s second O(n + m) pass is skipped
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(tuple(sorted(s)) for s in nbrs))
+        return g
 
     @property
     def m(self) -> int:

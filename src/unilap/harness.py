@@ -11,8 +11,9 @@ bytes.
 import csv
 import random
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import Callable, Iterator, TextIO
+from typing import TextIO
 
 from .bounds import (
     GAMMA_CAP_DEFAULT,
@@ -38,7 +39,7 @@ from .graphs import (
     make_path,
     pendant_vertices,
 )
-from .spectra import check_interlacing, count_interval, multiplicity
+from .spectra import check_interlacing, count_interval, multiplicity, shifted_inertia
 from .witnesses import compass_one_witness, cycle_one_vectors, lollipop_one_witness, path_one_vector
 
 # value of the lollipop characteristic polynomial at 1, keyed on r mod 6,
@@ -428,7 +429,11 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> VerifyRepor
         raise InvalidParameterError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         )
-    return SUITES[name](max_n=max_n or SUITE_DEFAULT_MAX_N[name], seed=seed)
+    if max_n is None:
+        max_n = SUITE_DEFAULT_MAX_N[name]
+    elif max_n < 1:
+        raise InvalidParameterError(f"max_n must be at least 1, got {max_n}")
+    return SUITES[name](max_n=max_n, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +497,8 @@ def _measure(
     refined_bound: int | None,
     gamma_cap: int,
 ) -> SweepRow:
-    count01 = count_interval(g, 0, 1).count
-    mult1 = multiplicity(g, 1)
+    at_one = shifted_inertia(g, 1)
+    count01, mult1 = at_one.negatives, at_one.zeros
     gamma = domination_number(g, cap=gamma_cap) if g.n <= gamma_cap else None
     return SweepRow(
         family=family,

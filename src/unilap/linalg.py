@@ -6,19 +6,35 @@ whose sign is the sign of one eigenvalue. Everything runs over
 fractions.Fraction, so there is no rounding and counts at spectrum points
 (where floating point is hopeless) are exact.
 
-The elimination keeps the working matrix sparse and always picks the
-nonzero diagonal pivot with the smallest support, which on graph Laplacians
-amounts to eliminating pendant vertices first and keeps fill near zero on
-the path/cycle-like matrices this package produces.
+The kernel, sparse_inertia, works on sparse rows (one dict per index,
+holding the nonzero entries) and always eliminates the nonzero diagonal
+pivot with the smallest support, ties to the smallest index. A lazy
+min-heap keyed on (support, index) finds that pivot: a row is pushed again
+only when an elimination touches it, and stale entries are skipped when
+popped. On graph Laplacians this order eliminates pendant vertices first,
+as the leaf-to-root diagonalization of Jacobs and Trevisan does on trees
+(Braga, Rodrigues and Trevisan extend it to unicyclic graphs), so a count
+on those graphs at an integer shift takes time linear in n. At a rational
+shift p/q the entries grow to O(n) bits and the arithmetic makes the cost
+superlinear. spectra assembles L - cI as sparse rows straight from the
+graph, and since L is positive semidefinite one elimination at c = 1 yields
+both the count below 1 (its negatives) and the multiplicity of 1 (its
+zeros).
+
+ExactMatrix is the dense public adapter: inertia(ExactMatrix) checks
+symmetry and converts to sparse rows. It is not on the hot path.
 """
 
+import heapq
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import NonSymmetricError
 
 Rational = Fraction
+
+SparseRows = dict[int, dict[int, Fraction]]
 
 _ZERO = Fraction(0)
 
@@ -82,7 +98,8 @@ class ExactMatrix:
         return f"ExactMatrix({[list(map(str, row)) for row in self.rows]})"
 
 
-def _eliminate_pivot(rows: dict[int, dict[int, Fraction]], p: int) -> None:
+def _eliminate_pivot(rows: SparseRows, p: int) -> list[int]:
+    """Eliminate the 1x1 pivot p; returns the rows it touched."""
     row_p = rows.pop(p)
     d = row_p.pop(p)
     nbrs = list(row_p.items())
@@ -97,9 +114,11 @@ def _eliminate_pivot(rows: dict[int, dict[int, Fraction]], p: int) -> None:
                 row_u[v] = new
             else:
                 row_u.pop(v, None)
+    return list(row_p)
 
 
-def _eliminate_block(rows: dict[int, dict[int, Fraction]], p: int, q: int) -> None:
+def _eliminate_block(rows: SparseRows, p: int, q: int) -> set[int]:
+    """Eliminate the 2x2 pivot on p and q; returns the rows it touched."""
     # 2x2 pivot [[dp, a], [a, dq]]; used only when every remaining diagonal
     # is zero, so its determinant -a^2 is negative and it contributes one
     # eigenvalue of each sign.
@@ -124,49 +143,64 @@ def _eliminate_block(rows: dict[int, dict[int, Fraction]], p: int, q: int) -> No
                 row_u[v] = new
             else:
                 row_u.pop(v, None)
+    return support
 
 
-def inertia(m: ExactMatrix) -> Inertia:
-    """Signs of the eigenvalues of a symmetric matrix, exactly.
+def sparse_inertia(rows: SparseRows) -> Inertia:
+    """Signs of the eigenvalues of a symmetric matrix given as sparse rows.
 
-    Nonzero diagonal pivots are consumed smallest-support-first; if only
-    zero diagonals remain but some off-diagonal entry is nonzero, a 2x2
-    block with negative determinant is processed instead; empty rows are
-    kernel dimensions.
+    rows maps each index to a dict of its nonzero entries (zeros, the
+    diagonal included, are absent); it must be symmetric and is consumed.
+    Nonzero diagonal pivots are taken smallest (support, index) first; if
+    only zero diagonals remain but some off-diagonal entry is nonzero, the
+    2x2 block on the smallest index with a nonempty row and that row's
+    smallest column is processed instead; empty rows are kernel dimensions.
     """
-    if not m.is_symmetric():
-        raise NonSymmetricError("inertia requires a symmetric matrix")
-    rows: dict[int, dict[int, Fraction]] = {
-        i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.rows)
-    }
+    heap = [(len(row), i) for i, row in rows.items() if row.get(i)]
+    heapq.heapify(heap)
+    # an empty row has no neighbour left to touch it, so it stays empty and
+    # the smallest index with a nonempty row only moves forward
+    order = sorted(rows)
+    cursor = 0
     neg = zero = pos = 0
     while rows:
         pivot = None
-        best = None
-        for i, row in rows.items():
-            if row.get(i):
-                size = len(row)
-                if best is None or size < best or (size == best and i < pivot):
-                    best, pivot = size, i
+        while heap:
+            size, i = heapq.heappop(heap)
+            row = rows.get(i)
+            if row is not None and len(row) == size and row.get(i):
+                pivot = i
+                break
         if pivot is not None:
             if rows[pivot][pivot] > 0:
                 pos += 1
             else:
                 neg += 1
-            _eliminate_pivot(rows, pivot)
-            continue
-        pq = None
-        for i in sorted(rows):
-            if rows[i]:
-                pq = (i, min(rows[i]))
+            touched = _eliminate_pivot(rows, pivot)
+        else:
+            while cursor < len(order) and not rows.get(order[cursor]):
+                cursor += 1
+            if cursor == len(order):
+                zero += len(rows)
                 break
-        if pq is None:
-            zero += len(rows)
-            break
-        neg += 1
-        pos += 1
-        _eliminate_block(rows, *pq)
+            p = order[cursor]
+            neg += 1
+            pos += 1
+            touched = _eliminate_block(rows, p, min(rows[p]))
+        for u in touched:
+            row = rows[u]
+            if row.get(u):
+                heapq.heappush(heap, (len(row), u))
     return Inertia(neg, zero, pos)
+
+
+def inertia(m: ExactMatrix) -> Inertia:
+    """Signs of the eigenvalues of a dense symmetric matrix, exactly."""
+    if not m.is_symmetric():
+        raise NonSymmetricError("inertia requires a symmetric matrix")
+    return sparse_inertia(
+        {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.rows)}
+    )
 
 
 def nullity(m: ExactMatrix) -> int:

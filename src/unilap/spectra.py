@@ -2,16 +2,18 @@
 
 The half-open count m[a, b) is the package's primitive: eigenvalues of L in
 [a, b) number negatives(L - bI) - negatives(L - aI), and both terms come
-from the exact congruence kernel. Floating-point spectra (cyclic Jacobi)
-exist only as an independent oracle; eigenvalue 1 occurs with high
+from the exact congruence kernel, fed sparse rows of L - cI assembled
+straight from the adjacency lists. L is positive semidefinite, so the term
+at a <= 0 is zero and needs no elimination. Floating-point spectra (cyclic
+Jacobi) exist only as an independent oracle; eigenvalue 1 occurs with high
 multiplicity in the families studied here, so float counting at that
 boundary is never authoritative.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +24,10 @@ from .errors import (
     NumericFailure,
 )
 from .graphs import Graph
-from .linalg import ExactMatrix, inertia, nullity
+from .linalg import ExactMatrix, Inertia, sparse_inertia
+
+
+_MINUS_ONE = Fraction(-1)
 
 
 def laplacian_rows(g: Graph) -> list[list[int]]:
@@ -55,8 +60,20 @@ class IntervalCount:
     count: int
 
 
+def shifted_inertia(g: Graph, c: int | Fraction) -> Inertia:
+    """Inertia of L(g) - cI: eigenvalues of L below, at and above c."""
+    c = Fraction(c)
+    rows = {}
+    for v, nbrs in enumerate(g.adj):
+        row = dict.fromkeys(nbrs, _MINUS_ONE)
+        if len(nbrs) != c:
+            row[v] = len(nbrs) - c
+        rows[v] = row
+    return sparse_inertia(rows)
+
+
 def _count_below(g: Graph, c: Fraction) -> int:
-    return inertia(laplacian(g).minus_scaled_identity(c)).negatives
+    return shifted_inertia(g, c).negatives if c > 0 else 0
 
 
 def count_interval(g: Graph, a: int | Fraction, b: int | Fraction) -> IntervalCount:
@@ -69,7 +86,7 @@ def count_interval(g: Graph, a: int | Fraction, b: int | Fraction) -> IntervalCo
 
 def multiplicity(g: Graph, mu: int | Fraction) -> int:
     """Exact multiplicity of mu as a Laplacian eigenvalue."""
-    return nullity(laplacian(g).minus_scaled_identity(Fraction(mu)))
+    return shifted_inertia(g, mu).zeros
 
 
 def closed_form_spectrum(family: str, n: int) -> list[float]:

@@ -144,6 +144,31 @@ class TestGraphValue:
         with pytest.raises(InvalidParameterError):
             Graph.from_edges(3, [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize(
+        "n,adj",
+        [
+            (3, ((1,), (), ())),                # asymmetric
+            (3, ((1, 2), (0,), ())),            # asymmetric, later vertex
+            (3, ((), (2,), (0, 1))),            # asymmetric, earlier vertex
+            (3, ((2, 1), (0,), (0,))),          # unsorted
+            (2, ((1, 1), (0, 0))),              # repeated neighbour
+            (2, ((0,), ())),                    # self-loop
+            (2, ((2,), ())),                    # out of range
+            (2, ((-1,), ())),                   # negative label
+            (3, ((1,), (0,))),                  # too few lists
+            (0, ()),                            # no vertex
+        ],
+    )
+    def test_direct_construction_validates(self, n, adj):
+        with pytest.raises(InvalidParameterError):
+            Graph(n, adj)
+
+    def test_direct_construction_accepts_valid(self, corpus):
+        # from_edges skips the recheck; what it builds must pass it
+        for g in corpus:
+            assert Graph(g.n, g.adj) == g
+        assert Graph(3, ((), (2,), (1,))).m == 1
+
     def test_symmetry_invariant(self):
         g = make_lollipop(9, 4)
         for u in range(g.n):

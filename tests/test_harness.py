@@ -65,6 +65,14 @@ class TestSuites:
         with pytest.raises(InvalidParameterError):
             run_suite("nope")
 
+    @pytest.mark.parametrize("max_n", [0, -3])
+    def test_rejects_max_n_below_one(self, max_n):
+        with pytest.raises(InvalidParameterError):
+            run_suite("paths", max_n=max_n)
+
+    def test_max_n_one_is_honoured(self):
+        assert run_suite("paths", max_n=1).checked == 1
+
     def test_all_names_registered(self):
         assert set(SUITES) == {
             "paths",
@@ -163,6 +171,11 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "failures=0" in out and "ok" in out
 
+    def test_verify_rejects_max_n_zero(self, capsys):
+        assert main(["verify", "--suite", "paths", "--max-n", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "max_n" in captured.err and captured.out == ""
+
     def test_scan_stdout_deterministic(self, capsys):
         assert main(["scan", "--family", "lollipop", "--n-range", "4..8"]) == 0
         first = capsys.readouterr().out
@@ -184,6 +197,23 @@ class TestCLI:
 
     def test_bad_range(self, capsys):
         assert main(["scan", "--family", "cycle", "--n-range", "abc"]) == 2
+
+    def test_reimport_frees_previous_copy(self):
+        # run in a child: dropping unilap from sys.modules here would split
+        # the classes the other tests hold from the ones they catch
+        script = (
+            "import gc, sys, weakref\n"
+            "import unilap\n"
+            "old = weakref.ref(unilap.Graph)\n"
+            "for name in [m for m in sys.modules if m.split('.')[0] == 'unilap']:\n"
+            "    del sys.modules[name]\n"
+            "del unilap\n"
+            "import unilap\n"
+            "gc.collect()\n"
+            "sys.exit(old() is not None)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_script_entrypoint(self):
         proc = subprocess.run(

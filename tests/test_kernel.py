@@ -1,0 +1,147 @@
+"""The sparse heap-ordered kernel against the dense kernel it replaced.
+
+dense_kernel holds the earlier full-scan elimination over ExactMatrix; the
+sparse path assembles L - cI from the adjacency lists and picks pivots from
+a heap. Both must give the same Inertia everywhere, and the counts must
+match the path, cycle and lollipop closed forms at sizes the dense kernel
+could not reach in reasonable time.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_kernel import dense_inertia
+from unilap import linalg
+from unilap.bounds import ceil_div, lollipop_exact_count
+from unilap.enumeration import enumerate_unicyclic
+from unilap.graphs import make_cycle, make_lollipop, make_path
+from unilap.linalg import ExactMatrix, inertia
+from unilap.spectra import count_interval, laplacian, shifted_inertia
+
+# 2 zeroes the whole diagonal of a cycle, so the 2x2 block path runs too
+SHIFTS = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 5), Fraction(2), Fraction(3)]
+
+
+def _assert_kernels_agree(g):
+    lap = laplacian(g)
+    for c in SHIFTS:
+        expected = dense_inertia(lap.minus_scaled_identity(c))
+        assert shifted_inertia(g, c) == expected, (g.edges(), c)
+        assert inertia(lap.minus_scaled_identity(c)) == expected, (g.edges(), c)
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_unicyclic_class(self, n):
+        for g in enumerate_unicyclic(n):
+            _assert_kernels_agree(g)
+
+    def test_corpus(self, corpus):
+        for g in corpus:
+            _assert_kernels_agree(g)
+
+    def test_count_interval_at_rational_endpoints(self, corpus):
+        for g in corpus:
+            lap = laplacian(g)
+            neg = [dense_inertia(lap.minus_scaled_identity(c)).negatives for c in SHIFTS]
+            for i, a in enumerate(SHIFTS):
+                for j in range(i + 1, len(SHIFTS)):
+                    assert count_interval(g, a, SHIFTS[j]).count == neg[j] - neg[i]
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """Small symmetric integer matrices, mostly zero, so that zero diagonals
+    and 2x2 blocks are common."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from([0, 0, 0, 1, -1, 2, -3]))
+    return rows
+
+
+class TestDifferentialMatrices:
+    @given(sparse_symmetric())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_kernel(self, rows):
+        m = ExactMatrix(rows)
+        assert inertia(m) == dense_inertia(m)
+
+
+class TestClosedFormsAtScale:
+    @pytest.mark.parametrize("n", [240, 960])
+    def test_path(self, n):
+        at_one = shifted_inertia(make_path(n), 1)
+        assert at_one.negatives == ceil_div(n, 3)
+        assert at_one.zeros == (1 if n % 3 == 0 else 0)
+
+    @pytest.mark.parametrize("n", [240, 960])
+    def test_cycle(self, n):
+        at_one = shifted_inertia(make_cycle(n), 1)
+        assert at_one.negatives == 2 * ceil_div(n, 6) - 1
+        assert at_one.zeros == (2 if n % 6 == 0 else 0)
+
+    @pytest.mark.parametrize("n", [240, 960])
+    def test_lollipop(self, n):
+        checked = 0
+        for r in range(3, n):
+            exact = lollipop_exact_count(n, r)
+            if exact is not None:
+                checked += 1
+                assert count_interval(make_lollipop(n, r), 0, 1).count == exact, r
+        assert checked > 0
+
+
+def _hadamard_bits(g, c):
+    """log2 of the Hadamard bound on every minor of q(L - cI), c = p/q.
+
+    Each entry the elimination produces is a Schur-complement entry, the
+    ratio of two minors of L - cI; scaled by q they are minors of the integer
+    matrix q(L - cI), so their size is bounded by the product of its row
+    norms (rows of norm below 1 are zero rows and bound nothing).
+    """
+    c = Fraction(c)
+    p, q = c.numerator, c.denominator
+    bits = 0.0
+    for v in range(g.n):
+        deg = g.degree(v)
+        norm_sq = (q * deg - p) ** 2 + deg * q * q
+        if norm_sq > 1:
+            bits += 0.5 * math.log2(norm_sq)
+    return bits, math.log2(q)
+
+
+class TestBitGrowth:
+    """Pivot rows stay within the Hadamard bound, linear in n for these families."""
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(7, 5), Fraction(3, 1)])
+    @pytest.mark.parametrize(
+        "make",
+        [make_path, make_cycle, lambda n: make_lollipop(n, n // 3)],
+        ids=["path", "cycle", "lollipop"],
+    )
+    def test_within_hadamard_bound(self, monkeypatch, make, c):
+        widest = {}
+        original = linalg._eliminate_pivot
+
+        def recording(rows, p):
+            widest["pivots"] += 1
+            for x in rows[p].values():
+                widest["num"] = max(widest["num"], abs(x.numerator).bit_length())
+                widest["den"] = max(widest["den"], x.denominator.bit_length())
+            return original(rows, p)
+
+        monkeypatch.setattr(linalg, "_eliminate_pivot", recording)
+        for n in (30, 100, 300):
+            g = make(n)
+            widest.update(pivots=0, num=0, den=0)
+            shifted_inertia(g, c)
+            assert widest["pivots"] >= n // 2
+            bits, q_bits = _hadamard_bits(g, c)
+            assert widest["num"] <= math.floor(bits) + 1, (n, widest)
+            assert widest["den"] <= math.floor(bits + q_bits) + 1, (n, widest)
