@@ -20,8 +20,9 @@ from .graphs import (
     CompassParams,
     CoreClassification,
     Graph,
+    _reduce_to_core,
+    _unicyclic_diameter_and_path,
     diameter_and_path,
-    reduce_to_core,
     unicyclic_decompose,
 )
 from .spectra import shifted_inertia
@@ -99,15 +100,18 @@ def domination_number(g: Graph, cap: int = GAMMA_CAP_DEFAULT) -> int:
     """
     if g.n > cap:
         raise SizeCapExceededError(f"n={g.n} exceeds domination cap {cap}")
+    return _domination_number(g, diameter_and_path(g)[0] if g.is_connected() else None)
+
+
+def _domination_number(g: Graph, d: int | None) -> int:
+    """domination_number given g's diameter d, or None when g is disconnected."""
     n = g.n
     closed = [(1 << v) | sum(1 << w for w in g.adj[v]) for v in range(n)]
     full = (1 << n) - 1
 
     best = _greedy_dominating_size(closed, full)
-    if g.is_connected():
-        d, _ = diameter_and_path(g)
-        if best == ceil_div(d + 1, 3):
-            return best
+    if d is not None and best == ceil_div(d + 1, 3):
+        return best
 
     def search(dominated: int, chosen: int) -> None:
         nonlocal best
@@ -163,15 +167,17 @@ class BoundReport:
 
 def analyze(g: Graph, gamma_cap: int = GAMMA_CAP_DEFAULT) -> BoundReport:
     """Measure g exactly and check every applicable inequality on g itself."""
+    # the decomposition and the diametral path are computed once and shared
+    # by the diameter, gamma's pruning and the core reduction
     dec = unicyclic_decompose(g)
     r = dec.girth
-    d, _ = diameter_and_path(g)
+    d, path = _unicyclic_diameter_and_path(g, dec)
     # L is positive semidefinite, so one elimination at 1 gives both the
     # count in [0, 1) (its negatives) and the multiplicity of 1 (its zeros)
     at_one = shifted_inertia(g, 1)
     count01, mult1 = at_one.negatives, at_one.zeros
-    gamma = domination_number(g, cap=gamma_cap) if g.n <= gamma_cap else None
-    core = reduce_to_core(g)
+    gamma = _domination_number(g, d) if g.n <= gamma_cap else None
+    core = _reduce_to_core(g, dec, path)
 
     main = main_lower_bound(d, r)
     refined: int | None = None

@@ -321,27 +321,124 @@ def bfs_distances(g: Graph, src: int) -> list[int]:
     return dist
 
 
+def _farthest_clockwise(h: list[int]) -> list[int]:
+    """max over 1 <= j <= len(h)//2 of h[(i + j) % len(h)] + j, for every i.
+
+    Writing a[J] = h[J % r] + J over the doubled cycle, the value at i is
+    max(a[i+1 .. i+k]) - i: a window of fixed width k sliding right, whose
+    maximum a deque of decreasing a-values yields in O(r) overall.
+    """
+    r = len(h)
+    k = r // 2
+    a = [h[j % r] + j for j in range(r + k)]
+    window: deque[int] = deque()
+    out = []
+    for j in range(1, r + k):
+        while window and a[window[-1]] <= a[j]:
+            window.pop()
+        window.append(j)
+        i = j - k
+        if i >= 0:
+            if window[0] <= i:
+                window.popleft()
+            out.append(a[window[0]] - i)
+    return out
+
+
+def _unicyclic_eccentricities(g: Graph, dec: UnicyclicDecomposition) -> list[int]:
+    """Eccentricity of every vertex of a connected unicyclic graph, in O(n).
+
+    down[x] is the height of x's subtree (pendant trees rooted on the cycle),
+    far(c) the farthest reach from cycle vertex c through the rest of the
+    cycle (cycle distance plus the height there, over c' != c), and up[x] the
+    farthest reach from x outside its subtree: up[c] = far(c), and for a
+    child x of p, 1 + max(up[p], the best reach from p through a sibling).
+    Every cycle vertex lies within r//2 of c one way round or the other, so
+    far(c) is the larger of a clockwise and a counter-clockwise window.
+    """
+    cycle = dec.cycle
+    r = len(cycle)
+    parent = [-1] * g.n
+    for c in cycle:
+        parent[c] = c
+    order = list(cycle)  # BFS order outward from the cycle, parents first
+    for x in order:
+        for w in g.adj[x]:
+            if parent[w] < 0:
+                parent[w] = x
+                order.append(w)
+    down = [0] * g.n
+    second = [0] * g.n  # runner-up over the children of x of 1 + down[child]
+    for x in reversed(order[r:]):
+        p, h = parent[x], down[x] + 1
+        if h > down[p]:
+            down[p], second[p] = h, down[p]
+        elif h > second[p]:
+            second[p] = h
+    heights = [down[c] for c in cycle]
+    cw = _farthest_clockwise(heights)
+    ccw = _farthest_clockwise(heights[::-1])[::-1]
+    up = [0] * g.n
+    for c, a, b in zip(cycle, cw, ccw):
+        up[c] = max(a, b)
+    for x in order[r:]:
+        p = parent[x]
+        sibling = second[p] if down[x] + 1 == down[p] else down[p]
+        up[x] = 1 + max(up[p], sibling)
+    return [max(a, b) for a, b in zip(down, up)]
+
+
+def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:
+    """The lexicographically smallest shortest path from u to v."""
+    dist = bfs_distances(g, v)
+    path = [u]
+    cur = u
+    while cur != v:
+        cur = min(w for w in g.adj[cur] if dist[w] == dist[cur] - 1)
+        path.append(cur)
+    return tuple(path)
+
+
+def _unicyclic_diameter_and_path(
+    g: Graph, dec: UnicyclicDecomposition
+) -> tuple[int, tuple[int, ...]]:
+    """diameter_and_path for a connected unicyclic g with decomposition dec.
+
+    Every vertex at distance d from a vertex of eccentricity d has
+    eccentricity d too, so the smallest pair (u, v) at distance d has u the
+    smallest vertex of eccentricity d and v the smallest vertex at distance
+    d from u.
+    """
+    ecc = _unicyclic_eccentricities(g, dec)
+    d = max(ecc)
+    u = ecc.index(d)
+    v = bfs_distances(g, u).index(d)
+    return d, _walk_to(g, u, v)
+
+
 def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact diameter and one diametral path, deterministically chosen.
 
     Ties break to the lexicographically smallest endpoint pair (u, v) with
     u < v, then to the lexicographically smallest vertex sequence from u.
+    A unicyclic g takes O(n) time and memory: eccentricities from the
+    pendant-tree heights and sliding windows round the cycle, then two
+    BFS. Any other g takes one BFS per vertex, O(n m) time, and keeps only
+    O(n) memory.
     """
     if not g.is_connected():
         raise NotConnectedError("diameter of a disconnected graph is undefined")
-    if g.n == 1:
-        return 0, (0,)
-    dist = [bfs_distances(g, u) for u in range(g.n)]
-    d = max(max(row) for row in dist)
-    u, v = min(
-        (a, b) for a in range(g.n) for b in range(a + 1, g.n) if dist[a][b] == d
-    )
-    path = [u]
-    cur = u
-    while cur != v:
-        cur = min(w for w in g.adj[cur] if dist[v][w] == dist[v][cur] - 1)
-        path.append(cur)
-    return d, tuple(path)
+    if g.m == g.n:
+        return _unicyclic_diameter_and_path(g, unicyclic_decompose(g))
+    # the first source of the largest eccentricity, and the smallest vertex
+    # that far from it, is the smallest pair at the diameter
+    d, u, v = -1, 0, 0
+    for a in range(g.n):
+        dist = bfs_distances(g, a)
+        ecc = max(dist)
+        if ecc > d:
+            d, u, v = ecc, a, dist.index(ecc)
+    return d, _walk_to(g, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +484,7 @@ def _tail_is_path(g: Graph, root: int, tree: set[int]) -> int | None:
     return count if count == len(tree) else None
 
 
-def _classify(core: Graph) -> tuple[str, tuple[int, ...]]:
-    dec = unicyclic_decompose(core)
+def _classify(core: Graph, dec: UnicyclicDecomposition) -> tuple[str, tuple[int, ...]]:
     r = dec.girth
     slots = [(pos, set(dec.trees[v])) for pos, v in enumerate(dec.cycle) if dec.trees[v]]
     if not slots:
@@ -416,7 +512,14 @@ def reduce_to_core(g: Graph) -> CoreClassification:
     from the core by repeatedly attaching pendant vertices.
     """
     dec = unicyclic_decompose(g)
-    d, path = diameter_and_path(g)
+    _, path = _unicyclic_diameter_and_path(g, dec)
+    return _reduce_to_core(g, dec, path)
+
+
+def _reduce_to_core(
+    g: Graph, dec: UnicyclicDecomposition, path: tuple[int, ...]
+) -> CoreClassification:
+    """reduce_to_core given g's decomposition and diametral path."""
     cycle_set = set(dec.cycle)
     keep = set(path) | cycle_set
     edge_set = set()
@@ -450,13 +553,21 @@ def reduce_to_core(g: Graph) -> CoreClassification:
     verts = sorted(keep)
     relabel = {v: i for i, v in enumerate(verts)}
     core = Graph.from_edges(len(verts), [(relabel[a], relabel[b]) for a, b in edge_set])
-    kind, params = _classify(core)
+    # relabelling keeps the order, so the core's cycle runs as g's does, and
+    # a core vertex off the cycle hangs from the same cycle vertex as in g
+    core_dec = UnicyclicDecomposition(
+        tuple(relabel[c] for c in dec.cycle),
+        {relabel[c]: tuple(relabel[v] for v in dec.trees[c] if v in keep) for c in dec.cycle},
+    )
+    kind, params = _classify(core, core_dec)
     return CoreClassification(kind, params, core, tuple(verts), path)
 
 
 # ---------------------------------------------------------------------------
 # edge-list text format: "n m" header, then one "u v" line per edge with
-# u < v, ASCII decimal; lines starting with '#' are comments.
+# u < v, ASCII decimal; lines starting with '#' are comments. The reader
+# rejects n > m + 1 before allocating anything for n vertices: no connected
+# graph has fewer edges, and every command that reads a graph needs one.
 
 
 def write_edge_list(g: Graph, dest: TextIO) -> None:
@@ -477,6 +588,8 @@ def read_edge_list(src: TextIO) -> Graph:
         n, m = (int(tok) for tok in header.split())
     except ValueError:
         raise InvalidParameterError(f"malformed header line: {header!r}") from None
+    if n > m + 1:
+        raise InvalidParameterError(f"{n} vertices cannot be connected by {m} edges")
     edges = []
     for line in lines:
         try:

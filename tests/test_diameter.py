@@ -1,0 +1,200 @@
+"""The linear-time diameter against the all-pairs diameter it replaced.
+
+allpairs_diameter holds the earlier n^2-distance diameter_and_path; the
+unicyclic path now reads the diameter off eccentricities from pendant-tree
+heights and sliding windows round the cycle, and every other graph runs one
+BFS per source keeping O(n) memory. Both must choose the same diameter and
+the same diametral path everywhere, and the family closed forms must hold at
+sizes the all-pairs table could not reach.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+
+from allpairs_diameter import diameter_and_path as allpairs_diameter_and_path
+from unilap import bounds, graphs
+from unilap.enumeration import enumerate_unicyclic
+from unilap.errors import NotConnectedError
+from unilap.graphs import (
+    CompassParams,
+    Graph,
+    bfs_distances,
+    diameter_and_path,
+    make_compass,
+    make_cycle,
+    make_lollipop,
+    make_path,
+    reduce_to_core,
+    unicyclic_decompose,
+)
+from unilap.harness import random_connected_graph, random_tree, random_unicyclic
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def _assert_same_diameter(g: Graph) -> None:
+    assert diameter_and_path(g) == allpairs_diameter_and_path(g), g.edges()
+
+
+def _assert_eccentricities(g: Graph) -> None:
+    ecc = graphs._unicyclic_eccentricities(g, unicyclic_decompose(g))
+    assert ecc == [max(bfs_distances(g, v)) for v in range(g.n)], g.edges()
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_every_unicyclic_class_and_a_relabelling(self, n):
+        rng = random.Random(n)
+        for g in enumerate_unicyclic(n):
+            _assert_same_diameter(g)
+            _assert_same_diameter(_relabelled(g, rng))
+
+    def test_corpus(self, corpus):
+        for g in corpus:
+            _assert_same_diameter(g)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            random_unicyclic,
+            random_tree,
+            lambda rng, n: random_connected_graph(rng, n, rng.randrange(4)),
+        ],
+        ids=["unicyclic", "tree", "connected"],
+    )
+    def test_random_graphs(self, make):
+        rng = random.Random(2024)
+        for _ in range(500):
+            _assert_same_diameter(make(rng, rng.randrange(3, 61)))
+
+    def test_disconnected_is_rejected_like_the_oracle(self):
+        g = graphs.disjoint_union(make_cycle(3), make_cycle(4))  # m == n, two components
+        for f in (diameter_and_path, allpairs_diameter_and_path):
+            with pytest.raises(NotConnectedError):
+                f(g)
+
+
+class TestEccentricities:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_every_unicyclic_class(self, n):
+        for g in enumerate_unicyclic(n):
+            _assert_eccentricities(g)
+
+    def test_random_unicyclic(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            _assert_eccentricities(random_unicyclic(rng, rng.randrange(3, 61)))
+
+    def test_families(self):
+        for n in range(3, 15):
+            _assert_eccentricities(make_cycle(n))
+            for r in range(3, n):
+                _assert_eccentricities(make_lollipop(n, r))
+
+
+class TestClosedFormsAtScale:
+    @pytest.mark.parametrize("n", [960, 5000])
+    def test_cycle(self, n):
+        d, path = diameter_and_path(make_cycle(n))
+        assert d == n // 2
+        assert path == tuple(range(n // 2 + 1))
+        core = reduce_to_core(make_cycle(n))
+        assert (core.kind, core.params) == ("cycle", (n,))
+
+    @pytest.mark.parametrize("n", [960, 5000])
+    def test_lollipop(self, n):
+        for r in (3, 4, n // 3, n // 3 + 1, n - 1):
+            g = make_lollipop(n, r)
+            d, path = diameter_and_path(g)
+            assert d == n - -(-r // 2)
+            assert len(path) == d + 1
+            core = reduce_to_core(g)
+            assert (core.kind, core.params) == ("lollipop", (n, r))
+
+    @pytest.mark.parametrize("n", [960, 5000])
+    def test_compass(self, n):
+        r = n // 4
+        for p in (
+            CompassParams(n, r, r // 2, n // 5),
+            CompassParams(n, r + 1, (r + 1) // 2, 1),
+            CompassParams(n, r, 1, n // 2),
+        ):
+            p.validate()
+            g = make_compass(p)
+            d, path = diameter_and_path(g)
+            assert d == p.r_prime + p.t + p.s
+            assert len(path) == d + 1
+            core = reduce_to_core(g)
+            params = (n, p.r, p.r_prime, min(p.t, p.s))
+            assert (core.kind, core.params) == ("compass", params)
+
+
+class TestLinearMemory:
+    """A diameter never holds an n x n distance table: 8 n^2 bytes of list
+    slots alone. The bound allows a tenth of that."""
+
+    @pytest.mark.parametrize(
+        "g", [make_path(600), make_lollipop(2000, 700)], ids=["tree", "unicyclic"]
+    )
+    def test_peak_memory_is_linear(self, g):
+        tracemalloc.start()
+        try:
+            diameter_and_path(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.n * g.n // 10, peak
+
+
+class TestCoreDecomposition:
+    def test_derived_core_decomposition_classifies_like_a_fresh_one(self):
+        rng = random.Random(9)
+        graphs_ = [g for n in range(3, 10) for g in enumerate_unicyclic(n)]
+        graphs_ += [random_unicyclic(rng, rng.randrange(5, 40)) for _ in range(100)]
+        for g in graphs_:
+            core = reduce_to_core(g)
+            fresh = graphs._classify(core.core, unicyclic_decompose(core.core))
+            assert (core.kind, core.params) == fresh, g.edges()
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named graphs function wherever graphs or bounds binds it."""
+    calls = []
+    for name in names:
+        original = getattr(graphs, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args[0])
+            return _original(*args, **kwargs)
+
+        for module in (graphs, bounds):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestStructureOncePerAnalyze:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            make_compass(CompassParams(14, 8, 4, 3)),
+            make_lollipop(20, 7),
+            random_unicyclic(random.Random(3), 30),
+        ],
+        ids=["compass", "lollipop", "random"],
+    )
+    def test_decompose_and_diameter_run_once(self, monkeypatch, g):
+        decompositions = _count_calls(monkeypatch, ["unicyclic_decompose"])
+        diameters = _count_calls(
+            monkeypatch, ["diameter_and_path", "_unicyclic_diameter_and_path"]
+        )
+        report = bounds.analyze(g)
+        assert report.gamma is not None  # n <= 32, so gamma ran as well
+        assert decompositions == [g]
+        assert diameters == [g]

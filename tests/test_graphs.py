@@ -318,3 +318,9 @@ class TestEdgeListIO:
         for text in ["", "3\n", "3 1\n0 1\n1 2\n", "2 1\n1 0\n", "2 1\nx y\n"]:
             with pytest.raises(InvalidParameterError):
                 read_edge_list(io.StringIO(text))
+        # n > m + 1 cannot be connected, and is rejected before n vertices
+        # are allocated: the 13-byte header alone would otherwise ask for 1e9
+        for text in ["1000000000 0\n", "3 1\n0 1\n", "5 -1\n"]:
+            with pytest.raises(InvalidParameterError, match="cannot be connected"):
+                read_edge_list(io.StringIO(text))
+        assert read_edge_list(io.StringIO("1 0\n")).n == 1
