@@ -17,17 +17,17 @@ from typing import TextIO
 
 from .bounds import (
     GAMMA_CAP_DEFAULT,
+    _domination_number,
     analyze,
     ceil_div,
     compass_bounds,
-    domination_number,
     lollipop_exact_count,
     main_lower_bound,
     refined_lollipop_bound,
 )
 from .charpoly import edge_join_identity_holds, eval_at, phi_lollipop, verify_charpoly_identities
 from .enumeration import enumerate_unicyclic
-from .errors import InternalConsistencyError, InvalidParameterError
+from .errors import InternalConsistencyError, InvalidParameterError, SizeCapExceededError
 from .graphs import (
     CompassParams,
     Graph,
@@ -370,6 +370,8 @@ def check_attachment_invariance(count: int = 100, max_n: int = 12, seed: int = 0
 
 def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> VerifyReport:
     """ceil((d+1)/3) <= count[0,1) <= gamma on random trees."""
+    if max_n > GAMMA_CAP_DEFAULT:
+        raise SizeCapExceededError(f"max_n={max_n} exceeds domination cap {GAMMA_CAP_DEFAULT}")
 
     def run():
         rng = random.Random(seed)
@@ -379,7 +381,7 @@ def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> Verify
             g = random_tree(rng, n)
             d, _ = diameter_and_path(g)
             c = count_interval(g, 0, 1).count
-            if not ceil_div(d + 1, 3) <= c <= domination_number(g):
+            if not ceil_div(d + 1, 3) <= c <= _domination_number(g, d):
                 failures.append((i, n))
         return count, failures
 
@@ -499,7 +501,14 @@ def _measure(
 ) -> SweepRow:
     at_one = shifted_inertia(g, 1)
     count01, mult1 = at_one.negatives, at_one.zeros
-    gamma = domination_number(g, cap=gamma_cap) if g.n <= gamma_cap else None
+    gamma = None
+    if g.n <= gamma_cap:
+        measured, _ = diameter_and_path(g)
+        if measured != d:
+            raise InternalConsistencyError(
+                f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"
+            )
+        gamma = _domination_number(g, d)
     return SweepRow(
         family=family,
         n=g.n,

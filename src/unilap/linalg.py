@@ -2,9 +2,16 @@
 
 Sylvester's law of inertia makes symmetric Gaussian elimination an exact
 eigenvalue-sign counter: each congruence step peels off one diagonal pivot
-whose sign is the sign of one eigenvalue. Everything runs over
-fractions.Fraction, so there is no rounding and counts at spectrum points
-(where floating point is hopeless) are exact.
+whose sign is the sign of one eigenvalue. The arithmetic is exact, so
+there is no rounding and counts at spectrum points (where floating point is
+hopeless) are exact. An entry is a Python int while it is integral and a
+fractions.Fraction only after a division that does not come out even; a
+Fraction result with denominator 1 is stored as an int again. Quotients go
+through _div, which divides two ints with divmod and builds a Fraction when
+the remainder is nonzero, and the 2x2 block divides by its determinant
+taken as a Fraction: / is never applied to two ints, since that gives a
+float. At an integer shift most pivots on graph Laplacians are +-1, so
+most of the work is int arithmetic.
 
 The kernel, sparse_inertia, works on sparse rows (one dict per index,
 holding the nonzero entries) and always eliminates the nonzero diagonal
@@ -34,9 +41,7 @@ from .errors import NonSymmetricError
 
 Rational = Fraction
 
-SparseRows = dict[int, dict[int, Fraction]]
-
-_ZERO = Fraction(0)
+SparseRows = dict[int, dict[int, int | Fraction]]
 
 
 @dataclass(frozen=True)
@@ -98,18 +103,42 @@ class ExactMatrix:
         return f"ExactMatrix({[list(map(str, row)) for row in self.rows]})"
 
 
+def _div(a: int | Fraction, d: int | Fraction) -> int | Fraction:
+    """a / d exactly, as an int when the quotient is integral."""
+    if a.__class__ is int and d.__class__ is int:
+        q, rem = divmod(a, d)
+        return Fraction(a, d) if rem else q
+    x = a / d
+    return x.numerator if x.denominator == 1 else x
+
+
 def _eliminate_pivot(rows: SparseRows, p: int) -> list[int]:
     """Eliminate the 1x1 pivot p; returns the rows it touched."""
     row_p = rows.pop(p)
     d = row_p.pop(p)
+    if len(row_p) == 1:
+        # one neighbour left (a pendant vertex): only its diagonal changes
+        ((u, a),) = row_p.items()
+        row_u = rows[u]
+        del row_u[p]
+        new = row_u.get(u, 0) - _div(a * a, d)
+        if new.__class__ is not int and new.denominator == 1:
+            new = new.numerator
+        if new:
+            row_u[u] = new
+        else:
+            row_u.pop(u, None)
+        return [u]
     nbrs = list(row_p.items())
     for u, _ in nbrs:
-        rows[u].pop(p, None)
+        del rows[u][p]
     for u, apu in nbrs:
-        factor = apu / d
+        factor = _div(apu, d)
         row_u = rows[u]
         for v, apv in nbrs:
-            new = row_u.get(v, _ZERO) - factor * apv
+            new = row_u.get(v, 0) - factor * apv
+            if new.__class__ is not int and new.denominator == 1:
+                new = new.numerator
             if new:
                 row_u[v] = new
             else:
@@ -123,12 +152,12 @@ def _eliminate_block(rows: SparseRows, p: int, q: int) -> set[int]:
     # is zero, so its determinant -a^2 is negative and it contributes one
     # eigenvalue of each sign.
     a = rows[p][q]
-    dp = rows[p].get(p, _ZERO)
-    dq = rows[q].get(q, _ZERO)
-    det = dp * dq - a * a
+    dp = rows[p].get(p, 0)
+    dq = rows[q].get(q, 0)
+    det = Fraction(dp * dq - a * a)
     i00, i01, i11 = dq / det, -a / det, dp / det
     support = (set(rows[p]) | set(rows[q])) - {p, q}
-    coef = {u: (rows[u].get(p, _ZERO), rows[u].get(q, _ZERO)) for u in support}
+    coef = {u: (rows[u].get(p, 0), rows[u].get(q, 0)) for u in support}
     del rows[p], rows[q]
     for u in support:
         rows[u].pop(p, None)
@@ -138,7 +167,9 @@ def _eliminate_block(rows: SparseRows, p: int, q: int) -> set[int]:
         w1 = i01 * xu + i11 * yu
         row_u = rows[u]
         for v, (xv, yv) in coef.items():
-            new = row_u.get(v, _ZERO) - (xv * w0 + yv * w1)
+            new = row_u.get(v, 0) - (xv * w0 + yv * w1)
+            if new.denominator == 1:
+                new = new.numerator
             if new:
                 row_u[v] = new
             else:
@@ -149,8 +180,9 @@ def _eliminate_block(rows: SparseRows, p: int, q: int) -> set[int]:
 def sparse_inertia(rows: SparseRows) -> Inertia:
     """Signs of the eigenvalues of a symmetric matrix given as sparse rows.
 
-    rows maps each index to a dict of its nonzero entries (zeros, the
-    diagonal included, are absent); it must be symmetric and is consumed.
+    rows maps each index to a dict of its nonzero entries, ints or
+    Fractions (zeros, the diagonal included, are absent); it must be
+    symmetric and is consumed.
     Nonzero diagonal pivots are taken smallest (support, index) first; if
     only zero diagonals remain but some off-diagonal entry is nonzero, the
     2x2 block on the smallest index with a nonempty row and that row's
@@ -199,7 +231,10 @@ def inertia(m: ExactMatrix) -> Inertia:
     if not m.is_symmetric():
         raise NonSymmetricError("inertia requires a symmetric matrix")
     return sparse_inertia(
-        {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.rows)}
+        {
+            i: {j: x.numerator if x.denominator == 1 else x for j, x in enumerate(row) if x}
+            for i, row in enumerate(m.rows)
+        }
     )
 
 

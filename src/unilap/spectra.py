@@ -27,9 +27,6 @@ from .graphs import Graph
 from .linalg import ExactMatrix, Inertia, sparse_inertia
 
 
-_MINUS_ONE = Fraction(-1)
-
-
 def laplacian_rows(g: Graph) -> list[list[int]]:
     """Degree diagonal minus adjacency, as plain integers."""
     rows = [[0] * g.n for _ in range(g.n)]
@@ -63,9 +60,11 @@ class IntervalCount:
 def shifted_inertia(g: Graph, c: int | Fraction) -> Inertia:
     """Inertia of L(g) - cI: eigenvalues of L below, at and above c."""
     c = Fraction(c)
+    if c.denominator == 1:
+        c = c.numerator
     rows = {}
     for v, nbrs in enumerate(g.adj):
-        row = dict.fromkeys(nbrs, _MINUS_ONE)
+        row = dict.fromkeys(nbrs, -1)
         if len(nbrs) != c:
             row[v] = len(nbrs) - c
         rows[v] = row

@@ -6,12 +6,14 @@ import sys
 import pytest
 
 from unilap.bounds import ceil_div
+from unilap import bounds, graphs, harness
 from unilap.cli import main
-from unilap.errors import InvalidParameterError
+from unilap.errors import InternalConsistencyError, InvalidParameterError, SizeCapExceededError
 from unilap.graphs import make_compass, CompassParams, read_edge_list
 from unilap.harness import (
     CSV_COLUMNS,
     SUITES,
+    check_tree_chain,
     compass_params_for_n,
     random_tree,
     random_unicyclic,
@@ -60,6 +62,10 @@ class TestSuites:
         # full inner sample counts; keep graph sizes small for speed
         report = run_suite("inequalities", max_n=10)
         assert report.ok, report.failures[:5]
+
+    def test_tree_chain_refuses_trees_above_domination_cap(self):
+        with pytest.raises(SizeCapExceededError):
+            check_tree_chain(count=1, max_n=33)
 
     def test_unknown_suite(self):
         with pytest.raises(InvalidParameterError):
@@ -141,6 +147,32 @@ class TestSweep:
     def test_compass_param_order_lexicographic(self):
         params = [(p.r, p.r_prime, p.t) for p in compass_params_for_n(12)]
         assert params == sorted(params)
+
+    def test_corrupted_formula_diameter_raises(self, monkeypatch):
+        original = harness._measure
+
+        def off_by_one(*args, d, **kwargs):
+            return original(*args, d=d + 1, **kwargs)
+
+        monkeypatch.setattr(harness, "_measure", off_by_one)
+        with pytest.raises(InternalConsistencyError):
+            list(sweep("lollipop", 6, 6))
+
+    @pytest.mark.parametrize("family,n_hi", [("lollipop", 12), ("compass", 12)])
+    def test_one_diameter_per_row_below_cap(self, monkeypatch, family, n_hi):
+        calls = []
+        original = graphs.diameter_and_path
+
+        def counted(g):
+            calls.append(g.n)
+            return original(g)
+
+        for module in (graphs, bounds, harness):
+            monkeypatch.setattr(module, "diameter_and_path", counted)
+        gamma_cap = 9
+        rows = list(sweep(family, 4, n_hi, gamma_cap=gamma_cap))
+        assert any(row.n > gamma_cap for row in rows)
+        assert calls == [row.n for row in rows if row.n <= gamma_cap]
 
 
 class TestCLI:

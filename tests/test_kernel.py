@@ -145,3 +145,60 @@ class TestBitGrowth:
             bits, q_bits = _hadamard_bits(g, c)
             assert widest["num"] <= math.floor(bits) + 1, (n, widest)
             assert widest["den"] <= math.floor(bits + q_bits) + 1, (n, widest)
+
+
+def _record_stored_values(monkeypatch):
+    """Wrap both elimination steps; collect every entry of each row they touched."""
+    seen = {"pivot": 0, "block": 0, "values": []}
+    for name, kind in (("_eliminate_pivot", "pivot"), ("_eliminate_block", "block")):
+        original = getattr(linalg, name)
+
+        def recording(rows, *pivots, _original=original, _kind=kind):
+            touched = _original(rows, *pivots)
+            seen[_kind] += 1
+            for u in touched:
+                seen["values"].extend(rows[u].values())
+            return touched
+
+        monkeypatch.setattr(linalg, name, recording)
+    return seen
+
+
+class TestValueRepresentation:
+    """Entries are ints while integral and Fractions otherwise, never floats."""
+
+    def test_stored_values_on_every_small_class(self, monkeypatch):
+        seen = _record_stored_values(monkeypatch)
+        for n in range(3, 9):
+            for g in enumerate_unicyclic(n):
+                for c in SHIFTS:
+                    shifted_inertia(g, c)
+        assert seen["pivot"] > 0 and seen["block"] > 0
+        kinds = {type(x) for x in seen["values"]}
+        assert kinds == {int, Fraction}, kinds
+        integral_fractions = [
+            x for x in seen["values"] if type(x) is Fraction and x.denominator == 1
+        ]
+        assert not integral_fractions, integral_fractions[:5]
+
+
+@st.composite
+def symmetric_int_rows(draw):
+    """sparse_symmetric, with the whole diagonal zeroed in about half of the
+    draws so that the 2x2 block runs on int input."""
+    rows = draw(sparse_symmetric())
+    if draw(st.booleans()):
+        for i, row in enumerate(rows):
+            row[i] = 0
+    return rows
+
+
+class TestIntAndFractionInput:
+    @given(symmetric_int_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_same_inertia_either_way(self, rows):
+        expected = dense_inertia(ExactMatrix(rows))
+        as_int = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+        as_fraction = {i: {j: Fraction(x) for j, x in row.items()} for i, row in as_int.items()}
+        assert linalg.sparse_inertia(as_int) == expected
+        assert linalg.sparse_inertia(as_fraction) == expected
