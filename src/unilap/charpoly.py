@@ -7,8 +7,9 @@ are provably exact; a remainder means a bug in the recurrence bases and
 raises InternalConsistencyError rather than returning garbage.
 
 charpoly_det computes det(xI - L) by a wholly independent route (exact
-rational determinants at integer sample points, then interpolation) and
-exists to cross-examine the recurrences.
+determinants at the integer sample points 0..n by Bareiss's fraction-free
+elimination on Python ints, then interpolation) and exists to
+cross-examine the recurrences; it shares no code with them.
 """
 
 from collections.abc import Sequence
@@ -183,26 +184,34 @@ def phi_lollipop(n: int, r: int) -> IntPolynomial:
 # determinant oracle (independent of every recurrence above)
 
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
+def _det_bareiss(rows: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination.
+
+    Bareiss: each step replaces the trailing block by 2x2 cross products
+    divided by the previous pivot. Every entry is then a minor of the input,
+    so each division is exact and every value stays a Python int. A zero
+    pivot swaps in a lower row with a nonzero leading entry and flips the
+    sign; if there is none, the matrix is singular.
+    """
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        if not rows[0][0]:
+            swap = next((i for i, row in enumerate(rows) if row[0]), None)
+            if swap is None:
+                return 0
+            rows[0], rows[swap] = rows[swap], rows[0]
+            sign = -sign
+        top = rows[0]
+        pivot = top[0]
+        rows = [
+            [(pivot * a - row[0] * b) // prev for a, b in zip(row[1:], top[1:])]
+            for row in rows[1:]
+        ]
+        prev = pivot
+    return sign * rows[0][0] if rows else 1
 
 
-def _interpolate_int(points: list[tuple[int, Fraction]]) -> IntPolynomial:
+def _interpolate_int(points: list[tuple[int, int | Fraction]]) -> IntPolynomial:
     # Newton divided differences, then expansion; the result must be integral.
     xs = [Fraction(x) for x, _ in points]
     coefs = [y for _, y in points]
@@ -225,10 +234,9 @@ def charpoly_det_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     points = []
     for x0 in range(n + 1):
         mat = [
-            [Fraction((x0 if i == j else 0) - rows[i][j]) for j in range(n)]
-            for i in range(n)
+            [(x0 if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)
         ]
-        points.append((x0, _det_fraction(mat)))
+        points.append((x0, _det_bareiss(mat)))
     return _interpolate_int(points)
 
 

@@ -426,10 +426,11 @@ def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
     BFS. Any other g takes one BFS per vertex, O(n m) time, and keeps only
     O(n) memory.
     """
+    if g.m == g.n:
+        # unicyclic_decompose checks connectivity and raises NotConnectedError
+        return _unicyclic_diameter_and_path(g, unicyclic_decompose(g))
     if not g.is_connected():
         raise NotConnectedError("diameter of a disconnected graph is undefined")
-    if g.m == g.n:
-        return _unicyclic_diameter_and_path(g, unicyclic_decompose(g))
     # the first source of the largest eccentricity, and the smallest vertex
     # that far from it, is the smallest pair at the diameter
     d, u, v = -1, 0, 0

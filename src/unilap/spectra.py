@@ -4,10 +4,11 @@ The half-open count m[a, b) is the package's primitive: eigenvalues of L in
 [a, b) number negatives(L - bI) - negatives(L - aI), and both terms come
 from the exact congruence kernel, fed sparse rows of L - cI assembled
 straight from the adjacency lists. L is positive semidefinite, so the term
-at a <= 0 is zero and needs no elimination. Floating-point spectra (cyclic
-Jacobi) exist only as an independent oracle; eigenvalue 1 occurs with high
+at a <= 0 is zero and needs no elimination. The floating-point spectrum
+(LAPACK's symmetric eigvalsh through numpy) exists only as an independent
+cross-check, for the interlacing chain; eigenvalue 1 occurs with high
 multiplicity in the families studied here, so float counting at that
-boundary is never authoritative.
+boundary is never authoritative and never consulted.
 """
 
 import math
@@ -21,7 +22,6 @@ from .errors import (
     EdgeNotPresentError,
     InvalidIntervalError,
     InvalidParameterError,
-    NumericFailure,
 )
 from .graphs import Graph
 from .linalg import ExactMatrix, Inertia, sparse_inertia
@@ -103,43 +103,10 @@ def closed_form_spectrum(family: str, n: int) -> list[float]:
     return sorted(values)
 
 
-def spectrum_float(g: Graph, tol: float = 1e-10, max_sweeps: int = 100) -> list[float]:
-    """All Laplacian eigenvalues by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below tol; the
-    returned values are the sorted diagonal.
-    """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    n = g.n
-    if n == 1:
-        return [0.0]
-    a = np.array(laplacian_rows(g), dtype=float)
-    # entries below this threshold stay: their total weight is within tol,
-    # and rotating on them risks overflow in the angle computation
-    skip_below = tol / (2.0 * n)
-    mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = float(np.sqrt((a[mask] ** 2).sum()))
-        if off < tol:
-            return sorted(float(a[i, i]) for i in range(n))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_below:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    raise NumericFailure(f"Jacobi sweep cap {max_sweeps} hit before off-norm < {tol}")
+def spectrum_float(g: Graph) -> list[float]:
+    """All Laplacian eigenvalues, ascending, from LAPACK's symmetric solver."""
+    rows = np.array(laplacian_rows(g), dtype=float)
+    return sorted(np.linalg.eigvalsh(rows).tolist())
 
 
 def check_interlacing(g: Graph, e: tuple[int, int], slack: float = 1e-8) -> bool:

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Oracles here deliberately avoid the code paths they check: float spectra
-come from numpy's LAPACK wrapper (not the package's Jacobi), domination
-numbers from exhaustive subset search, and isomorphism tests from raw
-permutation search.
+come from numpy's LAPACK wrapper (which the exact kernel never touches;
+tests of spectrum_float, itself LAPACK, use the Jacobi solver in jacobi.py),
+domination numbers from exhaustive subset search, and isomorphism tests from
+raw permutation search.
 """
 
 import itertools

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_det
+from unilap import charpoly
 from unilap.charpoly import (
     IntPolynomial,
+    _det_bareiss,
     charpoly_det,
     charpoly_det_matrix,
     edge_join_identity_holds,
@@ -19,7 +22,8 @@ from unilap.charpoly import (
     verify_charpoly_identities,
 )
 from unilap.errors import InternalConsistencyError, InvalidParameterError
-from unilap.graphs import make_cycle, make_lollipop, make_path
+from unilap.enumeration import enumerate_unicyclic
+from unilap.graphs import Graph, make_cycle, make_lollipop, make_path
 from unilap.harness import random_connected_graph
 from unilap.spectra import count_interval
 
@@ -204,3 +208,57 @@ class TestGlobalShape:
                 below = count_interval(g, 0, 1).count
                 above = count_interval(g, 1, g.n + 1).count
                 assert below + above == g.n
+
+
+class TestBareissAgainstFractionOracle:
+    """charpoly_det against the Fraction-elimination route it replaced."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_unicyclic_class(self, n):
+        for g in enumerate_unicyclic(n):
+            assert charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            g = random_connected_graph(rng, rng.randrange(1, 15), rng.randrange(0, 4))
+            assert charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
+
+    def test_every_matrix_of_the_identity_suite(self, monkeypatch):
+        seen = {}
+        original = charpoly.charpoly_det_matrix
+
+        def recording(rows):
+            seen[tuple(map(tuple, rows))] = result = original(rows)
+            return result
+
+        monkeypatch.setattr(charpoly, "charpoly_det_matrix", recording)
+        assert all(not bad for bad in verify_charpoly_identities(12).values())
+        assert () in seen  # the minor of the one-vertex path
+        for k in range(1, 12):
+            assert tuple(map(tuple, charpoly._end_minor_matrix(k))) in seen
+        for k in range(1, 11):
+            assert tuple(map(tuple, charpoly._interior_minor_matrix(k))) in seen
+        for rows, poly_ in seen.items():
+            assert poly_ == fraction_det.charpoly_det_matrix(rows), rows
+
+    def test_empty_and_one_by_one(self):
+        assert charpoly_det_matrix([]) == poly(1) == fraction_det.charpoly_det_matrix([])
+        assert charpoly_det_matrix([[5]]) == poly(-5, 1)
+        assert charpoly_det_matrix([[-3]]) == fraction_det.charpoly_det_matrix([[-3]])
+        assert _det_bareiss([]) == 1 and _det_bareiss([[7]]) == 7
+
+    def test_zero_leading_entry_swaps_rows(self):
+        # at x0 = 1 the sample [[0, -2], [-2, 0]] has a zero pivot and det -4
+        rows = [[1, 2], [2, 1]]
+        assert charpoly_det_matrix(rows) == poly(-3, -2, 1)
+        assert charpoly_det_matrix(rows) == fraction_det.charpoly_det_matrix(rows)
+        # the star's centre has degree 3, so the sample at 3 swaps, and 3 is
+        # not an eigenvalue, so the swapped determinant is nonzero
+        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        assert charpoly_det(star) == poly(0, -4, 9, -6, 1)
+        assert charpoly_det(star) == fraction_det.charpoly_det(star)
+        det = _det_bareiss([[0, 1, 1, 1], [1, 2, 0, 0], [1, 0, 2, 0], [1, 0, 0, 2]])
+        assert type(det) is int and det == -12
+        assert _det_bareiss([[0, 1], [1, 0]]) == -1
+        assert _det_bareiss([[0, 1], [0, 1]]) == 0

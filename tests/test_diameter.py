@@ -22,6 +22,7 @@ from unilap.graphs import (
     Graph,
     bfs_distances,
     diameter_and_path,
+    disjoint_union,
     make_compass,
     make_cycle,
     make_lollipop,
@@ -198,3 +199,29 @@ class TestStructureOncePerAnalyze:
         assert report.gamma is not None  # n <= 32, so gamma ran as well
         assert decompositions == [g]
         assert diameters == [g]
+
+
+class TestSingleConnectivityPass:
+    @pytest.mark.parametrize(
+        "g",
+        [make_cycle(9), make_lollipop(20, 7), random_unicyclic(random.Random(4), 30)],
+        ids=["cycle", "lollipop", "random"],
+    )
+    def test_one_connectivity_check_per_unicyclic_diameter(self, monkeypatch, g):
+        calls = []
+        original = Graph.is_connected
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Graph, "is_connected", counted)
+        for k in range(1, 4):
+            diameter_and_path(g)
+            assert calls == [g] * k
+
+    def test_disconnected_with_as_many_edges_as_vertices(self):
+        g = disjoint_union(make_cycle(3), make_cycle(4))
+        assert g.m == g.n
+        with pytest.raises(NotConnectedError):
+            diameter_and_path(g)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import numpy_eigs
+from jacobi import spectrum_float as jacobi_spectrum
 from unilap.errors import EdgeNotPresentError, InvalidIntervalError, InvalidParameterError
 from unilap.graphs import (
     CompassParams,
@@ -162,14 +163,21 @@ class TestSpectrumFloat:
         assert spectrum_float(make_path(1)) == [0.0]
 
     def test_matches_numpy_on_random_graphs(self):
+        # spectrum_float is numpy's eigvalsh, so the check is against the
+        # Jacobi solver it replaced, which shares no code with LAPACK
         rng = random.Random(3)
         for _ in range(8):
             g = random_connected_graph(rng, rng.randrange(2, 25), rng.randrange(0, 5))
-            assert spectrum_float(g) == pytest.approx(list(numpy_eigs(g)), abs=1e-8)
+            assert spectrum_float(g) == pytest.approx(jacobi_spectrum(g), abs=1e-8)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(InvalidParameterError):
-            spectrum_float(make_path(3), tol=0.0)
+    @pytest.mark.parametrize(
+        "family, maker, lo", [("path", make_path, 1), ("cycle", make_cycle, 3)]
+    )
+    def test_matches_closed_forms(self, family, maker, lo):
+        for n in range(lo, 41):
+            assert spectrum_float(maker(n)) == pytest.approx(
+                closed_form_spectrum(family, n), abs=1e-9
+            ), n
 
 
 class TestInterlacing:
