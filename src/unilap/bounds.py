@@ -139,6 +139,18 @@ def _domination_number(g: Graph, d: int | None) -> int:
     return best
 
 
+def _count01_mult1_gamma(g: Graph, d: int, gamma_cap: int) -> tuple[int, int, int | None]:
+    """count[0,1), the multiplicity of 1, and gamma (None when n > gamma_cap).
+
+    d is g's diameter. L is positive semidefinite, so one elimination at 1
+    gives both the count in [0, 1) (its negatives) and the multiplicity of 1
+    (its zeros).
+    """
+    at_one = shifted_inertia(g, 1)
+    gamma = _domination_number(g, d) if g.n <= gamma_cap else None
+    return at_one.negatives, at_one.zeros, gamma
+
+
 # ---------------------------------------------------------------------------
 # per-graph report
 
@@ -172,11 +184,7 @@ def analyze(g: Graph, gamma_cap: int = GAMMA_CAP_DEFAULT) -> BoundReport:
     dec = unicyclic_decompose(g)
     r = dec.girth
     d, path = _unicyclic_diameter_and_path(g, dec)
-    # L is positive semidefinite, so one elimination at 1 gives both the
-    # count in [0, 1) (its negatives) and the multiplicity of 1 (its zeros)
-    at_one = shifted_inertia(g, 1)
-    count01, mult1 = at_one.negatives, at_one.zeros
-    gamma = _domination_number(g, d) if g.n <= gamma_cap else None
+    count01, mult1, gamma = _count01_mult1_gamma(g, d, gamma_cap)
     core = _reduce_to_core(g, dec, path)
 
     main = main_lower_bound(d, r)

@@ -8,8 +8,9 @@ raises InternalConsistencyError rather than returning garbage.
 
 charpoly_det computes det(xI - L) by a wholly independent route (exact
 determinants at the integer sample points 0..n by Bareiss's fraction-free
-elimination on Python ints, then interpolation) and exists to
-cross-examine the recurrences; it shares no code with them.
+elimination on Python ints, then interpolation from integer forward
+differences) and exists to cross-examine the recurrences; it shares no code
+with them.
 """
 
 from collections.abc import Sequence
@@ -211,33 +212,48 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * rows[0][0] if rows else 1
 
 
-def _interpolate_int(points: list[tuple[int, int | Fraction]]) -> IntPolynomial:
-    # Newton divided differences, then expansion; the result must be integral.
-    xs = [Fraction(x) for x, _ in points]
-    coefs = [y for _, y in points]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - level])
-    poly = [coefs[-1]]
-    for k in range(len(points) - 2, -1, -1):
-        shifted = [Fraction(0)] + poly
-        poly = [s - xs[k] * p for s, p in zip(shifted, poly + [Fraction(0)])]
-        poly[0] += coefs[k]
-    if any(c.denominator != 1 for c in poly):
-        raise InternalConsistencyError("interpolation produced non-integer coefficients")
-    return IntPolynomial([int(c) for c in poly])
+def _interpolate_int(values: list[int]) -> IntPolynomial:
+    """The integer polynomial of degree at most n taking values[x] at x = 0..n.
+
+    Newton's forward form: p(x) is the sum over k of D^k p(0) times
+    x(x-1)...(x-k+1) / k!, with D the forward difference. Scaled by n! each
+    term has integer coefficients, so the Horner expansion runs on ints and
+    each coefficient is divided by n! once at the end; a remainder means
+    the samples do not come from an integer polynomial.
+    """
+    diffs = []
+    row = list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    scale = 1  # n!/k! at step k, n! after the last
+    poly = [diffs[-1]]
+    for k in range(len(diffs) - 2, -1, -1):
+        scale *= k + 1
+        shifted = [0] + poly
+        for i, c in enumerate(poly):
+            shifted[i] -= k * c
+        shifted[0] += diffs[k] * scale
+        poly = shifted
+    coeffs = []
+    for c in poly:
+        q, rem = divmod(c, scale)
+        if rem:
+            raise InternalConsistencyError("interpolation produced non-integer coefficients")
+        coeffs.append(q)
+    return IntPolynomial(coeffs)
 
 
 def charpoly_det_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     """det(xI - M) for an integer matrix, by sampling and interpolation."""
     n = len(rows)
-    points = []
+    values = []
     for x0 in range(n + 1):
         mat = [
             [(x0 if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)
         ]
-        points.append((x0, _det_bareiss(mat)))
-    return _interpolate_int(points)
+        values.append(_det_bareiss(mat))
+    return _interpolate_int(values)
 
 
 def charpoly_det(g: Graph) -> IntPolynomial:

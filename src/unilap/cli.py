@@ -22,7 +22,7 @@ from .graphs import (
     read_edge_list,
     write_edge_list,
 )
-from .harness import CSV_COLUMNS, SUITES, SweepRow, run_suite, sweep, write_csv
+from .harness import CSV_COLUMNS, SUITES, _row, run_suite, sweep, write_csv
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -46,34 +46,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_to_row(report) -> SweepRow:
-    core = report.core
-    r_prime = t = None
-    if core.kind == "compass":
-        _, _, r_prime, t = core.params
-    return SweepRow(
-        family=core.kind,
-        n=report.n,
-        r=report.girth,
-        r_prime=r_prime,
-        t=t,
-        d=report.diameter,
-        girth=report.girth,
-        main_bound=report.main_bound,
-        refined_bound=report.refined_bound,
-        count01=report.count01,
-        mult1=report.mult1,
-        gamma=report.gamma,
-        bound_ok=report.verdicts.get("main_bound"),
-        hedetniemi_ok=report.verdicts.get("hedetniemi"),
-    )
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     with open(args.file, encoding="ascii") as fh:
         g = read_edge_list(fh)
     report = analyze(g)
-    row = _report_to_row(report)
+    core = report.core
+    r_prime, t = core.params[2:] if core.kind == "compass" else (None, None)
+    row = _row(
+        core.kind, report.n, report.girth, r_prime, t, report.diameter, report.main_bound,
+        report.refined_bound, report.count01, report.mult1, report.gamma,
+    )
     if args.json:
         payload = {col: getattr(row, col) for col in CSV_COLUMNS}
         payload["alpha"] = report.alpha

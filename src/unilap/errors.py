@@ -25,10 +25,6 @@ class InvalidIntervalError(ValueError):
     """Interval endpoints must satisfy a < b."""
 
 
-class NumericFailure(RuntimeError):
-    """The floating-point eigensolver failed to converge."""
-
-
 class SizeCapExceededError(ValueError):
     """Exact search refused an instance above its size cap."""
 

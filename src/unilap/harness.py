@@ -17,6 +17,7 @@ from typing import TextIO
 
 from .bounds import (
     GAMMA_CAP_DEFAULT,
+    _count01_mult1_gamma,
     _domination_number,
     analyze,
     ceil_div,
@@ -39,7 +40,7 @@ from .graphs import (
     make_path,
     pendant_vertices,
 )
-from .spectra import check_interlacing, count_interval, multiplicity, shifted_inertia
+from .spectra import check_interlacing, count_interval, multiplicity
 from .witnesses import compass_one_witness, cycle_one_vectors, lollipop_one_witness, path_one_vector
 
 # value of the lollipop characteristic polynomial at 1, keyed on r mod 6,
@@ -414,26 +415,15 @@ SUITES: dict[str, Callable[..., VerifyReport]] = {
     "inequalities": suite_inequalities,
 }
 
-SUITE_DEFAULT_MAX_N = {
-    "paths": 120,
-    "cycles": 120,
-    "lollipops": 40,
-    "compasses": 26,
-    "witnesses": 60,
-    "charpoly": 12,
-    "exhaustive": 10,
-    "inequalities": 30,
-}
-
-
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> VerifyReport:
+    """Run suite name at max_n, or at the suite's own default when max_n is None."""
     if name not in SUITES:
         raise InvalidParameterError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         )
     if max_n is None:
-        max_n = SUITE_DEFAULT_MAX_N[name]
-    elif max_n < 1:
+        return SUITES[name](seed=seed)
+    if max_n < 1:
         raise InvalidParameterError(f"max_n must be at least 1, got {max_n}")
     return SUITES[name](max_n=max_n, seed=seed)
 
@@ -499,29 +489,37 @@ def _measure(
     refined_bound: int | None,
     gamma_cap: int,
 ) -> SweepRow:
-    at_one = shifted_inertia(g, 1)
-    count01, mult1 = at_one.negatives, at_one.zeros
-    gamma = None
     if g.n <= gamma_cap:
         measured, _ = diameter_and_path(g)
         if measured != d:
             raise InternalConsistencyError(
                 f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"
             )
-        gamma = _domination_number(g, d)
+    count01, mult1, gamma = _count01_mult1_gamma(g, d, gamma_cap)
+    return _row(family, g.n, r, r_prime, t, d, main_bound, refined_bound, count01, mult1, gamma)
+
+
+def _row(
+    family: str,
+    n: int,
+    r: int | None,
+    r_prime: int | None,
+    t: int | None,
+    d: int,
+    main_bound: int | None,
+    refined_bound: int | None,
+    count01: int,
+    mult1: int,
+    gamma: int | None,
+) -> SweepRow:
+    """The one builder of SweepRow, for sweeps and the CLI alike.
+
+    It derives girth, bound_ok and hedetniemi_ok from the measured fields.
+    """
     return SweepRow(
-        family=family,
-        n=g.n,
-        r=r,
-        r_prime=r_prime,
-        t=t,
-        d=d,
-        girth=r,
-        main_bound=main_bound,
-        refined_bound=refined_bound,
-        count01=count01,
-        mult1=mult1,
-        gamma=gamma,
+        family=family, n=n, r=r, r_prime=r_prime, t=t, d=d, girth=r,
+        main_bound=main_bound, refined_bound=refined_bound,
+        count01=count01, mult1=mult1, gamma=gamma,
         bound_ok=None if main_bound is None else count01 >= main_bound,
         hedetniemi_ok=None if gamma is None else count01 <= gamma,
     )

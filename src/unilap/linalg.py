@@ -28,8 +28,10 @@ graph, and since L is positive semidefinite one elimination at c = 1 yields
 both the count below 1 (its negatives) and the multiplicity of 1 (its
 zeros).
 
-ExactMatrix is the dense public adapter: inertia(ExactMatrix) checks
-symmetry and converts to sparse rows. It is not on the hot path.
+ExactMatrix is the public matrix type and holds the same sparse rows: its
+constructor takes dense rows and drops the zeros, spectra.laplacian builds
+one straight from the graph, and inertia(ExactMatrix) checks symmetry and
+eliminates a per-row copy, so it costs O(n + m) on a graph Laplacian.
 """
 
 import heapq
@@ -38,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonSymmetricError
-
-Rational = Fraction
 
 SparseRows = dict[int, dict[int, int | Fraction]]
 
@@ -55,52 +55,57 @@ class Inertia:
         return self.negatives + self.zeros + self.positives
 
 
+def _exact(x: int | Fraction) -> int | Fraction:
+    """x as an int when it is integral, else as a Fraction."""
+    if x.__class__ is not int:
+        x = Fraction(x)
+        if x.denominator == 1:
+            x = x.numerator
+    return x
+
+
 class ExactMatrix:
-    """Dense square matrix over exact rationals."""
+    """Square matrix over exact rationals, held as the kernel's sparse rows.
+
+    rows maps each index to a dict of its nonzero entries; integral entries
+    are ints. The constructor takes dense rows.
+    """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Iterable[Sequence[int | Fraction]]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(data)
-        if any(len(row) != n for row in data):
+        dense = list(rows)
+        n = len(dense)
+        if any(len(row) != n for row in dense):
             raise ValueError("matrix must be square")
         self.n = n
-        self.rows = data
+        self.rows: SparseRows = {
+            i: {j: x for j, x in enumerate(map(_exact, row)) if x}
+            for i, row in enumerate(dense)
+        }
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n: int) -> "ExactMatrix":
-        return cls([[0] * n for _ in range(n)])
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.rows[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
+    def _of(cls, rows: SparseRows) -> "ExactMatrix":
+        """Wrap sparse rows, already normalised, without copying them."""
+        m = object.__new__(cls)
+        m.n = len(rows)
+        m.rows = rows
+        return m
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        rows = self.rows
+        return all(rows[j].get(i) == x for i, row in rows.items() for j, x in row.items())
 
     def minus_scaled_identity(self, c: int | Fraction) -> "ExactMatrix":
-        c = Fraction(c)
-        return ExactMatrix(
-            [
-                [x - c if i == j else x for j, x in enumerate(row)]
-                for i, row in enumerate(self.rows)
-            ]
-        )
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({[list(map(str, row)) for row in self.rows]})"
+        c = _exact(c)
+        rows = {i: dict(row) for i, row in self.rows.items()}
+        for i, row in rows.items():
+            x = _exact(row.get(i, 0) - c)
+            if x:
+                row[i] = x
+            else:
+                row.pop(i, None)
+        return ExactMatrix._of(rows)
 
 
 def _div(a: int | Fraction, d: int | Fraction) -> int | Fraction:
@@ -227,17 +232,7 @@ def sparse_inertia(rows: SparseRows) -> Inertia:
 
 
 def inertia(m: ExactMatrix) -> Inertia:
-    """Signs of the eigenvalues of a dense symmetric matrix, exactly."""
+    """Signs of the eigenvalues of a symmetric matrix, exactly."""
     if not m.is_symmetric():
         raise NonSymmetricError("inertia requires a symmetric matrix")
-    return sparse_inertia(
-        {
-            i: {j: x.numerator if x.denominator == 1 else x for j, x in enumerate(row) if x}
-            for i, row in enumerate(m.rows)
-        }
-    )
-
-
-def nullity(m: ExactMatrix) -> int:
-    """Kernel dimension of a symmetric matrix."""
-    return inertia(m).zeros
+    return sparse_inertia({i: dict(row) for i, row in m.rows.items()})

@@ -4,7 +4,8 @@ The half-open count m[a, b) is the package's primitive: eigenvalues of L in
 [a, b) number negatives(L - bI) - negatives(L - aI), and both terms come
 from the exact congruence kernel, fed sparse rows of L - cI assembled
 straight from the adjacency lists. L is positive semidefinite, so the term
-at a <= 0 is zero and needs no elimination. The floating-point spectrum
+at a <= 0 is zero and needs no elimination. laplacian(g) wraps the same
+rows at c = 0 in an ExactMatrix. The floating-point spectrum
 (LAPACK's symmetric eigvalsh through numpy) exists only as an independent
 cross-check, for the interlacing chain; eigenvalue 1 occurs with high
 multiplicity in the families studied here, so float counting at that
@@ -24,7 +25,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .graphs import Graph
-from .linalg import ExactMatrix, Inertia, sparse_inertia
+from .linalg import ExactMatrix, Inertia, SparseRows, _exact, sparse_inertia
 
 
 def laplacian_rows(g: Graph) -> list[list[int]]:
@@ -37,8 +38,21 @@ def laplacian_rows(g: Graph) -> list[list[int]]:
     return rows
 
 
+def _shifted_rows(g: Graph, c: int | Fraction) -> SparseRows:
+    """Sparse rows of L(g) - cI, built straight from the adjacency lists."""
+    c = _exact(c)
+    rows = {}
+    for v, nbrs in enumerate(g.adj):
+        row = dict.fromkeys(nbrs, -1)
+        if len(nbrs) != c:
+            row[v] = len(nbrs) - c
+        rows[v] = row
+    return rows
+
+
 def laplacian(g: Graph) -> ExactMatrix:
-    return ExactMatrix(laplacian_rows(g))
+    """L(g) as an ExactMatrix, in O(n + m)."""
+    return ExactMatrix._of(_shifted_rows(g, 0))
 
 
 def laplacian_apply(g: Graph, vec: Sequence[int]) -> list[int]:
@@ -59,16 +73,7 @@ class IntervalCount:
 
 def shifted_inertia(g: Graph, c: int | Fraction) -> Inertia:
     """Inertia of L(g) - cI: eigenvalues of L below, at and above c."""
-    c = Fraction(c)
-    if c.denominator == 1:
-        c = c.numerator
-    rows = {}
-    for v, nbrs in enumerate(g.adj):
-        row = dict.fromkeys(nbrs, -1)
-        if len(nbrs) != c:
-            row[v] = len(nbrs) - c
-        rows[v] = row
-    return sparse_inertia(rows)
+    return sparse_inertia(_shifted_rows(g, c))
 
 
 def _count_below(g: Graph, c: Fraction) -> int:

@@ -1,16 +1,67 @@
 """The dense inertia kernel that sparse_inertia replaced, kept as a test oracle.
 
-This is the earlier unilap.linalg elimination, unchanged: a Laplacian goes
-through the dense ExactMatrix, which is converted to dict rows, and every
-step scans all remaining rows for the nonzero diagonal with the smallest
-(support, index). Its own copies of the elimination steps keep it
-independent of the code it checks.
+This is the earlier unilap.linalg elimination, unchanged, with the dense
+ExactMatrix it read from: every entry is a Fraction, the matrix is
+converted to dict rows, and every step scans all remaining rows for the
+nonzero diagonal with the smallest (support, index). Tests feed it dense
+rows (laplacian_rows(g) minus cI, or explicit matrices), so it shares no
+input path and no elimination step with the code it checks.
 """
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from unilap.errors import NonSymmetricError
-from unilap.linalg import ExactMatrix, Inertia
+from unilap.linalg import Inertia
+
+
+class ExactMatrix:
+    """Dense square matrix over exact rationals."""
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, rows: Iterable[Sequence[int | Fraction]]):
+        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        n = len(data)
+        if any(len(row) != n for row in data):
+            raise ValueError("matrix must be square")
+        self.n = n
+        self.rows = data
+
+    @classmethod
+    def identity(cls, n: int) -> "ExactMatrix":
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def zeros(cls, n: int) -> "ExactMatrix":
+        return cls([[0] * n for _ in range(n)])
+
+    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        i, j = key
+        return self.rows[i][j]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ExactMatrix) and self.rows == other.rows
+
+    def is_symmetric(self) -> bool:
+        return all(
+            self.rows[i][j] == self.rows[j][i]
+            for i in range(self.n)
+            for j in range(i + 1, self.n)
+        )
+
+    def minus_scaled_identity(self, c: int | Fraction) -> "ExactMatrix":
+        c = Fraction(c)
+        return ExactMatrix(
+            [
+                [x - c if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(self.rows)
+            ]
+        )
+
+    def __repr__(self) -> str:
+        return f"ExactMatrix({[list(map(str, row)) for row in self.rows]})"
+
 
 _ZERO = Fraction(0)
 

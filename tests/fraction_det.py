@@ -1,14 +1,16 @@
 """The Fraction-elimination determinant oracle that Bareiss replaced, kept as a test oracle.
 
 This is the earlier unilap.charpoly route, unchanged: det(xI - M) at the
-integer samples 0..n by Gaussian elimination over Fraction, then the same
-integer interpolation. Only the determinant differs from the code it checks.
+integer samples 0..n by Gaussian elimination over Fraction, then Newton
+divided differences over Fraction. Neither the determinant nor the
+interpolation shares code with the integer route it checks.
 """
 
 from collections.abc import Sequence
 from fractions import Fraction
 
-from unilap.charpoly import IntPolynomial, _interpolate_int
+from unilap.charpoly import IntPolynomial
+from unilap.errors import InternalConsistencyError
 from unilap.graphs import Graph
 from unilap.spectra import laplacian_rows
 
@@ -30,6 +32,23 @@ def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
             if factor:
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return det
+
+
+def _interpolate_int(points: list[tuple[int, int | Fraction]]) -> IntPolynomial:
+    # Newton divided differences, then expansion; the result must be integral.
+    xs = [Fraction(x) for x, _ in points]
+    coefs = [y for _, y in points]
+    for level in range(1, len(points)):
+        for i in range(len(points) - 1, level - 1, -1):
+            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - level])
+    poly = [coefs[-1]]
+    for k in range(len(points) - 2, -1, -1):
+        shifted = [Fraction(0)] + poly
+        poly = [s - xs[k] * p for s, p in zip(shifted, poly + [Fraction(0)])]
+        poly[0] += coefs[k]
+    if any(c.denominator != 1 for c in poly):
+        raise InternalConsistencyError("interpolation produced non-integer coefficients")
+    return IntPolynomial([int(c) for c in poly])
 
 
 def charpoly_det_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:

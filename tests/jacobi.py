@@ -8,9 +8,13 @@ import math
 
 import numpy as np
 
-from unilap.errors import InvalidParameterError, NumericFailure
+from unilap.errors import InvalidParameterError
 from unilap.graphs import Graph
 from unilap.spectra import laplacian_rows
+
+
+class NumericFailure(RuntimeError):
+    """The floating-point eigensolver failed to converge."""
 
 
 def spectrum_float(g: Graph, tol: float = 1e-10, max_sweeps: int = 100) -> list[float]:

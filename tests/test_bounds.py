@@ -14,9 +14,28 @@ from unilap.bounds import (
     refined_lollipop_bound,
 )
 from unilap.errors import InvalidParameterError, NotUnicyclicError, SizeCapExceededError
-from unilap.graphs import CompassParams, make_compass, make_cycle, make_lollipop, make_path
+from unilap.graphs import CompassParams, Graph, make_compass, make_cycle, make_lollipop, make_path
 from unilap.harness import random_connected_graph, random_tree
 from unilap.spectra import count_interval
+
+
+class TestCheckedDirection:
+    """The diameter/girth inequality bounds count[0,1) from below, not above.
+
+    PAPER.md's abstract calls it an upper bound. A triangle with k pendant P2s
+    at one vertex has d = 4 and r = 3 for every k >= 2, yet its count is
+    k + 1, so no function of d and r bounds the count from above.
+    """
+
+    @pytest.mark.parametrize("k", [2, 4, 16, 64])
+    def test_count_unbounded_at_fixed_diameter_and_girth(self, k):
+        edges = [(0, 1), (0, 2), (1, 2)]
+        for i in range(k):
+            edges += [(0, 3 + 2 * i), (3 + 2 * i, 4 + 2 * i)]
+        report = analyze(Graph.from_edges(3 + 2 * k, edges))
+        assert (report.diameter, report.girth) == (4, 3)
+        assert report.count01 == k + 1
+        assert report.main_bound == 2 and report.verdicts["main_bound"]
 
 
 class TestBoundFormulas:

@@ -262,3 +262,15 @@ class TestBareissAgainstFractionOracle:
         assert type(det) is int and det == -12
         assert _det_bareiss([[0, 1], [1, 0]]) == -1
         assert _det_bareiss([[0, 1], [0, 1]]) == 0
+
+
+class TestIntegerInterpolation:
+    def test_recovers_integer_polynomials(self):
+        assert charpoly._interpolate_int([7]) == poly(7)
+        assert charpoly._interpolate_int([0, 0, 2]) == poly(0, -1, 1)
+        assert charpoly._interpolate_int([-5, -3, 11, 49]) == poly(-5, 0, 0, 2)
+
+    def test_remainder_raises(self):
+        # x(x-1)/2 is an integer at every integer, but its coefficients are not
+        with pytest.raises(InternalConsistencyError):
+            charpoly._interpolate_int([0, 0, 1])

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,15 @@ from unilap.bounds import ceil_div
 from unilap import bounds, graphs, harness
 from unilap.cli import main
 from unilap.errors import InternalConsistencyError, InvalidParameterError, SizeCapExceededError
-from unilap.graphs import make_compass, CompassParams, read_edge_list
+from unilap.graphs import (
+    CompassParams,
+    Graph,
+    make_compass,
+    make_cycle,
+    make_lollipop,
+    read_edge_list,
+    write_edge_list,
+)
 from unilap.harness import (
     CSV_COLUMNS,
     SUITES,
@@ -78,6 +87,10 @@ class TestSuites:
 
     def test_max_n_one_is_honoured(self):
         assert run_suite("paths", max_n=1).checked == 1
+
+    def test_omitted_max_n_takes_the_suites_own_default(self):
+        assert run_suite("paths").checked == 120
+        assert run_suite("cycles").checked == 118
 
     def test_all_names_registered(self):
         assert set(SUITES) == {
@@ -197,6 +210,29 @@ class TestCLI:
         assert main(["analyze", str(out)]) == 0
         text = capsys.readouterr().out
         assert "count01" in text and "hedetniemi" in text
+
+    @pytest.mark.parametrize(
+        "name,g",
+        [
+            ("c6", make_cycle(6)),
+            ("compass_14_8_4_3", make_compass(CompassParams(14, 8, 4, 3))),
+            # n = 40 is above the gamma cap: gamma and hedetniemi are absent
+            ("lollipop_40_7", make_lollipop(40, 7)),
+            # a triangle with two pendant P2s at one vertex: core kind "other"
+            (
+                "other_triangle_two_p2",
+                Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 5), (3, 4), (5, 6)]),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("flags,ext", [((), "txt"), (("--json",), "json")])
+    def test_analyze_stdout_pinned(self, tmp_path, capsys, name, g, flags, ext):
+        path = tmp_path / "g.edges"
+        with open(path, "w", encoding="ascii") as fh:
+            write_edge_list(g, fh)
+        assert main(["analyze", str(path), *flags]) == 0
+        golden = Path(__file__).parent / "golden" / f"analyze_{name}.{ext}"
+        assert capsys.readouterr().out == golden.read_text(encoding="ascii")
 
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--suite", "paths", "--max-n", "15"]) == 0

@@ -1,37 +1,59 @@
 """The sparse heap-ordered kernel against the dense kernel it replaced.
 
-dense_kernel holds the earlier full-scan elimination over ExactMatrix; the
-sparse path assembles L - cI from the adjacency lists and picks pivots from
-a heap. Both must give the same Inertia everywhere, and the counts must
-match the path, cycle and lollipop closed forms at sizes the dense kernel
-could not reach in reasonable time.
+dense_kernel holds the earlier full-scan elimination over its own dense
+ExactMatrix, read from laplacian_rows(g) minus cI; the sparse path assembles
+L - cI from the adjacency lists and picks pivots from a heap, whether it is
+reached through shifted_inertia or through laplacian() and inertia(). All
+must give the same Inertia everywhere, and the counts must match the path,
+cycle and lollipop closed forms at sizes the dense kernel could not reach in
+reasonable time.
 """
 
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_kernel
 from dense_kernel import dense_inertia
 from unilap import linalg
 from unilap.bounds import ceil_div, lollipop_exact_count
 from unilap.enumeration import enumerate_unicyclic
 from unilap.graphs import make_cycle, make_lollipop, make_path
 from unilap.linalg import ExactMatrix, inertia
-from unilap.spectra import count_interval, laplacian, shifted_inertia
+from unilap.spectra import count_interval, laplacian, laplacian_rows, shifted_inertia
 
 # 2 zeroes the whole diagonal of a cycle, so the 2x2 block path runs too
 SHIFTS = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 5), Fraction(2), Fraction(3)]
 
 
+def _dense_shifted(g, c):
+    return dense_kernel.ExactMatrix(laplacian_rows(g)).minus_scaled_identity(c)
+
+
+def _typed_entries(rows):
+    """Every stored entry with its type: a Fraction 2 and an int 2 differ."""
+    return {(i, j): (type(x), x) for i, row in rows.items() for j, x in row.items()}
+
+
 def _assert_kernels_agree(g):
     lap = laplacian(g)
     for c in SHIFTS:
-        expected = dense_inertia(lap.minus_scaled_identity(c))
+        dense = _dense_shifted(g, c)
+        expected_rows = {
+            i: {j: x.numerator if x.denominator == 1 else x for j, x in enumerate(row) if x}
+            for i, row in enumerate(dense.rows)
+        }
+        shifted = lap.minus_scaled_identity(c)
+        assert shifted.n == g.n
+        assert _typed_entries(shifted.rows) == _typed_entries(expected_rows), (g.edges(), c)
+        expected = dense_inertia(dense)
         assert shifted_inertia(g, c) == expected, (g.edges(), c)
-        assert inertia(lap.minus_scaled_identity(c)) == expected, (g.edges(), c)
+        assert inertia(shifted) == expected, (g.edges(), c)
 
 
 class TestDifferential:
@@ -46,8 +68,7 @@ class TestDifferential:
 
     def test_count_interval_at_rational_endpoints(self, corpus):
         for g in corpus:
-            lap = laplacian(g)
-            neg = [dense_inertia(lap.minus_scaled_identity(c)).negatives for c in SHIFTS]
+            neg = [dense_inertia(_dense_shifted(g, c)).negatives for c in SHIFTS]
             for i, a in enumerate(SHIFTS):
                 for j in range(i + 1, len(SHIFTS)):
                     assert count_interval(g, a, SHIFTS[j]).count == neg[j] - neg[i]
@@ -69,8 +90,28 @@ class TestDifferentialMatrices:
     @given(sparse_symmetric())
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_kernel(self, rows):
-        m = ExactMatrix(rows)
-        assert inertia(m) == dense_inertia(m)
+        assert inertia(ExactMatrix(rows)) == dense_inertia(dense_kernel.ExactMatrix(rows))
+
+
+class TestPublicSparsePath:
+    """laplacian(), minus_scaled_identity() and inertia() stay O(n + m) on a graph."""
+
+    def test_memory_far_below_a_dense_table(self):
+        n = 600
+        g = make_lollipop(n, n // 3)
+        tracemalloc.start()
+        try:
+            got = inertia(laplacian(g).minus_scaled_identity(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == shifted_inertia(g, 1)
+        # a tenth of the n^2 Fraction objects a dense matrix of L - I holds
+        assert peak < n * n * sys.getsizeof(Fraction(1)) // 10, peak
+
+    def test_large_lollipop_matches_shifted_inertia(self):
+        g = make_lollipop(2000, 666)
+        assert inertia(laplacian(g).minus_scaled_identity(1)) == shifted_inertia(g, 1)
 
 
 class TestClosedFormsAtScale:
@@ -197,7 +238,7 @@ class TestIntAndFractionInput:
     @given(symmetric_int_rows())
     @settings(max_examples=300, deadline=None)
     def test_same_inertia_either_way(self, rows):
-        expected = dense_inertia(ExactMatrix(rows))
+        expected = dense_inertia(dense_kernel.ExactMatrix(rows))
         as_int = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
         as_fraction = {i: {j: Fraction(x) for j, x in row.items()} for i, row in as_int.items()}
         assert linalg.sparse_inertia(as_int) == expected

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from unilap.errors import NonSymmetricError
 from unilap.graphs import disjoint_union, make_cycle, make_path
-from unilap.linalg import ExactMatrix, Inertia, inertia, nullity
+from unilap.linalg import ExactMatrix, Inertia, inertia
 from unilap.spectra import laplacian
 
 
@@ -24,13 +24,29 @@ class TestExamples:
         assert inertia(m) == Inertia(1, 2, 3)
 
     def test_nullity_examples(self):
-        assert nullity(ExactMatrix.zeros(4)) == 4
-        assert nullity(laplacian(make_cycle(6)).minus_scaled_identity(1)) == 2
-        assert nullity(laplacian(make_path(4)).minus_scaled_identity(1)) == 0
+        assert inertia(ExactMatrix([[0] * 4 for _ in range(4)])).zeros == 4
+        assert inertia(laplacian(make_cycle(6)).minus_scaled_identity(1)).zeros == 2
+        assert inertia(laplacian(make_path(4)).minus_scaled_identity(1)).zeros == 0
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            ExactMatrix([[1, 0], [0]])
+
+    def test_stores_nonzero_entries_ints_while_integral(self):
+        m = ExactMatrix([[Fraction(4, 2), 0], [Fraction(0), Fraction(1, 3)]])
+        assert m.n == 2
+        assert m.rows == {0: {0: 2}, 1: {1: Fraction(1, 3)}}
+        assert type(m.rows[0][0]) is int
+        shifted = m.minus_scaled_identity(Fraction(1, 3))
+        assert shifted.rows == {0: {0: Fraction(5, 3)}, 1: {}}
+        assert m.rows == {0: {0: 2}, 1: {1: Fraction(1, 3)}}
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(NonSymmetricError):
             inertia(ExactMatrix([[0, 1], [2, 0]]))
+        # the transposed entry is absent rather than different
+        with pytest.raises(NonSymmetricError):
+            inertia(ExactMatrix([[0, 1], [0, 0]]))
 
     def test_zero_diagonal_block_matrix(self):
         # 4x4 with zero diagonal: two antidiagonal pairs
