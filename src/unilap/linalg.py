@@ -19,14 +19,16 @@ pivot with the smallest support, ties to the smallest index. A lazy
 min-heap keyed on (support, index) finds that pivot: a row is pushed again
 only when an elimination touches it, and stale entries are skipped when
 popped. On graph Laplacians this order eliminates pendant vertices first,
-as the leaf-to-root diagonalization of Jacobs and Trevisan does on trees
-(Braga, Rodrigues and Trevisan extend it to unicyclic graphs), so a count
-on those graphs at an integer shift takes time linear in n. At a rational
-shift p/q the entries grow to O(n) bits and the arithmetic makes the cost
-superlinear. spectra assembles L - cI as sparse rows straight from the
-graph, and since L is positive semidefinite one elimination at c = 1 yields
-both the count below 1 (its negatives) and the multiplicity of 1 (its
-zeros).
+so a count on a tree or unicyclic graph at an integer shift takes time
+linear in n. At a rational shift the Fraction entries carry O(n)-bit
+denominators and every sum runs a gcd, which makes the cost superlinear on
+a cycle. spectra.shifted_inertia therefore counts graphs whose components
+have at most one cycle with its own fraction-free leaf-to-root kernel
+(Jacobs and Trevisan; Braga, Rodrigues and Trevisan), which is faster at
+every shift, and comes here for any other graph: it assembles L - cI as
+sparse rows straight from the graph. Since L is positive semidefinite, one
+count at c = 1 yields both the count below 1 (its negatives) and the
+multiplicity of 1 (its zeros).
 
 ExactMatrix is the public matrix type and holds the same sparse rows: its
 constructor takes dense rows and drops the zeros, spectra.laplacian builds

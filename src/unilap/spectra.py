@@ -1,11 +1,18 @@
 """Laplacian assembly, exact interval counts, and the floating cross-check.
 
 The half-open count m[a, b) is the package's primitive: eigenvalues of L in
-[a, b) number negatives(L - bI) - negatives(L - aI), and both terms come
-from the exact congruence kernel, fed sparse rows of L - cI assembled
-straight from the adjacency lists. L is positive semidefinite, so the term
-at a <= 0 is zero and needs no elimination. laplacian(g) wraps the same
-rows at c = 0 in an ExactMatrix. The floating-point spectrum
+[a, b) number negatives(L - bI) - negatives(L - aI), and both terms are
+exact inertias of L - cI. For c = p/q, qL - pI has the same inertia and
+integer entries. When every component of the graph has at most one cycle,
+a fraction-free leaf-to-root kernel counts it in Python ints: its numbers
+are minors of qL - pI, so they have O(n) bits and no gcd ever runs, the
+cost is linear in n at an integer shift, and a rational shift adds only the
+cost of multiplying O(n)-bit ints. It also beats the heap kernel at c = 1,
+so it serves every such graph. Any other graph goes to
+linalg.sparse_inertia, fed sparse rows of L - cI assembled straight from
+the adjacency lists. L is positive semidefinite, so the term at a <= 0 is
+zero and needs no elimination. laplacian(g) wraps the sparse rows at c = 0
+in an ExactMatrix. The floating-point spectrum
 (LAPACK's symmetric eigvalsh through numpy) exists only as an independent
 cross-check, for the interlacing chain; eigenvalue 1 occurs with high
 multiplicity in the families studied here, so float counting at that
@@ -71,9 +78,161 @@ class IntervalCount:
     count: int
 
 
+def _leaf_to_root_inertia(g: Graph, p: int, q: int) -> Inertia | None:
+    """Inertia of M = qL(g) - pI (q > 0) in Python ints, or None when some
+    component of g has two cycles.
+
+    Leaves are stripped in a stack (Jacobs and Trevisan, LAA 2011). A
+    stripped vertex x carries its pivot as num[x] / den[x]: num[x] is the
+    determinant of the block of M on x's subtree and den[x] the product of
+    its attached children's nums, so folding a child y into x is
+    num[x] * num[y] - q^2 den[y] den[x] over den[x] * num[y], with no
+    division. A child with pivot 0 pairs with x (one negative, one positive
+    eigenvalue), every further zero child is a zero eigenvalue, and x leaves
+    its parent. Stripping leaves the 2-core; when that is a set of disjoint
+    cycles, a cycle vertex paired this way opens its cycle into paths that
+    are stripped like trees, and every intact cycle is closed by
+    _cycle_inertia (Braga, Rodrigues and Trevisan extend the method to
+    unicyclic graphs). Every num and den is a minor of M, so each has
+    O(n) bits, and the cost is linear in n at an integer shift.
+    """
+    adj = g.adj
+    qq = q * q
+    num = [q * len(nbrs) - p for nbrs in adj]
+    den = [1] * g.n
+    zero_children = [0] * g.n
+    left = [len(nbrs) for nbrs in adj]  # neighbours not yet stripped
+    others = [sum(nbrs) for nbrs in adj]  # their sum: a leaf's is its parent
+    stack = [v for v, k in enumerate(left) if k < 2]
+    push = stack.append
+    neg = zero = pos = 0
+    core = None
+    while True:
+        while stack:
+            x = stack.pop()
+            u = -1
+            if left[x]:
+                left[x] = 0
+                u = others[x]
+                others[u] -= x
+                left[u] -= 1
+                if left[u] == 1:
+                    push(u)
+            a = num[x]
+            if zero_children[x]:
+                neg += 1
+                pos += 1
+                zero += zero_children[x] - 1
+            elif not a:
+                if u < 0:
+                    zero += 1
+                else:
+                    zero_children[u] += 1
+            else:
+                b = den[x]
+                if (a > 0) is (b > 0):
+                    pos += 1
+                else:
+                    neg += 1
+                if u >= 0:
+                    num[u] = num[u] * a - qq * b * den[u]
+                    den[u] *= a
+        if core is not None:
+            break  # the second pass stripped the paths of opened cycles
+        core = [v for v, k in enumerate(left) if k]
+        if any(left[v] != 2 for v in core):
+            return None
+        for v in core:
+            if zero_children[v] and left[v] == 2:
+                left[v] = 0
+                neg += 1
+                pos += 1
+                zero += zero_children[v] - 1
+                for w in adj[v]:
+                    if left[w]:
+                        others[w] -= v
+                        left[w] -= 1
+                        if left[w] == 1:
+                            push(w)
+    for start in core:
+        if not left[start]:
+            continue
+        cycle = [start]
+        left[start] = 0
+        prev, v = start, next(w for w in adj[start] if left[w])
+        while v != start:
+            cycle.append(v)
+            left[v] = 0
+            prev, v = v, others[v] - prev
+        # a pivot keeps its value when num and den both change sign
+        nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]
+        counts = _cycle_inertia(nums, [abs(den[v]) for v in cycle], q)
+        neg += counts.negatives
+        zero += counts.zeros
+        pos += counts.positives
+    return Inertia(neg, zero, pos)
+
+
+def _cycle_inertia(nums: list[int], dens: list[int], q: int) -> Inertia:
+    """Inertia of the periodic tridiagonal matrix with diagonal nums[k] / dens[k]
+    (every dens[k] > 0) and off-diagonal -q, r = len(nums) >= 3.
+
+    F_k = f_k * dens[0] * ... * dens[k-1] scales the leading minors f_k, so
+    F_{k+1} = nums[k] F_k - q^2 dens[k] dens[k-1] F_{k-1} stays in ints with
+    the sign of f_{k+1}, and W_k does the same for the minors of rows
+    1..k-1. The negatives are the sign changes of f_0, ..., f_{r-1}, f_r
+    with zeros skipped: a zero f_k inside the path has
+    f_{k+1} = -q^2 f_{k-1}, so its pair of positions counts once each way.
+    f_r is the periodic-tridiagonal determinant: the full continuant minus
+    q^2 times the inner one, minus 2 q^r. If f_{r-1} = 0 the trailing 2x2
+    Schur block [[0, s], [s, t]] decides: one of each sign when f_r != 0,
+    else a zero plus the sign of t, the ratio of the continuant over
+    positions r-1, 0, ..., r-3 to f_{r-2}.
+    """
+    r = len(nums)
+    qq = q * q
+    f_prev, f = 1, nums[0]  # F_{k-1}, F_k
+    w_prev, w = 0, dens[0]  # W_{k-1}, W_k
+    positive = True  # the sign of the last nonzero f, from f_0 = 1
+    neg = 0
+    for k in range(1, r - 1):
+        if f and (f > 0) is not positive:
+            neg += 1
+            positive = not positive
+        e = qq * dens[k] * dens[k - 1]
+        a = nums[k]
+        f_prev, f = f, a * f - e * f_prev
+        w_prev, w = w, a * w - e * w_prev
+    e = qq * dens[r - 1]
+    full = nums[r - 1] * f - e * dens[r - 2] * f_prev - e * w - 2 * q**r * math.prod(dens)
+    if f:  # f_{r-1} != 0, so the closing pivot is f_r / f_{r-1}
+        if (f > 0) is not positive:
+            neg += 1
+            positive = not positive
+        if not full:
+            return Inertia(neg, 1, r - neg - 1)
+        if (full > 0) is not positive:
+            neg += 1
+        return Inertia(neg, 0, r - neg)
+    if full:
+        return Inertia(neg + 1, 0, r - neg - 1)
+    t = nums[r - 1] * f_prev - e * w_prev
+    if not t:
+        return Inertia(neg, 2, r - neg - 2)
+    if (t > 0) is not (f_prev > 0):
+        neg += 1
+    return Inertia(neg, 1, r - neg - 1)
+
+
 def shifted_inertia(g: Graph, c: int | Fraction) -> Inertia:
-    """Inertia of L(g) - cI: eigenvalues of L below, at and above c."""
-    return sparse_inertia(_shifted_rows(g, c))
+    """Inertia of L(g) - cI: eigenvalues of L below, at and above c.
+
+    When every component of g has at most one cycle, the fraction-free
+    leaf-to-root kernel counts it; any other graph goes to sparse_inertia.
+    """
+    c = _exact(c)
+    counts = _leaf_to_root_inertia(g, c.numerator, c.denominator)
+    return counts if counts is not None else sparse_inertia(_shifted_rows(g, c))
 
 
 def _count_below(g: Graph, c: Fraction) -> int:

@@ -1,14 +1,17 @@
-"""The sparse heap-ordered kernel against the dense kernel it replaced.
+"""The exact kernels against the dense kernel they replaced, and each other.
 
 dense_kernel holds the earlier full-scan elimination over its own dense
-ExactMatrix, read from laplacian_rows(g) minus cI; the sparse path assembles
-L - cI from the adjacency lists and picks pivots from a heap, whether it is
-reached through shifted_inertia or through laplacian() and inertia(). All
-must give the same Inertia everywhere, and the counts must match the path,
-cycle and lollipop closed forms at sizes the dense kernel could not reach in
-reasonable time.
+ExactMatrix, read from laplacian_rows(g) minus cI. The sparse heap kernel,
+sparse_inertia, picks pivots from a heap over rows of L - cI assembled from
+the adjacency lists; laplacian() and inertia() reach it. shifted_inertia
+counts a graph whose components each have at most one cycle by the
+fraction-free leaf-to-root kernel instead, and any other graph by
+sparse_inertia. All must give the same Inertia everywhere, and the counts
+must match the path, cycle and lollipop closed forms at sizes the dense
+kernel could not reach in reasonable time.
 """
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -20,15 +23,34 @@ from hypothesis import strategies as st
 
 import dense_kernel
 from dense_kernel import dense_inertia
-from unilap import linalg
+from unilap import linalg, spectra
 from unilap.bounds import ceil_div, lollipop_exact_count
-from unilap.enumeration import enumerate_unicyclic
-from unilap.graphs import make_cycle, make_lollipop, make_path
+from unilap.enumeration import enumerate_unicyclic, rooted_trees
+from unilap.graphs import (
+    Graph,
+    disjoint_union,
+    make_cycle,
+    make_lollipop,
+    make_path,
+)
 from unilap.linalg import ExactMatrix, inertia
 from unilap.spectra import count_interval, laplacian, laplacian_rows, shifted_inertia
 
 # 2 zeroes the whole diagonal of a cycle, so the 2x2 block path runs too
-SHIFTS = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 5), Fraction(2), Fraction(3)]
+SHIFTS = [
+    Fraction(0),
+    Fraction(1, 2),
+    Fraction(1),
+    Fraction(7, 5),
+    Fraction(2),
+    Fraction(3),
+    Fraction(13, 4),
+]
+
+
+def _heap_inertia(g, c):
+    """The sparse heap kernel on L(g) - cI, whatever shifted_inertia picks."""
+    return linalg.sparse_inertia(spectra._shifted_rows(g, c))
 
 
 def _dense_shifted(g, c):
@@ -57,7 +79,7 @@ def _assert_kernels_agree(g):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(3, 10))
     def test_every_unicyclic_class(self, n):
         for g in enumerate_unicyclic(n):
             _assert_kernels_agree(g)
@@ -158,7 +180,7 @@ def _hadamard_bits(g, c):
 
 
 class TestBitGrowth:
-    """Pivot rows stay within the Hadamard bound, linear in n for these families."""
+    """Heap-kernel pivot rows stay within the Hadamard bound, linear in n for these families."""
 
     @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(7, 5), Fraction(3, 1)])
     @pytest.mark.parametrize(
@@ -181,7 +203,7 @@ class TestBitGrowth:
         for n in (30, 100, 300):
             g = make(n)
             widest.update(pivots=0, num=0, den=0)
-            shifted_inertia(g, c)
+            _heap_inertia(g, c)
             assert widest["pivots"] >= n // 2
             bits, q_bits = _hadamard_bits(g, c)
             assert widest["num"] <= math.floor(bits) + 1, (n, widest)
@@ -213,7 +235,7 @@ class TestValueRepresentation:
         for n in range(3, 9):
             for g in enumerate_unicyclic(n):
                 for c in SHIFTS:
-                    shifted_inertia(g, c)
+                    _heap_inertia(g, c)
         assert seen["pivot"] > 0 and seen["block"] > 0
         kinds = {type(x) for x in seen["values"]}
         assert kinds == {int, Fraction}, kinds
@@ -243,3 +265,201 @@ class TestIntAndFractionInput:
         as_fraction = {i: {j: Fraction(x) for j, x in row.items()} for i, row in as_int.items()}
         assert linalg.sparse_inertia(as_int) == expected
         assert linalg.sparse_inertia(as_fraction) == expected
+
+
+def _forests(max_n):
+    """Every forest on 1..max_n vertices, isolated vertices and edgeless
+    graphs included: the children of the root of a rooted tree on n + 1
+    vertices form a rooted forest on n, and every forest arises this way."""
+    for size in range(2, max_n + 2):
+        for code in rooted_trees(size):
+            edges = []
+            labels = itertools.count()
+            stack = [(next(labels), child) for child in code]
+            while stack:
+                v, children = stack.pop()
+                for child in children:
+                    w = next(labels)
+                    edges.append((v, w))
+                    stack.append((w, child))
+            yield Graph.from_edges(size - 1, edges)
+
+
+def _one_cycle_unions(max_n):
+    """Disjoint unions of two unicyclic classes, and of a forest with a
+    unicyclic class, on at most max_n vertices."""
+    small = {n: list(enumerate_unicyclic(n)) for n in range(3, max_n - 2)}
+    for n1, n2 in itertools.combinations_with_replacement(small, 2):
+        if n1 + n2 <= max_n:
+            for g1 in small[n1]:
+                for g2 in small[n2]:
+                    yield disjoint_union(g1, g2)
+    forests = list(_forests(max_n - 3))
+    for n, classes in small.items():
+        for f in forests:
+            if f.n + n <= max_n:
+                for g in classes:
+                    yield disjoint_union(f, g)
+
+
+def _assert_leaf_to_root_agrees(g, shifts=SHIFTS):
+    for c in shifts:
+        got = shifted_inertia(g, c)
+        assert got == _heap_inertia(g, c), (g.edges(), c)
+        assert got == dense_inertia(_dense_shifted(g, c)), (g.edges(), c)
+
+
+class TestLeafToRootDifferential:
+    """shifted_inertia's fraction-free kernel against sparse_inertia and the
+    dense kernel, on the graphs it serves that are not connected unicyclic
+    ones (those are covered by TestDifferential), and on zero pivots."""
+
+    def test_every_forest(self):
+        count = 0
+        for g in _forests(9):
+            _assert_leaf_to_root_agrees(g)
+            count += 1
+        assert count == sum(len(rooted_trees(s)) for s in range(2, 11))
+
+    def test_disjoint_unions(self):
+        for g in _one_cycle_unions(9):
+            _assert_leaf_to_root_agrees(g)
+
+    def test_zero_pivots(self):
+        """Shifts at an eigenvalue: c = 1 on P_3k, C_6k and lollipops with 1
+        in the spectrum, and c = 2 on every cycle (a zero diagonal, and
+        2 is an eigenvalue of C_n exactly when 4 divides n)."""
+        for k in range(1, 9):
+            assert shifted_inertia(make_path(3 * k), 1).zeros == 1
+            assert shifted_inertia(make_cycle(6 * k), 1).zeros == 2
+            _assert_leaf_to_root_agrees(make_path(3 * k), [Fraction(1)])
+            _assert_leaf_to_root_agrees(make_cycle(6 * k), [Fraction(1)])
+        for n in range(3, 30):
+            at_two = shifted_inertia(make_cycle(n), 2)
+            assert at_two.zeros == (2 if n % 4 == 0 else 0), n
+            _assert_leaf_to_root_agrees(make_cycle(n), [Fraction(2)])
+        with_one = 0
+        for n in range(4, 22):
+            for r in range(3, n):
+                g = make_lollipop(n, r)
+                _assert_leaf_to_root_agrees(g, [Fraction(1)])
+                with_one += shifted_inertia(g, 1).zeros > 0
+        assert with_one > 20
+
+
+class TestKernelSplit:
+    """shifted_inertia reaches sparse_inertia exactly when some component has
+    two cycles."""
+
+    @pytest.fixture
+    def no_heap_kernel(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("sparse_inertia reached")
+
+        monkeypatch.setattr(spectra, "sparse_inertia", refuse)
+
+    def test_at_most_one_cycle_per_component_never_reaches_it(self, no_heap_kernel, corpus):
+        graphs = list(corpus) + list(_forests(6)) + list(_one_cycle_unions(8))
+        graphs += [make_lollipop(200, 40), make_cycle(500)]
+        for g in graphs:
+            for c in SHIFTS:
+                shifted_inertia(g, c)
+
+    def test_two_cycles_in_one_component_reach_it(self, no_heap_kernel):
+        theta = make_cycle(6).with_edge_added(0, 3)
+        bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+        dumbbell = disjoint_union(make_cycle(3), make_cycle(4)).with_edge_added(2, 3)
+        with_tree = disjoint_union(make_path(4), dumbbell)
+        for g in (theta, bowtie, dumbbell, with_tree):
+            for c in (Fraction(1), Fraction(7, 5)):
+                with pytest.raises(AssertionError, match="sparse_inertia reached"):
+                    shifted_inertia(g, c)
+
+
+def _widest_int_formed(g, c):
+    """Largest bit length of any int the leaf-to-root kernel holds in a local
+    variable while counting L(g) - cI, read at every line it runs, and of
+    every int in its lists when it returns."""
+    kernel = {spectra._leaf_to_root_inertia.__code__, spectra._cycle_inertia.__code__}
+    seen = {"frames": 0, "bits": 0}
+
+    def scan(frame, event, arg):
+        bits = seen["bits"]
+        for x in frame.f_locals.values():
+            if type(x) is int:
+                bits = max(bits, x.bit_length())
+            elif type(x) is list and event == "return":
+                bits = max([bits] + [y.bit_length() for y in x if type(y) is int])
+        seen["bits"] = bits
+        return scan
+
+    def enter(frame, event, arg):
+        if frame.f_code in kernel:
+            seen["frames"] += 1
+            return scan
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        shifted_inertia(g, c)
+    finally:
+        sys.settrace(previous)
+    assert seen["frames"] > 0
+    return seen["bits"]
+
+
+class TestLeafToRootBitGrowth:
+    """Every num and den is a minor of qL - pI: none outgrows its Hadamard bound."""
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(7, 5), Fraction(3, 1)])
+    @pytest.mark.parametrize(
+        "make",
+        [make_path, make_cycle, lambda n: make_lollipop(n, n // 3)],
+        ids=["path", "cycle", "lollipop"],
+    )
+    def test_within_hadamard_bound(self, make, c):
+        for n in (30, 100, 300):
+            g = make(n)
+            bits, _ = _hadamard_bits(g, c)
+            widest = _widest_int_formed(g, c)
+            assert widest <= math.floor(bits) + 1, (n, widest, bits)
+
+
+def _cosines_below(values, c):
+    """How many of the float eigenvalues lie below c, or None within 1e-9 of one."""
+    if any(abs(x - c) < 1e-9 for x in values):
+        return None
+    return sum(x < c for x in values)
+
+
+class TestClosedFormsAtRationalShifts:
+    """Path and cycle counts at p/q against the cosine eigenvalues
+    2 - 2cos(pi k / n) and 2 - 2cos(2 pi k / n), computed in floats."""
+
+    SHIFTS = [Fraction(1, 2), Fraction(7, 5), Fraction(13, 4), Fraction(5, 3)]
+
+    @staticmethod
+    def _check(g, values, c):
+        below = _cosines_below(values, float(c))
+        if below is not None:
+            assert shifted_inertia(g, c) == linalg.Inertia(below, 0, g.n - below), (g.n, c)
+        return below is not None
+
+    def test_every_n_up_to_200(self):
+        checked = 0
+        for n in range(1, 201):
+            path = [2 - 2 * math.cos(math.pi * k / n) for k in range(n)]
+            cycle = [2 - 2 * math.cos(2 * math.pi * k / n) for k in range(n)]
+            for c in self.SHIFTS:
+                checked += self._check(make_path(n), path, c)
+                if n >= 3:
+                    checked += self._check(make_cycle(n), cycle, c)
+        assert checked == 200 * 4 + 198 * 4
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_large_at_seven_fifths(self, n):
+        c = Fraction(7, 5)
+        assert self._check(make_path(n), [2 - 2 * math.cos(math.pi * k / n) for k in range(n)], c)
+        cycle = [2 - 2 * math.cos(2 * math.pi * k / n) for k in range(n)]
+        assert self._check(make_cycle(n), cycle, c)
