@@ -21,7 +21,7 @@ package can address vertices by index):
 
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TextIO
 
 from .errors import (
@@ -240,65 +240,77 @@ def make_compass(p: CompassParams) -> Graph:
 
 @dataclass
 class UnicyclicDecomposition:
-    """The unique cycle plus the pendant tree hanging off each cycle vertex.
+    """The unique cycle and the forest of pendant trees rooted on it.
 
-    trees maps every cycle vertex to the sorted non-cycle vertices of its
-    tree (empty tuple when nothing hangs there); the tree vertex sets
-    partition V minus the cycle.
+    cycle starts at its smallest vertex and steps first to the smaller of
+    that vertex's two cycle neighbours. parent maps every vertex to its
+    neighbour one step nearer the cycle, with parent[c] = c on the cycle, and
+    order lists V with the cycle first (in cycle order) and every other vertex
+    after its parent. trees maps every cycle vertex to the sorted non-cycle
+    vertices of its tree (empty tuple when nothing hangs there); the tree
+    vertex sets partition V minus the cycle.
     """
 
     cycle: tuple[int, ...]
-    trees: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    trees: dict[int, tuple[int, ...]]
+    order: list[int]
+    parent: list[int]
 
     @property
     def girth(self) -> int:
         return len(self.cycle)
 
 
+def _rooted_forest(
+    cycle: tuple[int, ...], order: list[int], parent: list[int]
+) -> UnicyclicDecomposition:
+    """The decomposition of a cycle-rooted forest, with trees read off it."""
+    root = parent[:]
+    for x in order[len(cycle):]:
+        root[x] = root[parent[x]]
+    trees: dict[int, list[int]] = {c: [] for c in cycle}
+    for v, c in enumerate(root):
+        if c != v:
+            trees[c].append(v)
+    return UnicyclicDecomposition(cycle, {c: tuple(t) for c, t in trees.items()}, order, parent)
+
+
 def unicyclic_decompose(g: Graph) -> UnicyclicDecomposition:
-    """Locate the unique cycle by repeatedly stripping degree-1 vertices."""
+    """Locate the unique cycle by repeatedly stripping degree-1 vertices.
+
+    deg counts the neighbours not yet stripped and is 0 on a stripped vertex.
+    A stripped vertex has exactly one such neighbour left, which is its parent
+    (two adjacent vertices of degree 1 would form a component without the
+    cycle), so the reversed stripping order puts every parent first.
+    """
     if not g.is_connected():
         raise NotConnectedError("graph is not connected")
     if g.m != g.n:
         raise NotUnicyclicError(f"unicyclic graph needs |E| = n, got {g.m} != {g.n}")
-    deg = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
-    queue = deque(v for v in range(g.n) if deg[v] == 1)
-    while queue:
-        v = queue.popleft()
-        removed[v] = True
-        for w in g.adj[v]:
-            if not removed[w]:
+    adj = g.adj
+    deg = [len(a) for a in adj]
+    parent = list(range(g.n))
+    stripped = [v for v in range(g.n) if deg[v] == 1]
+    for v in stripped:
+        deg[v] = 0
+        for w in adj[v]:
+            if deg[w]:
+                parent[v] = w
                 deg[w] -= 1
                 if deg[w] == 1:
-                    queue.append(w)
-    cycle_set = {v for v in range(g.n) if not removed[v]}
+                    stripped.append(w)
 
-    start = min(cycle_set)
-    ordered = [start]
-    prev = -1
-    while True:
-        nxt = min(w for w in g.adj[ordered[-1]] if w in cycle_set and w != prev)
-        if nxt == start:
-            break
-        prev = ordered[-1]
-        ordered.append(nxt)
-
-    trees: dict[int, tuple[int, ...]] = {}
-    seen = set(cycle_set)
-    for root in ordered:
-        bucket = []
-        queue = deque(w for w in g.adj[root] if w not in seen)
-        seen.update(queue)
-        while queue:
-            v = queue.popleft()
-            bucket.append(v)
-            for w in g.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        trees[root] = tuple(sorted(bucket))
-    return UnicyclicDecomposition(tuple(ordered), trees)
+    # the vertices left all have degree 2; adjacency lists are sorted, so the
+    # first one left is the smallest neighbour
+    start = deg.index(2)
+    cycle = [start]
+    prev, cur = start, next(w for w in adj[start] if deg[w])
+    while cur != start:
+        cycle.append(cur)
+        a, b = [w for w in adj[cur] if deg[w]]
+        prev, cur = cur, b if a == prev else a
+    stripped.reverse()
+    return _rooted_forest(tuple(cycle), cycle + stripped, parent)
 
 
 def girth(g: Graph) -> int:
@@ -353,17 +365,8 @@ def _unicyclic_eccentricities(g: Graph, dec: UnicyclicDecomposition) -> list[int
     Every cycle vertex lies within r//2 of c one way round or the other, so
     far(c) is the larger of a clockwise and a counter-clockwise window.
     """
-    cycle = dec.cycle
+    cycle, order, parent = dec.cycle, dec.order, dec.parent
     r = len(cycle)
-    parent = [-1] * g.n
-    for c in cycle:
-        parent[c] = c
-    order = list(cycle)  # BFS order outward from the cycle, parents first
-    for x in order:
-        for w in g.adj[x]:
-            if parent[w] < 0:
-                parent[w] = x
-                order.append(w)
     down = [0] * g.n
     second = [0] * g.n  # runner-up over the children of x of 1 + down[child]
     for x in reversed(order[r:]):
@@ -462,45 +465,24 @@ class CoreClassification:
     diametral_path: tuple[int, ...]
 
 
-def _tail_is_path(g: Graph, root: int, tree: set[int]) -> int | None:
-    """Length of the tree at root if it is a path hanging off root, else None."""
-    if not tree:
-        return 0
-    first = [w for w in g.adj[root] if w in tree]
-    if len(first) != 1:
-        return None
-    count = 1
-    prev, cur = root, first[0]
-    while True:
-        nxt = [w for w in g.adj[cur] if w in tree and w != prev]
-        if not nxt:
-            break
-        if len(nxt) > 1:
-            return None
-        prev, cur = cur, nxt[0]
-        count += 1
-    return count if count == len(tree) else None
-
-
 def _classify(core: Graph, dec: UnicyclicDecomposition) -> tuple[str, tuple[int, ...]]:
+    """Kind and parameters of a unicyclic core from its decomposition.
+
+    A nonempty tree is a path hanging off its root exactly when none of its
+    vertices, root included, has two children: the root has degree 3 and no
+    other tree vertex degree above 2. Its length is then the size of the tree.
+    """
     r = dec.girth
-    slots = [(pos, set(dec.trees[v])) for pos, v in enumerate(dec.cycle) if dec.trees[v]]
+    slots = [pos for pos, c in enumerate(dec.cycle) if dec.trees[c]]
     if not slots:
         return "cycle", (core.n,)
-    lengths = []
-    for pos, tree in slots:
-        ln = _tail_is_path(core, dec.cycle[pos], tree)
-        if ln is None:
-            return "other", ()
-        lengths.append(ln)
+    if len(slots) > 2 or any(len(core.adj[v]) > 2 + (dec.parent[v] == v) for v in range(core.n)):
+        return "other", ()
     if len(slots) == 1:
         return "lollipop", (core.n, r)
-    if len(slots) == 2:
-        arc = abs(slots[0][0] - slots[1][0])
-        r_prime = min(arc, r - arc)
-        t = min(lengths)
-        return "compass", (core.n, r, r_prime, t)
-    return "other", ()
+    arc = slots[1] - slots[0]
+    t = min(len(dec.trees[dec.cycle[pos]]) for pos in slots)
+    return "compass", (core.n, r, min(arc, r - arc), t)
 
 
 def reduce_to_core(g: Graph) -> CoreClassification:
@@ -511,53 +493,38 @@ def reduce_to_core(g: Graph) -> CoreClassification:
     """
     dec = unicyclic_decompose(g)
     _, path = _unicyclic_diameter_and_path(g, dec)
-    return _reduce_to_core(g, dec, path)
+    return _reduce_to_core(dec, path)
 
 
-def _reduce_to_core(
-    g: Graph, dec: UnicyclicDecomposition, path: tuple[int, ...]
-) -> CoreClassification:
-    """reduce_to_core given g's decomposition and diametral path."""
-    cycle_set = set(dec.cycle)
-    keep = set(path) | cycle_set
-    edge_set = set()
-    for i in range(len(dec.cycle)):
-        a, b = dec.cycle[i], dec.cycle[(i + 1) % len(dec.cycle)]
-        edge_set.add((min(a, b), max(a, b)))
-    for a, b in zip(path, path[1:]):
-        edge_set.add((min(a, b), max(a, b)))
+def _reduce_to_core(dec: UnicyclicDecomposition, path: tuple[int, ...]) -> CoreClassification:
+    """reduce_to_core given g's decomposition and diametral path.
 
-    if cycle_set.isdisjoint(path):
-        # connect the path to the cycle by the unique shortest tree walk
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        queue = deque()
-        for v in sorted(cycle_set):
-            dist[v] = 0
-            queue.append(v)
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-        x = min(set(path), key=lambda v: (dist[v], v))
-        while x not in cycle_set:
-            keep.add(x)
-            edge_set.add((min(x, parent[x]), max(x, parent[x])))
-            x = parent[x]
+    The core is the subgraph induced on the cycle, the path and, when the
+    path misses the cycle, the tree walk joining them. That vertex set is
+    closed under dec.parent, so its edges are the cycle's plus one edge from
+    each other kept vertex to its parent.
+    """
+    cycle, parent = dec.cycle, dec.parent
+    keep = set(path).union(cycle)
+    # climbing from an end of the path meets only path vertices up to the
+    # cycle, unless the path lies in one pendant tree: then it passes the
+    # path's vertex nearest the cycle and goes on along the connector
+    x = path[0]
+    while parent[x] != x:
+        x = parent[x]
+        keep.add(x)
 
     verts = sorted(keep)
     relabel = {v: i for i, v in enumerate(verts)}
-    core = Graph.from_edges(len(verts), [(relabel[a], relabel[b]) for a, b in edge_set])
+    core_cycle = tuple(relabel[c] for c in cycle)
+    core_parent = [relabel[parent[v]] for v in verts]
+    edges = [(i, p) for i, p in enumerate(core_parent) if p != i]
+    edges += zip(core_cycle, core_cycle[1:] + core_cycle[:1])
+    core = Graph.from_edges(len(verts), edges)
     # relabelling keeps the order, so the core's cycle runs as g's does, and
     # a core vertex off the cycle hangs from the same cycle vertex as in g
-    core_dec = UnicyclicDecomposition(
-        tuple(relabel[c] for c in dec.cycle),
-        {relabel[c]: tuple(relabel[v] for v in dec.trees[c] if v in keep) for c in dec.cycle},
-    )
-    kind, params = _classify(core, core_dec)
+    core_order = [relabel[v] for v in dec.order if v in keep]
+    kind, params = _classify(core, _rooted_forest(core_cycle, core_order, core_parent))
     return CoreClassification(kind, params, core, tuple(verts), path)
 
 

@@ -121,7 +121,8 @@ def suite_cycles(max_n: int = 120, seed: int = 0) -> VerifyReport:
 
     def run():
         failures = []
-        for n in range(3, max_n + 1):
+        sizes = range(3, max_n + 1)
+        for n in sizes:
             g = make_cycle(n)
             got = count_interval(g, 0, 1).count
             if got != 2 * ceil_div(n, 6) - 1:
@@ -131,7 +132,7 @@ def suite_cycles(max_n: int = 120, seed: int = 0) -> VerifyReport:
             d = n // 2
             if got < main_lower_bound(d, n):
                 failures.append(("bound", n))
-        return max_n - 2, failures
+        return len(sizes), failures
 
     return _timed(run, "cycles")
 
@@ -390,6 +391,8 @@ def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> Verify
 
 
 def suite_inequalities(max_n: int = 30, seed: int = 0) -> VerifyReport:
+    if max_n < 3:
+        raise InvalidParameterError(f"inequalities suite needs max_n >= 3, got {max_n}")
     parts = [
         check_interlacing_random(max_n=max_n, seed=seed),
         check_pendant_monotone(seed=seed),
@@ -489,7 +492,8 @@ def _measure(
     refined_bound: int | None,
     gamma_cap: int,
 ) -> SweepRow:
-    if g.n <= gamma_cap:
+    # a unicyclic diameter takes O(n); any other graph's, one BFS per vertex
+    if g.m == g.n or g.n <= gamma_cap:
         measured, _ = diameter_and_path(g)
         if measured != d:
             raise InternalConsistencyError(

@@ -88,6 +88,15 @@ class TestSuites:
     def test_max_n_one_is_honoured(self):
         assert run_suite("paths", max_n=1).checked == 1
 
+    @pytest.mark.parametrize("max_n,checked", [(1, 0), (2, 0), (3, 1), (8, 6)])
+    def test_cycles_count_the_cases_run(self, max_n, checked):
+        assert run_suite("cycles", max_n=max_n).checked == checked
+
+    @pytest.mark.parametrize("max_n", [1, 2])
+    def test_inequalities_rejects_max_n_below_three(self, max_n):
+        with pytest.raises(InvalidParameterError, match="max_n >= 3"):
+            run_suite("inequalities", max_n=max_n)
+
     def test_omitted_max_n_takes_the_suites_own_default(self):
         assert run_suite("paths").checked == 120
         assert run_suite("cycles").checked == 118
@@ -161,17 +170,30 @@ class TestSweep:
         params = [(p.r, p.r_prime, p.t) for p in compass_params_for_n(12)]
         assert params == sorted(params)
 
-    def test_corrupted_formula_diameter_raises(self, monkeypatch):
+    @staticmethod
+    def _corrupt_formula_diameter(monkeypatch):
         original = harness._measure
 
         def off_by_one(*args, d, **kwargs):
             return original(*args, d=d + 1, **kwargs)
 
         monkeypatch.setattr(harness, "_measure", off_by_one)
+
+    def test_corrupted_formula_diameter_raises(self, monkeypatch):
+        self._corrupt_formula_diameter(monkeypatch)
         with pytest.raises(InternalConsistencyError):
             list(sweep("lollipop", 6, 6))
 
-    @pytest.mark.parametrize("family,n_hi", [("lollipop", 12), ("compass", 12)])
+    @pytest.mark.parametrize("family", ["cycle", "lollipop", "compass"])
+    def test_corrupted_formula_diameter_raises_above_cap(self, monkeypatch, family):
+        # the unicyclic diameter is linear, so d is checked past gamma's cap
+        self._corrupt_formula_diameter(monkeypatch)
+        with pytest.raises(InternalConsistencyError):
+            next(sweep(family, 40, 40))
+
+    @pytest.mark.parametrize(
+        "family,n_hi", [("lollipop", 12), ("compass", 12), ("path", 12)]
+    )
     def test_one_diameter_per_row_below_cap(self, monkeypatch, family, n_hi):
         calls = []
         original = graphs.diameter_and_path
@@ -185,7 +207,8 @@ class TestSweep:
         gamma_cap = 9
         rows = list(sweep(family, 4, n_hi, gamma_cap=gamma_cap))
         assert any(row.n > gamma_cap for row in rows)
-        assert calls == [row.n for row in rows if row.n <= gamma_cap]
+        # unicyclic rows (those with a girth) are checked at every n
+        assert calls == [row.n for row in rows if row.girth or row.n <= gamma_cap]
 
 
 class TestCLI:
@@ -243,6 +266,11 @@ class TestCLI:
         assert main(["verify", "--suite", "paths", "--max-n", "0"]) == 2
         captured = capsys.readouterr()
         assert "max_n" in captured.err and captured.out == ""
+
+    def test_verify_rejects_inequalities_below_three(self, capsys):
+        assert main(["verify", "--suite", "inequalities", "--max-n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "max_n >= 3" in captured.err and captured.out == ""
 
     def test_scan_stdout_deterministic(self, capsys):
         assert main(["scan", "--family", "lollipop", "--n-range", "4..8"]) == 0

@@ -1,0 +1,159 @@
+"""The shared cycle-rooted forest against the structure code it replaced.
+
+unicyclic_decompose now owns one forest (order, parent) that the
+eccentricities, the connector to the cycle and the tail test all read.
+structure_oracle holds the earlier code, which built that rooting three
+times over; both must give the same cycle, trees, eccentricities,
+diametral path and core classification on every input.
+"""
+
+import random
+
+import pytest
+
+import structure_oracle as oracle
+from unilap import graphs
+from unilap.enumeration import enumerate_unicyclic
+from unilap.errors import NotConnectedError, NotUnicyclicError
+from unilap.graphs import (
+    Graph,
+    diameter_and_path,
+    disjoint_union,
+    make_cycle,
+    make_lollipop,
+    make_path,
+    reduce_to_core,
+    unicyclic_decompose,
+)
+from unilap.harness import random_unicyclic
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def _spider(r: int, stem: int, legs: list[int]) -> Graph:
+    """A cycle 0..r-1, a stem of stem vertices from r-1, legs off the stem's end."""
+    edges = [(i, i + 1) for i in range(r - 1)] + [(0, r - 1)]
+    edges += [(r - 1 + j, r + j) for j in range(stem)]
+    hub, n = r - 1 + stem, r + stem
+    for length in legs:
+        edges += [(hub, n)] + [(n + j, n + j + 1) for j in range(length - 1)]
+        n += length
+    return Graph.from_edges(n, edges)
+
+
+def _path_misses_cycle(g: Graph) -> bool:
+    return set(unicyclic_decompose(g).cycle).isdisjoint(diameter_and_path(g)[1])
+
+
+def _assert_same_structure(g: Graph) -> None:
+    dec = unicyclic_decompose(g)
+    cycle, trees = oracle.decompose(g)
+    assert dec.cycle == cycle, g.edges()
+    assert dec.trees == trees, g.edges()
+    assert graphs._unicyclic_eccentricities(g, dec) == oracle.eccentricities(g, cycle)
+    assert diameter_and_path(g) == oracle.diameter_and_path(g), g.edges()
+    got, want = reduce_to_core(g), oracle.reduce_to_core(g)
+    assert (got.kind, got.params) == (want.kind, want.params), g.edges()
+    assert got.core.edges() == want.core.edges(), g.edges()
+    assert got.core_vertices == want.core_vertices, g.edges()
+    assert got.diametral_path == want.diametral_path, g.edges()
+
+
+def _assert_forest(g: Graph, dec: graphs.UnicyclicDecomposition) -> None:
+    """order and parent root every pendant tree at its cycle vertex."""
+    r = dec.girth
+    assert sorted(dec.order) == list(range(g.n))
+    assert tuple(dec.order[:r]) == dec.cycle
+    position = {v: i for i, v in enumerate(dec.order)}
+    for v in range(g.n):
+        p = dec.parent[v]
+        assert (p == v) == (v in dec.cycle)
+        if p != v:
+            assert p in g.adj[v] and position[p] < position[v]
+    # each parent is one step nearer the cycle
+    rows = [graphs.bfs_distances(g, c) for c in dec.cycle]
+    to_cycle = [min(row[v] for row in rows) for v in range(g.n)]
+    assert all(to_cycle[dec.parent[v]] == to_cycle[v] - 1 for v in dec.order[r:])
+
+
+def _spiders() -> list[Graph]:
+    """Graphs whose every diametral path lies in one pendant tree."""
+    out = []
+    for r in range(3, 9):
+        for stem in range(1, 5):
+            for legs in ([stem + r // 2 + 1] * 2, [stem + r // 2 + 2, stem + r // 2 + 1, 1]):
+                out.append(_spider(r, stem, legs))
+    return out
+
+
+class TestForestDifferential:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_unicyclic_class_and_a_relabelling(self, n):
+        rng = random.Random(n)
+        for g in enumerate_unicyclic(n):
+            _assert_same_structure(g)
+            _assert_same_structure(_relabelled(g, rng))
+
+    def test_random_unicyclic_up_to_200(self):
+        rng = random.Random(8)
+        misses = 0
+        for _ in range(500):
+            g = random_unicyclic(rng, rng.randrange(3, 201))
+            _assert_same_structure(g)
+            misses += _path_misses_cycle(g)
+        assert misses > 0
+
+    def test_diametral_path_missing_the_cycle(self):
+        rng = random.Random(1)
+        for g in _spiders():
+            assert _path_misses_cycle(g)
+            _assert_same_structure(g)
+            _assert_same_structure(_relabelled(g, rng))
+            assert reduce_to_core(g).kind == "other"
+
+    @pytest.mark.parametrize(
+        "g, error",
+        [
+            (make_path(4), NotUnicyclicError),
+            (disjoint_union(make_cycle(3), make_cycle(4)), NotConnectedError),
+            (disjoint_union(make_path(2), make_cycle(3)), NotConnectedError),
+        ],
+        ids=["tree", "two-cycles", "disconnected-and-not-unicyclic"],
+    )
+    def test_same_errors_in_the_same_order(self, g, error):
+        for decompose in (unicyclic_decompose, oracle.decompose):
+            with pytest.raises(error):
+                decompose(g)
+
+
+class TestForest:
+    def test_decomposition_roots_every_tree(self):
+        rng = random.Random(5)
+        corpus = [g for n in range(3, 9) for g in enumerate_unicyclic(n)] + _spiders()
+        corpus += [random_unicyclic(rng, rng.randrange(3, 60)) for _ in range(100)]
+        for g in corpus:
+            _assert_forest(g, unicyclic_decompose(g))
+
+    def test_core_decomposition_is_a_full_forest(self, monkeypatch):
+        """The relabelled core decomposition matches a fresh one of the core."""
+        seen = []
+        original = graphs._classify
+
+        def recording(core, dec):
+            seen.append((core, dec))
+            return original(core, dec)
+
+        monkeypatch.setattr(graphs, "_classify", recording)
+        rng = random.Random(6)
+        corpus = [make_lollipop(12, 5), make_cycle(7)] + _spiders()
+        corpus += [random_unicyclic(rng, rng.randrange(3, 60)) for _ in range(100)]
+        for g in corpus:
+            reduce_to_core(g)
+            core, dec = seen.pop()
+            fresh = unicyclic_decompose(core)
+            assert (dec.cycle, dec.trees, dec.parent) == (fresh.cycle, fresh.trees, fresh.parent)
+            _assert_forest(core, dec)
