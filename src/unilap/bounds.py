@@ -5,11 +5,12 @@ girth r is
 
     count[0,1) >= ceil(d/3) + ceil(r/6) - 1,
 
-sandwiched from above by the domination number. Refinements exist for
-lollipop cores (r not divisible by 6 improves the bound by one in the
-diameter term) and for a narrow compass case. analyze() measures everything
-on the input graph itself and never trusts the core reduction as the sole
-certificate.
+sandwiched from above by the domination number gamma. gamma is exact: a
+linear tree DP on trees and unicyclic graphs, branch and bound on any other
+graph. Refinements exist for lollipop cores (r not divisible by 6 improves
+the bound by one in the diameter term) and for a narrow compass case.
+analyze() measures everything on the input graph itself and never trusts
+the core reduction as the sole certificate.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .graphs import (
     CompassParams,
     CoreClassification,
     Graph,
+    UnicyclicDecomposition,
     _reduce_to_core,
     _unicyclic_diameter_and_path,
     diameter_and_path,
@@ -78,6 +80,69 @@ def compass_bounds(p: CompassParams) -> tuple[int, int | None]:
 # domination number
 
 
+def _fold(a: list[int], b: list[int], c: list[int], order: list[int], parent: list[int]) -> None:
+    """Fold every vertex of order, last first, into its parent.
+
+    Over the part of x's subtree folded so far, a[x] is the size of the
+    smallest set D dominating it with x in D, b[x] the same with x outside
+    D but dominated by a child, and c[x] the size of the smallest D
+    dominating all of it but x, with neither x nor a child in D. order
+    lists each vertex after its parent.
+    """
+    for x in reversed(order):
+        p, ax, bx = parent[x], a[x], b[x]
+        dom = min(ax, bx)
+        a[p] += min(dom, c[x])
+        b[p] = min(b[p] + dom, c[p] + ax)
+        c[p] += bx
+
+
+def _tree_gamma(g: Graph) -> int:
+    """Domination number of the tree g, by the three-state DP over one BFS."""
+    n = g.n
+    parent = [-1] * n
+    parent[0] = 0
+    order = [0]
+    for v in order:
+        for w in g.adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    a, b, c = [1] * n, [n + 1] * n, [0] * n
+    _fold(a, b, c, order[1:], parent)
+    return min(a[0], b[0])
+
+
+def _unicyclic_gamma(dec: UnicyclicDecomposition) -> int:
+    """Domination number of the connected unicyclic graph decomposed as dec.
+
+    With cycle vertex c_i a child of c_{i-1}, G minus the closing edge
+    c_{r-1}c_0 is a tree rooted at c_0. A dominating set of G holding neither
+    end of that edge dominates the tree, so gamma is the least of three tree
+    DPs: plain, c_0 in D with c_{r-1} dominated by it, and c_{r-1} in D with
+    c_0 dominated by it. The pendant trees are folded once; only the cycle
+    path is walked three times.
+    """
+    cycle, order, parent = dec.cycle, dec.order, dec.parent
+    n, r = len(order), len(cycle)
+    inf = n + 1  # above every set size, and so is any sum containing it
+    a, b, c = [1] * n, [inf] * n, [0] * n
+    _fold(a, b, c, order[r:], parent)
+
+    def up_the_cycle(sa: int, sb: int, sc: int) -> tuple[int, int, int]:
+        """Fold c_{r-1}, given its states, up the cycle path into c_0."""
+        for v in reversed(cycle[:-1]):
+            dom = min(sa, sb)
+            sa, sb, sc = a[v] + min(dom, sc), min(b[v] + dom, c[v] + sa), c[v] + sb
+        return sa, sb, sc
+
+    last = cycle[-1]
+    plain_a, plain_b, _ = up_the_cycle(a[last], b[last], c[last])
+    first_in_d, _, _ = up_the_cycle(a[last], min(b[last], c[last]), inf)
+    last_in_d = min(up_the_cycle(a[last], inf, inf))
+    return min(plain_a, plain_b, first_in_d, last_in_d)
+
+
 def _greedy_dominating_size(closed: list[int], full: int) -> int:
     dominated = 0
     size = 0
@@ -93,18 +158,31 @@ def _greedy_dominating_size(closed: list[int], full: int) -> int:
 
 
 def domination_number(g: Graph, cap: int = GAMMA_CAP_DEFAULT) -> int:
-    """Exact domination number by branch and bound over closed neighborhoods.
+    """Exact domination number; raises SizeCapExceededError when n > cap.
+
+    A tree or a connected unicyclic graph takes the linear three-state tree
+    DP of Cockayne, Goodman & Hedetniemi (IPL 1975), on a unicyclic graph
+    run three times round the cycle. Any other graph takes branch and bound
+    over closed neighbourhoods.
+    """
+    if g.n > cap:
+        raise SizeCapExceededError(f"n={g.n} exceeds domination cap {cap}")
+    if not g.is_connected():
+        return _branch_and_bound_gamma(g, None)
+    if g.m == g.n - 1:
+        return _tree_gamma(g)
+    if g.m == g.n:
+        return _unicyclic_gamma(unicyclic_decompose(g))
+    return _branch_and_bound_gamma(g, diameter_and_path(g)[0])
+
+
+def _branch_and_bound_gamma(g: Graph, d: int | None) -> int:
+    """Domination number by branch and bound; d is g's diameter, or None
+    when g is disconnected.
 
     Prunes with a greedy upper bound, the per-node coverage lower bound, and
     the diameter bound ceil((d+1)/3) <= gamma.
     """
-    if g.n > cap:
-        raise SizeCapExceededError(f"n={g.n} exceeds domination cap {cap}")
-    return _domination_number(g, diameter_and_path(g)[0] if g.is_connected() else None)
-
-
-def _domination_number(g: Graph, d: int | None) -> int:
-    """domination_number given g's diameter d, or None when g is disconnected."""
     n = g.n
     closed = [(1 << v) | sum(1 << w for w in g.adj[v]) for v in range(n)]
     full = (1 << n) - 1
@@ -139,15 +217,19 @@ def _domination_number(g: Graph, d: int | None) -> int:
     return best
 
 
-def _count01_mult1_gamma(g: Graph, d: int, gamma_cap: int) -> tuple[int, int, int | None]:
+def _count01_mult1_gamma(
+    g: Graph, dec: UnicyclicDecomposition | None, gamma_cap: int
+) -> tuple[int, int, int | None]:
     """count[0,1), the multiplicity of 1, and gamma (None when n > gamma_cap).
 
-    d is g's diameter. L is positive semidefinite, so one elimination at 1
-    gives both the count in [0, 1) (its negatives) and the multiplicity of 1
-    (its zeros).
+    g is the connected unicyclic graph decomposed as dec, or a tree when dec
+    is None. L is positive semidefinite, so one elimination at 1 gives both
+    the count in [0, 1) (its negatives) and the multiplicity of 1 (its zeros).
     """
     at_one = shifted_inertia(g, 1)
-    gamma = _domination_number(g, d) if g.n <= gamma_cap else None
+    gamma = None
+    if g.n <= gamma_cap:
+        gamma = _tree_gamma(g) if dec is None else _unicyclic_gamma(dec)
     return at_one.negatives, at_one.zeros, gamma
 
 
@@ -179,12 +261,12 @@ class BoundReport:
 
 def analyze(g: Graph, gamma_cap: int = GAMMA_CAP_DEFAULT) -> BoundReport:
     """Measure g exactly and check every applicable inequality on g itself."""
-    # the decomposition and the diametral path are computed once and shared
-    # by the diameter, gamma's pruning and the core reduction
+    # the decomposition is computed once and shared by the diameter, gamma
+    # and the core reduction, which also takes the diametral path
     dec = unicyclic_decompose(g)
     r = dec.girth
     d, path = _unicyclic_diameter_and_path(g, dec)
-    count01, mult1, gamma = _count01_mult1_gamma(g, d, gamma_cap)
+    count01, mult1, gamma = _count01_mult1_gamma(g, dec, gamma_cap)
     core = _reduce_to_core(dec, path)
 
     main = main_lower_bound(d, r)

@@ -18,7 +18,7 @@ from typing import TextIO
 from .bounds import (
     GAMMA_CAP_DEFAULT,
     _count01_mult1_gamma,
-    _domination_number,
+    _tree_gamma,
     analyze,
     ceil_div,
     compass_bounds,
@@ -32,6 +32,7 @@ from .errors import InternalConsistencyError, InvalidParameterError, SizeCapExce
 from .graphs import (
     CompassParams,
     Graph,
+    _unicyclic_diameter_and_path,
     diameter_and_path,
     join_with_edge,
     make_compass,
@@ -39,6 +40,7 @@ from .graphs import (
     make_lollipop,
     make_path,
     pendant_vertices,
+    unicyclic_decompose,
 )
 from .spectra import check_interlacing, count_interval, multiplicity
 from .witnesses import compass_one_witness, cycle_one_vectors, lollipop_one_witness, path_one_vector
@@ -266,6 +268,8 @@ def suite_witnesses(max_n: int = 60, seed: int = 0) -> VerifyReport:
 
 def suite_charpoly(max_n: int = 12, seed: int = 0, random_joins: int = 20) -> VerifyReport:
     """Polynomial identities against the determinant oracle, plus random joins."""
+    if max_n < 4:
+        raise InvalidParameterError(f"charpoly suite needs max_n >= 4, got {max_n}")
 
     def run():
         failures = []
@@ -383,7 +387,7 @@ def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> Verify
             g = random_tree(rng, n)
             d, _ = diameter_and_path(g)
             c = count_interval(g, 0, 1).count
-            if not ceil_div(d + 1, 3) <= c <= _domination_number(g, d):
+            if not ceil_div(d + 1, 3) <= c <= _tree_gamma(g):
                 failures.append((i, n))
         return count, failures
 
@@ -492,14 +496,20 @@ def _measure(
     refined_bound: int | None,
     gamma_cap: int,
 ) -> SweepRow:
-    # a unicyclic diameter takes O(n); any other graph's, one BFS per vertex
-    if g.m == g.n or g.n <= gamma_cap:
-        measured, _ = diameter_and_path(g)
-        if measured != d:
-            raise InternalConsistencyError(
-                f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"
-            )
-    count01, mult1, gamma = _count01_mult1_gamma(g, d, gamma_cap)
+    # g is a path or a connected unicyclic graph. A unicyclic diameter takes
+    # O(n) and shares the decomposition with gamma; a path's takes one BFS
+    # per vertex, so it is checked only up to gamma_cap
+    dec = None
+    if g.m == g.n:
+        dec = unicyclic_decompose(g)
+        measured = _unicyclic_diameter_and_path(g, dec)[0]
+    else:
+        measured = diameter_and_path(g)[0] if g.n <= gamma_cap else d
+    if measured != d:
+        raise InternalConsistencyError(
+            f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"
+        )
+    count01, mult1, gamma = _count01_mult1_gamma(g, dec, gamma_cap)
     return _row(family, g.n, r, r_prime, t, d, main_bound, refined_bound, count01, mult1, gamma)
 
 

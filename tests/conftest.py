@@ -26,13 +26,27 @@ def numpy_eigs(g: Graph) -> np.ndarray:
 
 def exhaustive_gamma(g: Graph) -> int:
     """Minimum dominating set size by trying all subsets, smallest first."""
-    assert g.n <= 10, "exhaustive oracle is for tiny graphs"
+    assert g.n <= 11, "exhaustive oracle is for tiny graphs"
     closed = [{v, *g.adj[v]} for v in range(g.n)]
     for k in range(1, g.n + 1):
         for subset in itertools.combinations(range(g.n), k):
             if set().union(*(closed[v] for v in subset)) == set(range(g.n)):
                 return k
     raise AssertionError("unreachable")
+
+
+def tree_from_code(code: tuple) -> Graph:
+    """The rooted tree with canonical code `code` (see enumeration), root 0."""
+    edges = []
+    labels = itertools.count(1)
+    stack = [(0, code)]
+    while stack:
+        v, children = stack.pop()
+        for child in children:
+            w = next(labels)
+            edges.append((v, w))
+            stack.append((w, child))
+    return Graph.from_edges(len(edges) + 1, edges)
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:

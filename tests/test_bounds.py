@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import exhaustive_gamma
+from conftest import exhaustive_gamma, tree_from_code
+from unilap import bounds
 from unilap.bounds import (
     analyze,
     ceil_div,
@@ -13,9 +14,25 @@ from unilap.bounds import (
     main_lower_bound,
     refined_lollipop_bound,
 )
+from unilap.enumeration import enumerate_unicyclic, rooted_trees
 from unilap.errors import InvalidParameterError, NotUnicyclicError, SizeCapExceededError
-from unilap.graphs import CompassParams, Graph, make_compass, make_cycle, make_lollipop, make_path
-from unilap.harness import random_connected_graph, random_tree
+from unilap.graphs import (
+    CompassParams,
+    Graph,
+    diameter_and_path,
+    make_compass,
+    make_cycle,
+    make_lollipop,
+    make_path,
+)
+from unilap.harness import (
+    check_tree_chain,
+    compass_params_for_n,
+    random_connected_graph,
+    random_tree,
+    random_unicyclic,
+    sweep,
+)
 from unilap.spectra import count_interval
 
 
@@ -91,6 +108,105 @@ class TestDomination:
     def test_cycle_formula(self):
         for n in range(3, 25):
             assert domination_number(make_cycle(n)) == ceil_div(n, 3)
+
+
+def branch_and_bound(g: Graph) -> int:
+    return bounds._branch_and_bound_gamma(g, diameter_and_path(g)[0])
+
+
+class TestDominationDP:
+    """The tree DP against branch and bound, exhaustive search and closed forms."""
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_every_unicyclic_class(self, n):
+        for g in enumerate_unicyclic(n):
+            assert domination_number(g) == branch_and_bound(g) == exhaustive_gamma(g), g.edges()
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_every_tree(self, n):
+        # every free tree on n vertices is some rooted tree on n vertices
+        for code in rooted_trees(n):
+            g = tree_from_code(code)
+            assert domination_number(g) == branch_and_bound(g) == exhaustive_gamma(g), g.edges()
+
+    def test_random_trees_and_unicyclic_graphs(self):
+        rng = random.Random(31)
+        for i in range(500):
+            n = rng.randrange(3, 33)
+            g = random_tree(rng, n) if i % 2 else random_unicyclic(rng, n)
+            gamma = domination_number(g)
+            assert gamma == branch_and_bound(g), (i, g.edges())
+            if n <= 11:
+                assert gamma == exhaustive_gamma(g), (i, g.edges())
+
+    @pytest.mark.parametrize("family,n_hi", [("lollipop", 32), ("compass", 16)])
+    def test_sweep_families(self, family, n_hi):
+        """The sweep's lollipops and compasses, through sweep and directly."""
+        graphs = []
+        for n in range(4, n_hi + 1):
+            if family == "lollipop":
+                graphs += [make_lollipop(n, r) for r in range(3, n)]
+            else:
+                graphs += [make_compass(p) for p in compass_params_for_n(n)]
+        rows = list(sweep(family, 4, n_hi))
+        assert len(rows) == len(graphs)
+        for row, g in zip(rows, graphs):
+            assert row.gamma == domination_number(g) == branch_and_bound(g), g.edges()
+
+    def test_path_and_cycle_closed_forms(self):
+        for n in range(1, 201):
+            assert domination_number(make_path(n), cap=n) == ceil_div(n, 3)
+        for n in range(3, 201):
+            assert domination_number(make_cycle(n), cap=n) == ceil_div(n, 3)
+        assert domination_number(make_path(20000), cap=20000) == 6667
+        assert domination_number(make_cycle(20000), cap=20000) == 6667
+
+
+class TestBranchAndBoundSplit:
+    """Branch and bound runs exactly on graphs that are neither trees nor unicyclic."""
+
+    def test_never_reached_on_trees_and_unicyclic_graphs(self, monkeypatch):
+        def refuse(g, d):
+            raise AssertionError(f"branch and bound reached on {g.edges()}")
+
+        monkeypatch.setattr(bounds, "_branch_and_bound_gamma", refuse)
+        rng = random.Random(41)
+        for i in range(60):
+            n = rng.randrange(3, 33)
+            g = random_tree(rng, n) if i % 2 else random_unicyclic(rng, n)
+            domination_number(g)
+        for n in range(3, 8):
+            for g in enumerate_unicyclic(n):
+                assert analyze(g).gamma is not None
+        for family in ("path", "cycle", "lollipop", "compass"):
+            assert all(row.gamma is not None for row in sweep(family, 3, 12))
+        assert check_tree_chain(count=50).ok
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # theta: three internally disjoint paths between 0 and 1
+            Graph.from_edges(7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)]),
+            # bowtie: two triangles sharing vertex 0
+            Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+        ]
+        + [
+            random_connected_graph(random.Random(seed), 5 + seed % 6, 2 + seed % 3)
+            for seed in range(12)
+        ],
+    )
+    def test_reached_on_other_graphs(self, monkeypatch, g):
+        assert g.m > g.n
+        calls = []
+        original = bounds._branch_and_bound_gamma
+
+        def counted(h, d):
+            calls.append(h)
+            return original(h, d)
+
+        monkeypatch.setattr(bounds, "_branch_and_bound_gamma", counted)
+        assert domination_number(g) == exhaustive_gamma(g)
+        assert calls == [g]
 
 
 class TestAnalyze:

@@ -92,6 +92,11 @@ class TestSuites:
     def test_cycles_count_the_cases_run(self, max_n, checked):
         assert run_suite("cycles", max_n=max_n).checked == checked
 
+    @pytest.mark.parametrize("max_n", [1, 3])
+    def test_charpoly_rejects_max_n_below_four(self, max_n):
+        with pytest.raises(InvalidParameterError, match="max_n >= 4, got"):
+            run_suite("charpoly", max_n=max_n)
+
     @pytest.mark.parametrize("max_n", [1, 2])
     def test_inequalities_rejects_max_n_below_three(self, max_n):
         with pytest.raises(InvalidParameterError, match="max_n >= 3"):
@@ -197,13 +202,20 @@ class TestSweep:
     def test_one_diameter_per_row_below_cap(self, monkeypatch, family, n_hi):
         calls = []
         original = graphs.diameter_and_path
+        original_unicyclic = graphs._unicyclic_diameter_and_path
 
         def counted(g):
             calls.append(g.n)
             return original(g)
 
+        def counted_unicyclic(g, dec):
+            calls.append(g.n)
+            return original_unicyclic(g, dec)
+
         for module in (graphs, bounds, harness):
             monkeypatch.setattr(module, "diameter_and_path", counted)
+        # a unicyclic row decomposes once and takes its diameter from that
+        monkeypatch.setattr(harness, "_unicyclic_diameter_and_path", counted_unicyclic)
         gamma_cap = 9
         rows = list(sweep(family, 4, n_hi, gamma_cap=gamma_cap))
         assert any(row.n > gamma_cap for row in rows)
@@ -271,6 +283,11 @@ class TestCLI:
         assert main(["verify", "--suite", "inequalities", "--max-n", "2"]) == 2
         captured = capsys.readouterr()
         assert "max_n >= 3" in captured.err and captured.out == ""
+
+    def test_verify_rejects_charpoly_below_four(self, capsys):
+        assert main(["verify", "--suite", "charpoly", "--max-n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "max_n >= 4, got 3" in captured.err and captured.out == ""
 
     def test_scan_stdout_deterministic(self, capsys):
         assert main(["scan", "--family", "lollipop", "--n-range", "4..8"]) == 0

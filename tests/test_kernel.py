@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_kernel
+from conftest import tree_from_code
 from dense_kernel import dense_inertia
 from unilap import linalg, spectra
 from unilap.bounds import ceil_div, lollipop_exact_count
@@ -273,16 +274,7 @@ def _forests(max_n):
     vertices form a rooted forest on n, and every forest arises this way."""
     for size in range(2, max_n + 2):
         for code in rooted_trees(size):
-            edges = []
-            labels = itertools.count()
-            stack = [(next(labels), child) for child in code]
-            while stack:
-                v, children = stack.pop()
-                for child in children:
-                    w = next(labels)
-                    edges.append((v, w))
-                    stack.append((w, child))
-            yield Graph.from_edges(size - 1, edges)
+            yield tree_from_code(code).without_vertex(0)
 
 
 def _one_cycle_unions(max_n):
