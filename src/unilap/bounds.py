@@ -267,7 +267,7 @@ def analyze(g: Graph, gamma_cap: int = GAMMA_CAP_DEFAULT) -> BoundReport:
     r = dec.girth
     d, path = _unicyclic_diameter_and_path(g, dec)
     count01, mult1, gamma = _count01_mult1_gamma(g, dec, gamma_cap)
-    core = _reduce_to_core(dec, path)
+    core = _reduce_to_core(g, dec, path)
 
     main = main_lower_bound(d, r)
     refined: int | None = None

@@ -282,10 +282,19 @@ def unicyclic_decompose(g: Graph) -> UnicyclicDecomposition:
     A stripped vertex has exactly one such neighbour left, which is its parent
     (two adjacent vertices of degree 1 would form a component without the
     cycle), so the reversed stripping order puts every parent first.
+
+    With |E| = n, connectivity comes from the strip, with no search: the
+    cycle ranks of the components then sum to their number, so either every
+    component has exactly one cycle or some component has two or more, and
+    the strip leaves that one a vertex of degree above 2. So g is connected
+    exactly when no vertex left has degree above 2 and the cycle walked plus
+    the stripped vertices are all of V. With |E| != n, connectivity is
+    checked first, so that a disconnected g raises NotConnectedError before
+    NotUnicyclicError.
     """
-    if not g.is_connected():
-        raise NotConnectedError("graph is not connected")
     if g.m != g.n:
+        if not g.is_connected():
+            raise NotConnectedError("graph is not connected")
         raise NotUnicyclicError(f"unicyclic graph needs |E| = n, got {g.m} != {g.n}")
     adj = g.adj
     deg = [len(a) for a in adj]
@@ -299,6 +308,8 @@ def unicyclic_decompose(g: Graph) -> UnicyclicDecomposition:
                 deg[w] -= 1
                 if deg[w] == 1:
                     stripped.append(w)
+    if max(deg) > 2:
+        raise NotConnectedError("graph is not connected")
 
     # the vertices left all have degree 2; adjacency lists are sorted, so the
     # first one left is the smallest neighbour
@@ -309,6 +320,8 @@ def unicyclic_decompose(g: Graph) -> UnicyclicDecomposition:
         cycle.append(cur)
         a, b = [w for w in adj[cur] if deg[w]]
         prev, cur = cur, b if a == prev else a
+    if len(cycle) + len(stripped) != g.n:
+        raise NotConnectedError("graph is not connected")
     stripped.reverse()
     return _rooted_forest(tuple(cycle), cycle + stripped, parent)
 
@@ -407,13 +420,49 @@ def _unicyclic_diameter_and_path(
     Every vertex at distance d from a vertex of eccentricity d has
     eccentricity d too, so the smallest pair (u, v) at distance d has u the
     smallest vertex of eccentricity d and v the smallest vertex at distance
-    d from u.
+    d from u. Both, and the path, come off the forest with no search.
+
+    Distances from u take one pass over dec.order: u's ancestors lie on its
+    climb to its cycle vertex, every other cycle vertex is the shorter arc
+    further on, and every other vertex is one past its parent, since u is not
+    below it. When one cycle vertex roots both u and v, their only path runs
+    through the vertex where the two climbs meet. Otherwise every shortest
+    path climbs from u, takes a shortest arc and descends to v; only an even
+    cycle has two, and the smallest sequence takes the one whose first
+    vertex is smaller.
     """
+    cycle, parent = dec.cycle, dec.parent
+    r = len(cycle)
     ecc = _unicyclic_eccentricities(g, dec)
     d = max(ecc)
     u = ecc.index(d)
-    v = bfs_distances(g, u).index(d)
-    return d, _walk_to(g, u, v)
+    climb = [u]
+    while parent[climb[-1]] != climb[-1]:
+        climb.append(parent[climb[-1]])
+    k, home = len(climb) - 1, cycle.index(climb[-1])
+    dist = [-1] * g.n
+    for i, c in enumerate(cycle):
+        arc = abs(i - home)
+        dist[c] = k + min(arc, r - arc)
+    for i, x in enumerate(climb):
+        dist[x] = i
+    for x in dec.order[r:]:
+        if dist[x] < 0:
+            dist[x] = dist[parent[x]] + 1
+    v = dist.index(d)
+
+    rank = {x: i for i, x in enumerate(climb)}
+    back = [v]
+    while back[-1] not in rank and parent[back[-1]] != back[-1]:
+        back.append(parent[back[-1]])
+    meet = back[-1]
+    if meet in rank:
+        return d, tuple(climb[: rank[meet]] + back[::-1])
+    ahead = (cycle.index(meet) - home) % r
+    forward = 2 * ahead < r or (2 * ahead == r and cycle[(home + 1) % r] < cycle[home - 1])
+    step = 1 if forward else -1
+    arc = [cycle[(home + step * j) % r] for j in range(1, min(ahead, r - ahead))]
+    return d, tuple(climb + arc + back[::-1])
 
 
 def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -421,10 +470,10 @@ def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     Ties break to the lexicographically smallest endpoint pair (u, v) with
     u < v, then to the lexicographically smallest vertex sequence from u.
-    A unicyclic g takes O(n) time and memory: eccentricities from the
-    pendant-tree heights and sliding windows round the cycle, then two
-    BFS. Any other g takes one BFS per vertex, O(n m) time, and keeps only
-    O(n) memory.
+    A unicyclic g takes O(n) time and memory and no search: eccentricities
+    from the pendant-tree heights and sliding windows round the cycle, then
+    distances and the path read off the pendant-tree forest. Any other g
+    takes one BFS per vertex, O(n m) time, and keeps only O(n) memory.
     """
     if g.m == g.n:
         # unicyclic_decompose checks connectivity and raises NotConnectedError
@@ -493,16 +542,19 @@ def reduce_to_core(g: Graph) -> CoreClassification:
     """
     dec = unicyclic_decompose(g)
     _, path = _unicyclic_diameter_and_path(g, dec)
-    return _reduce_to_core(dec, path)
+    return _reduce_to_core(g, dec, path)
 
 
-def _reduce_to_core(dec: UnicyclicDecomposition, path: tuple[int, ...]) -> CoreClassification:
+def _reduce_to_core(
+    g: Graph, dec: UnicyclicDecomposition, path: tuple[int, ...]
+) -> CoreClassification:
     """reduce_to_core given g's decomposition and diametral path.
 
     The core is the subgraph induced on the cycle, the path and, when the
     path misses the cycle, the tree walk joining them. That vertex set is
     closed under dec.parent, so its edges are the cycle's plus one edge from
-    each other kept vertex to its parent.
+    each other kept vertex to its parent. When it is all of V, the core is
+    g itself, returned with dec and nothing rebuilt.
     """
     cycle, parent = dec.cycle, dec.parent
     keep = set(path).union(cycle)
@@ -513,6 +565,8 @@ def _reduce_to_core(dec: UnicyclicDecomposition, path: tuple[int, ...]) -> CoreC
     while parent[x] != x:
         x = parent[x]
         keep.add(x)
+    if len(keep) == g.n:
+        return CoreClassification(*_classify(g, dec), g, tuple(range(g.n)), path)
 
     verts = sorted(keep)
     relabel = {v: i for i, v in enumerate(verts)}

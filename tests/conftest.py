@@ -49,6 +49,17 @@ def tree_from_code(code: tuple) -> Graph:
     return Graph.from_edges(len(edges) + 1, edges)
 
 
+def spider(r: int, stem: int, legs: list[int]) -> Graph:
+    """A cycle 0..r-1, a stem of stem vertices from r-1, legs off the stem's end."""
+    edges = [(i, i + 1) for i in range(r - 1)] + [(0, r - 1)]
+    edges += [(r - 1 + j, r + j) for j in range(stem)]
+    hub, n = r - 1 + stem, r + stem
+    for length in legs:
+        edges += [(hub, n)] + [(n + j, n + j + 1) for j in range(length - 1)]
+        n += length
+    return Graph.from_edges(n, edges)
+
+
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
     if g1.n != g2.n or g1.m != g2.m:
         return False

@@ -8,6 +8,10 @@ by walking each tree, and the connector to the cycle comes from a
 multi-source BFS. unilap.graphs now reads all of these off one cycle-rooted
 forest, so the two share only the sliding window round the cycle and the
 final path walk.
+
+path_from_eccentricities is how unilap.graphs took the diametral path from
+its eccentricities before it read distances and the path off the forest:
+one BFS from u to find v and another, inside _walk_to, to walk back.
 """
 
 from collections import deque
@@ -101,13 +105,18 @@ def eccentricities(g: Graph, cycle: tuple[int, ...]) -> list[int]:
     return [max(a, b) for a, b in zip(down, up)]
 
 
-def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """The smallest pair at the diameter and the smallest path between them."""
-    ecc = eccentricities(g, decompose(g)[0])
+def path_from_eccentricities(g: Graph, ecc: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The diameter, the smallest pair at it and the smallest path between
+    them, given every eccentricity of g."""
     d = max(ecc)
     u = ecc.index(d)
     v = bfs_distances(g, u).index(d)
     return d, _walk_to(g, u, v)
+
+
+def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The smallest pair at the diameter and the smallest path between them."""
+    return path_from_eccentricities(g, eccentricities(g, decompose(g)[0]))
 
 
 def _tail_is_path(g: Graph, root: int, tree: set[int]) -> int | None:

@@ -14,6 +14,7 @@ import tracemalloc
 import pytest
 
 from allpairs_diameter import diameter_and_path as allpairs_diameter_and_path
+from conftest import spider
 from unilap import bounds, graphs
 from unilap.enumeration import enumerate_unicyclic
 from unilap.errors import NotConnectedError
@@ -79,6 +80,110 @@ class TestDifferential:
         for f in (diameter_and_path, allpairs_diameter_and_path):
             with pytest.raises(NotConnectedError):
                 f(g)
+
+
+def _even_cycle_with_tails(k: int, j: int, length: int) -> Graph:
+    """C_2k on 0..2k-1 with a pendant path of `length` vertices at 0 and at j."""
+    r = 2 * k
+    edges = [(i, i + 1) for i in range(r - 1)] + [(0, r - 1)]
+    n = r
+    for root in (0, j):
+        edges += [(root, n)] + [(n + i, n + i + 1) for i in range(length - 1)]
+        n += length
+    return Graph.from_edges(n, edges)
+
+
+def _climb(dec: graphs.UnicyclicDecomposition, x: int) -> list[int]:
+    out = [x]
+    while dec.parent[out[-1]] != out[-1]:
+        out.append(dec.parent[out[-1]])
+    return out
+
+
+class TestForestPathBranches:
+    """Each branch of the forest-read diametral path against all pairs.
+
+    The path either joins u and v inside one pendant tree, or climbs, runs
+    the shorter arc and descends; on an even cycle both arcs can be
+    shortest and the labels decide, so those cases run under relabellings.
+    """
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_even_cycle_antipodal_tails_tie(self, k):
+        rng = random.Random(k)
+        for length in (1, 2, 3):
+            g = _even_cycle_with_tails(k, k, length)
+            sides = set()
+            perms = [list(range(g.n))] + [rng.sample(range(g.n), g.n) for _ in range(20)]
+            for perm in perms:
+                h = Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+                d, path = diameter_and_path(h)
+                assert (d, path) == allpairs_diameter_and_path(h), h.edges()
+                assert d == 2 * length + k
+                # the arcs from 0 to k run through 1 and through 2k - 1
+                sides.add(perm[1] in path)
+            assert sides == {True, False}
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_even_cycle_tails_not_antipodal(self, k):
+        rng = random.Random(100 + k)
+        for j in range(1, k):
+            for length in (1, 2, k):
+                g = _even_cycle_with_tails(k, j, length)
+                for h in [g] + [_relabelled(g, rng) for _ in range(20)]:
+                    assert diameter_and_path(h) == allpairs_diameter_and_path(h), h.edges()
+
+    def test_bare_triangle(self):
+        g = make_cycle(3)
+        assert diameter_and_path(g) == allpairs_diameter_and_path(g) == (1, (0, 1))
+
+    @pytest.mark.parametrize("r", range(3, 9))
+    def test_spiders_with_both_ends_in_one_tree(self, r):
+        """Two legs longer than any reach round the cycle: u and v share a
+        root, and the relabellings put u on the longer leg and on the
+        shorter one, with the climbs meeting off the cycle and on it."""
+        rng = random.Random(r)
+        for stem in range(0, 4):
+            reach = stem + r // 2
+            g = spider(r, stem, [reach + 2, reach + 1])
+            deeper = set()
+            for h in [g] + [_relabelled(g, rng) for _ in range(20)]:
+                d, path = diameter_and_path(h)
+                assert (d, path) == allpairs_diameter_and_path(h), h.edges()
+                dec = unicyclic_decompose(h)
+                up, down = _climb(dec, path[0]), _climb(dec, path[-1])
+                assert up[-1] == down[-1]
+                deeper.add(len(up) > len(down))
+            assert deeper == {True, False}
+
+    @pytest.mark.parametrize("r", range(3, 9))
+    def test_brooms_with_one_end_on_the_cycle(self, r):
+        """A handle and bristles: every diametral pair is a bristle and a
+        cycle vertex opposite the handle, and the relabellings put u on the
+        cycle (a climb of one vertex) and v there."""
+        rng = random.Random(10 + r)
+        for handle in range(1, 4):
+            g = spider(r, handle, [1, 1, 1])
+            on_cycle = set()
+            for h in [g] + [_relabelled(g, rng) for _ in range(20)]:
+                d, path = diameter_and_path(h)
+                assert (d, path) == allpairs_diameter_and_path(h), h.edges()
+                assert d == handle + 1 + r // 2
+                dec = unicyclic_decompose(h)
+                on_cycle.add(dec.parent[path[0]] == path[0])
+            assert on_cycle == {True, False}
+
+    def test_neither_end_is_an_ancestor_of_the_other(self):
+        """A cycle neighbour of an ancestor's root would lie one step farther
+        than d, so the tree path always meets strictly above both ends."""
+        rng = random.Random(12)
+        corpus = [g for n in range(3, 10) for g in enumerate_unicyclic(n)]
+        corpus += [random_unicyclic(rng, rng.randrange(3, 80)) for _ in range(200)]
+        for g in corpus:
+            dec = unicyclic_decompose(g)
+            _, path = diameter_and_path(g)
+            u, v = path[0], path[-1]
+            assert u not in _climb(dec, v) and v not in _climb(dec, u), g.edges()
 
 
 class TestEccentricities:
@@ -202,23 +307,31 @@ class TestStructureOncePerAnalyze:
 
 
 class TestSingleConnectivityPass:
+    """On a unicyclic input the leaf strip is the one connectivity pass: no
+    search runs anywhere on the structure or analyze path."""
+
     @pytest.mark.parametrize(
         "g",
-        [make_cycle(9), make_lollipop(20, 7), random_unicyclic(random.Random(4), 30)],
-        ids=["cycle", "lollipop", "random"],
+        [
+            make_cycle(9),
+            make_lollipop(20, 7),
+            make_compass(CompassParams(14, 8, 4, 3)),
+            spider(5, 2, [6, 5]),
+            random_unicyclic(random.Random(4), 30),
+        ],
+        ids=["cycle", "lollipop", "compass", "spider", "random"],
     )
-    def test_one_connectivity_check_per_unicyclic_diameter(self, monkeypatch, g):
-        calls = []
-        original = Graph.is_connected
+    def test_no_connectivity_search(self, monkeypatch, g):
+        def forbidden(*args):
+            raise AssertionError("searched a unicyclic graph")
 
-        def counted(self):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(Graph, "is_connected", counted)
-        for k in range(1, 4):
-            diameter_and_path(g)
-            assert calls == [g] * k
+        monkeypatch.setattr(Graph, "is_connected", forbidden)
+        monkeypatch.setattr(graphs, "bfs_distances", forbidden)
+        monkeypatch.setattr(graphs, "_walk_to", forbidden)
+        unicyclic_decompose(g)
+        diameter_and_path(g)
+        reduce_to_core(g)
+        bounds.analyze(g)
 
     def test_disconnected_with_as_many_edges_as_vertices(self):
         g = disjoint_union(make_cycle(3), make_cycle(4))

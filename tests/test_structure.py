@@ -1,10 +1,11 @@
 """The shared cycle-rooted forest against the structure code it replaced.
 
 unicyclic_decompose now owns one forest (order, parent) that the
-eccentricities, the connector to the cycle and the tail test all read.
-structure_oracle holds the earlier code, which built that rooting three
-times over; both must give the same cycle, trees, eccentricities,
-diametral path and core classification on every input.
+eccentricities, the diametral path, the connector to the cycle and the tail
+test all read. structure_oracle holds the earlier code, which built that
+rooting three times over and found the path by two BFS; both must give the
+same cycle, trees, eccentricities, diametral path and core classification
+on every input.
 """
 
 import random
@@ -12,7 +13,9 @@ import random
 import pytest
 
 import structure_oracle as oracle
+from conftest import spider
 from unilap import graphs
+from unilap.bounds import analyze
 from unilap.enumeration import enumerate_unicyclic
 from unilap.errors import NotConnectedError, NotUnicyclicError
 from unilap.graphs import (
@@ -34,17 +37,6 @@ def _relabelled(g: Graph, rng: random.Random) -> Graph:
     return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
 
 
-def _spider(r: int, stem: int, legs: list[int]) -> Graph:
-    """A cycle 0..r-1, a stem of stem vertices from r-1, legs off the stem's end."""
-    edges = [(i, i + 1) for i in range(r - 1)] + [(0, r - 1)]
-    edges += [(r - 1 + j, r + j) for j in range(stem)]
-    hub, n = r - 1 + stem, r + stem
-    for length in legs:
-        edges += [(hub, n)] + [(n + j, n + j + 1) for j in range(length - 1)]
-        n += length
-    return Graph.from_edges(n, edges)
-
-
 def _path_misses_cycle(g: Graph) -> bool:
     return set(unicyclic_decompose(g).cycle).isdisjoint(diameter_and_path(g)[1])
 
@@ -54,7 +46,10 @@ def _assert_same_structure(g: Graph) -> None:
     cycle, trees = oracle.decompose(g)
     assert dec.cycle == cycle, g.edges()
     assert dec.trees == trees, g.edges()
-    assert graphs._unicyclic_eccentricities(g, dec) == oracle.eccentricities(g, cycle)
+    ecc = graphs._unicyclic_eccentricities(g, dec)
+    assert ecc == oracle.eccentricities(g, cycle)
+    got = graphs._unicyclic_diameter_and_path(g, dec)
+    assert got == oracle.path_from_eccentricities(g, ecc), g.edges()
     assert diameter_and_path(g) == oracle.diameter_and_path(g), g.edges()
     got, want = reduce_to_core(g), oracle.reduce_to_core(g)
     assert (got.kind, got.params) == (want.kind, want.params), g.edges()
@@ -86,7 +81,7 @@ def _spiders() -> list[Graph]:
     for r in range(3, 9):
         for stem in range(1, 5):
             for legs in ([stem + r // 2 + 1] * 2, [stem + r // 2 + 2, stem + r // 2 + 1, 1]):
-                out.append(_spider(r, stem, legs))
+                out.append(spider(r, stem, legs))
     return out
 
 
@@ -130,6 +125,49 @@ class TestForestDifferential:
                 decompose(g)
 
 
+def _bowtie() -> Graph:
+    """Two triangles sharing vertex 0."""
+    return Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+
+
+def _theta() -> Graph:
+    """K4 minus the edge (2, 3)."""
+    return Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+class TestConnectivityFromTheStrip:
+    """With |E| = n, the leaf strip alone tells a disconnected g: a component
+    with two cycles leaves a vertex of degree above 2, and another cycle or
+    a tree leaves vertices the walk round the first cycle does not cover."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            disjoint_union(make_cycle(3), make_cycle(4)),
+            disjoint_union(_bowtie(), make_path(1)),
+            disjoint_union(make_path(1), _theta()),
+            disjoint_union(make_path(2), _theta()),
+            disjoint_union(make_cycle(3), disjoint_union(make_cycle(3), make_cycle(3))),
+            disjoint_union(make_cycle(5), make_lollipop(6, 3)),
+            disjoint_union(make_path(2), make_cycle(3)),
+        ],
+        ids=[
+            "two-cycles",
+            "bowtie-and-a-vertex",
+            "a-vertex-and-theta",
+            "an-edge-and-theta",
+            "three-triangles",
+            "cycle-and-lollipop",
+            "edge-and-triangle",
+        ],
+    )
+    def test_disconnected_raises_not_connected(self, g):
+        assert not g.is_connected()
+        for f in (unicyclic_decompose, diameter_and_path, analyze, oracle.decompose):
+            with pytest.raises(NotConnectedError):
+                f(g)
+
+
 class TestForest:
     def test_decomposition_roots_every_tree(self):
         rng = random.Random(5)
@@ -157,3 +195,16 @@ class TestForest:
             fresh = unicyclic_decompose(core)
             assert (dec.cycle, dec.trees, dec.parent) == (fresh.cycle, fresh.trees, fresh.parent)
             _assert_forest(core, dec)
+
+    def test_whole_graph_core_is_the_graph(self):
+        """A core kept on all of V is g itself, not a rebuilt copy."""
+        rng = random.Random(7)
+        corpus = [make_cycle(n) for n in range(3, 12)]
+        corpus += [make_lollipop(n, r) for n in range(4, 12) for r in range(3, n)]
+        corpus += [random_unicyclic(rng, rng.randrange(3, 60)) for _ in range(100)]
+        whole = 0
+        for g in corpus:
+            core = reduce_to_core(g)
+            assert (core.core is g) == (core.core_vertices == tuple(range(g.n)))
+            whole += core.core is g
+        assert whole >= 45  # every cycle and lollipop
