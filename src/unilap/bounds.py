@@ -22,12 +22,13 @@ from .graphs import (
     CoreClassification,
     Graph,
     UnicyclicDecomposition,
+    _cycle_forest,
     _reduce_to_core,
     _unicyclic_diameter_and_path,
     diameter_and_path,
     unicyclic_decompose,
 )
-from .spectra import shifted_inertia
+from .spectra import _forest_inertia
 
 GAMMA_CAP_DEFAULT = 32
 
@@ -81,15 +82,15 @@ def compass_bounds(p: CompassParams) -> tuple[int, int | None]:
 
 
 def _fold(a: list[int], b: list[int], c: list[int], order: list[int], parent: list[int]) -> None:
-    """Fold every vertex of order, last first, into its parent.
+    """Fold every vertex of order into its parent, in leaf-to-root order.
 
     Over the part of x's subtree folded so far, a[x] is the size of the
     smallest set D dominating it with x in D, b[x] the same with x outside
     D but dominated by a child, and c[x] the size of the smallest D
     dominating all of it but x, with neither x nor a child in D. order
-    lists each vertex after its parent.
+    lists each vertex after all of its children.
     """
-    for x in reversed(order):
+    for x in order:
         p, ax, bx = parent[x], a[x], b[x]
         dom = min(ax, bx)
         a[p] += min(dom, c[x])
@@ -97,37 +98,26 @@ def _fold(a: list[int], b: list[int], c: list[int], order: list[int], parent: li
         c[p] += bx
 
 
-def _tree_gamma(g: Graph) -> int:
-    """Domination number of the tree g, by the three-state DP over one BFS."""
-    n = g.n
-    parent = [-1] * n
-    parent[0] = 0
-    order = [0]
-    for v in order:
-        for w in g.adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
-    a, b, c = [1] * n, [n + 1] * n, [0] * n
-    _fold(a, b, c, order[1:], parent)
-    return min(a[0], b[0])
+def _forest_gamma(stripped: list[int], parent: list[int], cycles: list[list[int]]) -> int:
+    """Domination number of a tree (no cycles) or a connected unicyclic
+    graph (one cycle), from its leaf strip (graphs._cycle_forest).
 
-
-def _unicyclic_gamma(dec: UnicyclicDecomposition) -> int:
-    """Domination number of the connected unicyclic graph decomposed as dec.
-
-    With cycle vertex c_i a child of c_{i-1}, G minus the closing edge
-    c_{r-1}c_0 is a tree rooted at c_0. A dominating set of G holding neither
-    end of that edge dominates the tree, so gamma is the least of three tree
-    DPs: plain, c_0 in D with c_{r-1} dominated by it, and c_{r-1} in D with
-    c_0 dominated by it. The pendant trees are folded once; only the cycle
-    path is walked three times.
+    A tree is folded into its root, the last vertex stripped. On a
+    unicyclic graph, with cycle vertex c_i a child of c_{i-1}, G minus the
+    closing edge c_{r-1}c_0 is a tree rooted at c_0. A dominating set of G
+    holding neither end of that edge dominates the tree, so gamma is the
+    least of three tree DPs: plain, c_0 in D with c_{r-1} dominated by it,
+    and c_{r-1} in D with c_0 dominated by it. The pendant trees are folded
+    once; only the cycle path is walked three times.
     """
-    cycle, order, parent = dec.cycle, dec.order, dec.parent
-    n, r = len(order), len(cycle)
+    n = len(parent)
     inf = n + 1  # above every set size, and so is any sum containing it
     a, b, c = [1] * n, [inf] * n, [0] * n
-    _fold(a, b, c, order[r:], parent)
+    if not cycles:
+        _fold(a, b, c, stripped[:-1], parent)
+        return min(a[stripped[-1]], b[stripped[-1]])
+    _fold(a, b, c, stripped, parent)
+    cycle = cycles[0]
 
     def up_the_cycle(sa: int, sb: int, sc: int) -> tuple[int, int, int]:
         """Fold c_{r-1}, given its states, up the cycle path into c_0."""
@@ -141,6 +131,11 @@ def _unicyclic_gamma(dec: UnicyclicDecomposition) -> int:
     first_in_d, _, _ = up_the_cycle(a[last], min(b[last], c[last]), inf)
     last_in_d = min(up_the_cycle(a[last], inf, inf))
     return min(plain_a, plain_b, first_in_d, last_in_d)
+
+
+def _tree_gamma(g: Graph) -> int:
+    """Domination number of the tree g: the DP folded over its leaf strip."""
+    return _forest_gamma(*_cycle_forest(g))
 
 
 def _greedy_dominating_size(closed: list[int], full: int) -> int:
@@ -160,19 +155,22 @@ def _greedy_dominating_size(closed: list[int], full: int) -> int:
 def domination_number(g: Graph, cap: int = GAMMA_CAP_DEFAULT) -> int:
     """Exact domination number; raises SizeCapExceededError when n > cap.
 
-    A tree or a connected unicyclic graph takes the linear three-state tree
-    DP of Cockayne, Goodman & Hedetniemi (IPL 1975), on a unicyclic graph
-    run three times round the cycle. Any other graph takes branch and bound
-    over closed neighbourhoods.
+    A tree or a connected unicyclic graph, told apart from any other graph
+    by its leaf strip with no connectivity search, takes the linear
+    three-state tree DP of Cockayne, Goodman & Hedetniemi (IPL 1975), on a
+    unicyclic graph run three times round the cycle. Any other graph takes
+    branch and bound over closed neighbourhoods.
     """
     if g.n > cap:
         raise SizeCapExceededError(f"n={g.n} exceeds domination cap {cap}")
+    if g.m <= g.n:
+        # with at most one cycle per component, the cycle ranks sum to the
+        # component count: g is connected when the strip leaves m - n + 1
+        forest = _cycle_forest(g)
+        if forest is not None and len(forest[2]) == g.m - g.n + 1:
+            return _forest_gamma(*forest)
     if not g.is_connected():
         return _branch_and_bound_gamma(g, None)
-    if g.m == g.n - 1:
-        return _tree_gamma(g)
-    if g.m == g.n:
-        return _unicyclic_gamma(unicyclic_decompose(g))
     return _branch_and_bound_gamma(g, diameter_and_path(g)[0])
 
 
@@ -225,11 +223,15 @@ def _count01_mult1_gamma(
     g is the connected unicyclic graph decomposed as dec, or a tree when dec
     is None. L is positive semidefinite, so one elimination at 1 gives both
     the count in [0, 1) (its negatives) and the multiplicity of 1 (its zeros).
+    Both it and gamma fold one leaf strip: dec's forest read leaf to root,
+    or a tree's own strip.
     """
-    at_one = shifted_inertia(g, 1)
-    gamma = None
-    if g.n <= gamma_cap:
-        gamma = _tree_gamma(g) if dec is None else _unicyclic_gamma(dec)
+    if dec is None:
+        stripped, parent, cycles = _cycle_forest(g)
+    else:
+        stripped, parent, cycles = dec.order[: dec.girth - 1 : -1], dec.parent, [dec.cycle]
+    at_one = _forest_inertia(g, stripped, parent, cycles, 1, 1)
+    gamma = _forest_gamma(stripped, parent, cycles) if g.n <= gamma_cap else None
     return at_one.negatives, at_one.zeros, gamma
 
 

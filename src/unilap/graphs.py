@@ -275,20 +275,55 @@ def _rooted_forest(
     return UnicyclicDecomposition(cycle, {c: tuple(t) for c, t in trees.items()}, order, parent)
 
 
+def _cycle_forest(g: Graph) -> tuple[list[int], list[int], list[list[int]]] | None:
+    """The leaf strip of g: (stripped, parent, cycles), or None when the
+    2-core of g is not a set of disjoint cycles.
+
+    left[x] counts the neighbours of x not yet stripped and others[x] sums
+    them, so a leaf's parent is others[x]. stripped lists each vertex after
+    all of its children, and parent[x] is the one neighbour x had left when
+    stripped, or x itself at a tree component's root and on a cycle. Each
+    cycle is walked by others[v] - prev from its smallest vertex, stepping
+    first to the smaller neighbour (adjacency lists are sorted).
+    """
+    adj = g.adj
+    left = list(map(len, adj))
+    others = list(map(sum, adj))
+    parent = list(range(g.n))
+    stripped = [v for v, k in enumerate(left) if k < 2]
+    for x in stripped:
+        if left[x]:
+            left[x] = 0
+            u = parent[x] = others[x]
+            others[u] -= x
+            left[u] -= 1
+            if left[u] == 1:
+                stripped.append(u)
+    if max(left) > 2:
+        return None
+    cycles = []
+    start, walked = 0, len(stripped)
+    while walked < g.n:
+        start = left.index(2, start)  # the smallest vertex not yet walked
+        left[start] = 0
+        cycle = [start]
+        prev, v = start, next(w for w in adj[start] if left[w])
+        while v != start:
+            left[v] = 0
+            cycle.append(v)
+            prev, v = v, others[v] - prev
+        cycles.append(cycle)
+        walked += len(cycle)
+    return stripped, parent, cycles
+
+
 def unicyclic_decompose(g: Graph) -> UnicyclicDecomposition:
-    """Locate the unique cycle by repeatedly stripping degree-1 vertices.
+    """The cycle and pendant-tree forest of g, read off its leaf strip.
 
-    deg counts the neighbours not yet stripped and is 0 on a stripped vertex.
-    A stripped vertex has exactly one such neighbour left, which is its parent
-    (two adjacent vertices of degree 1 would form a component without the
-    cycle), so the reversed stripping order puts every parent first.
-
-    With |E| = n, connectivity comes from the strip, with no search: the
-    cycle ranks of the components then sum to their number, so either every
-    component has exactly one cycle or some component has two or more, and
-    the strip leaves that one a vertex of degree above 2. So g is connected
-    exactly when no vertex left has degree above 2 and the cycle walked plus
-    the stripped vertices are all of V. With |E| != n, connectivity is
+    The reversed strip puts every parent before its children. With
+    |E| = n, connectivity comes from the strip, with no search: the cycle
+    ranks of the components then sum to their number, so g is connected
+    exactly when the strip leaves one cycle. With |E| != n, connectivity is
     checked first, so that a disconnected g raises NotConnectedError before
     NotUnicyclicError.
     """
@@ -296,34 +331,11 @@ def unicyclic_decompose(g: Graph) -> UnicyclicDecomposition:
         if not g.is_connected():
             raise NotConnectedError("graph is not connected")
         raise NotUnicyclicError(f"unicyclic graph needs |E| = n, got {g.m} != {g.n}")
-    adj = g.adj
-    deg = [len(a) for a in adj]
-    parent = list(range(g.n))
-    stripped = [v for v in range(g.n) if deg[v] == 1]
-    for v in stripped:
-        deg[v] = 0
-        for w in adj[v]:
-            if deg[w]:
-                parent[v] = w
-                deg[w] -= 1
-                if deg[w] == 1:
-                    stripped.append(w)
-    if max(deg) > 2:
+    forest = _cycle_forest(g)
+    if forest is None or len(forest[2]) != 1:
         raise NotConnectedError("graph is not connected")
-
-    # the vertices left all have degree 2; adjacency lists are sorted, so the
-    # first one left is the smallest neighbour
-    start = deg.index(2)
-    cycle = [start]
-    prev, cur = start, next(w for w in adj[start] if deg[w])
-    while cur != start:
-        cycle.append(cur)
-        a, b = [w for w in adj[cur] if deg[w]]
-        prev, cur = cur, b if a == prev else a
-    if len(cycle) + len(stripped) != g.n:
-        raise NotConnectedError("graph is not connected")
-    stripped.reverse()
-    return _rooted_forest(tuple(cycle), cycle + stripped, parent)
+    stripped, parent, (cycle,) = forest
+    return _rooted_forest(tuple(cycle), cycle + stripped[::-1], parent)
 
 
 def girth(g: Graph) -> int:

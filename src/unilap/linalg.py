@@ -23,9 +23,10 @@ so a count on a tree or unicyclic graph at an integer shift takes time
 linear in n. At a rational shift the Fraction entries carry O(n)-bit
 denominators and every sum runs a gcd, which makes the cost superlinear on
 a cycle. spectra.shifted_inertia therefore counts graphs whose components
-have at most one cycle with its own fraction-free leaf-to-root kernel
-(Jacobs and Trevisan; Braga, Rodrigues and Trevisan), which is faster at
-every shift, and comes here for any other graph: it assembles L - cI as
+have at most one cycle by a fraction-free fold over the leaf strip of
+graphs._cycle_forest (Jacobs and Trevisan; Braga, Rodrigues and Trevisan),
+which is faster at every shift. It comes here only for a graph with two
+cycles in one component, which that strip reports, and assembles L - cI as
 sparse rows straight from the graph. Since L is positive semidefinite, one
 count at c = 1 yields both the count below 1 (its negatives) and the
 multiplicity of 1 (its zeros).

@@ -4,11 +4,12 @@ The half-open count m[a, b) is the package's primitive: eigenvalues of L in
 [a, b) number negatives(L - bI) - negatives(L - aI), and both terms are
 exact inertias of L - cI. For c = p/q, qL - pI has the same inertia and
 integer entries. When every component of the graph has at most one cycle,
-a fraction-free leaf-to-root kernel counts it in Python ints: its numbers
-are minors of qL - pI, so they have O(n) bits and no gcd ever runs, the
-cost is linear in n at an integer shift, and a rational shift adds only the
-cost of multiplying O(n)-bit ints. It also beats the heap kernel at c = 1,
-so it serves every such graph. Any other graph goes to
+a fraction-free kernel folds its leaf strip (graphs._cycle_forest, which
+the cycle decomposition and the gamma DP read too) in Python ints: its
+numbers are minors of qL - pI, so they have O(n) bits and no gcd ever
+runs, the cost is linear in n at an integer shift, and a rational shift
+adds only the cost of multiplying O(n)-bit ints. It also beats the heap
+kernel at c = 1, so it serves every such graph. Any other graph goes to
 linalg.sparse_inertia, fed sparse rows of L - cI assembled straight from
 the adjacency lists. L is positive semidefinite, so the term at a <= 0 is
 zero and needs no elimination. laplacian(g) wraps the sparse rows at c = 0
@@ -31,7 +32,7 @@ from .errors import (
     InvalidIntervalError,
     InvalidParameterError,
 )
-from .graphs import Graph
+from .graphs import Graph, _cycle_forest
 from .linalg import ExactMatrix, Inertia, SparseRows, _exact, sparse_inertia
 
 
@@ -78,53 +79,44 @@ class IntervalCount:
     count: int
 
 
-def _leaf_to_root_inertia(g: Graph, p: int, q: int) -> Inertia | None:
-    """Inertia of M = qL(g) - pI (q > 0) in Python ints, or None when some
-    component of g has two cycles.
+def _forest_inertia(
+    g: Graph, stripped: list[int], parent: list[int], cycles: list[list[int]], p: int, q: int
+) -> Inertia:
+    """Inertia of M = qL(g) - pI (q > 0) in Python ints, from the leaf strip
+    (stripped, parent, cycles) of graphs._cycle_forest.
 
-    Leaves are stripped in a stack (Jacobs and Trevisan, LAA 2011). A
-    stripped vertex x carries its pivot as num[x] / den[x]: num[x] is the
+    The strip is folded leaf to root (Jacobs and Trevisan, LAA 2011). A
+    vertex x carries its pivot as num[x] / den[x]: num[x] is the
     determinant of the block of M on x's subtree and den[x] the product of
-    its attached children's nums, so folding a child y into x is
-    num[x] * num[y] - q^2 den[y] den[x] over den[x] * num[y], with no
-    division. A child with pivot 0 pairs with x (one negative, one positive
-    eigenvalue), every further zero child is a zero eigenvalue, and x leaves
-    its parent. Stripping leaves the 2-core; when that is a set of disjoint
-    cycles, a cycle vertex paired this way opens its cycle into paths that
-    are stripped like trees, and every intact cycle is closed by
-    _cycle_inertia (Braga, Rodrigues and Trevisan extend the method to
-    unicyclic graphs). Every num and den is a minor of M, so each has
-    O(n) bits, and the cost is linear in n at an integer shift.
+    its attached children's nums, so folding x into its parent u is
+    num[u] * num[x] - q^2 den[x] den[u] over den[u] * num[x], with no
+    division. A child with pivot 0 pairs with its parent (one negative, one
+    positive eigenvalue), every further zero child is a zero eigenvalue,
+    and the paired parent leaves its own parent alone. An intact cycle is
+    closed by _cycle_inertia (Braga, Rodrigues and Trevisan extend the
+    method to unicyclic graphs). A cycle vertex paired this way cuts its
+    cycle; each arc between cuts folds as a path into the cut after it,
+    which is a root. Every num and den is a minor of M, so each has O(n)
+    bits, and the cost is linear in n at an integer shift.
     """
-    adj = g.adj
     qq = q * q
-    num = [q * len(nbrs) - p for nbrs in adj]
+    num = [q * len(nbrs) - p for nbrs in g.adj]
     den = [1] * g.n
     zero_children = [0] * g.n
-    left = [len(nbrs) for nbrs in adj]  # neighbours not yet stripped
-    others = [sum(nbrs) for nbrs in adj]  # their sum: a leaf's is its parent
-    stack = [v for v, k in enumerate(left) if k < 2]
-    push = stack.append
-    neg = zero = pos = 0
-    core = None
-    while True:
-        while stack:
-            x = stack.pop()
-            u = -1
-            if left[x]:
-                left[x] = 0
-                u = others[x]
-                others[u] -= x
-                left[u] -= 1
-                if left[u] == 1:
-                    push(u)
+
+    def fold(order: Sequence[int], parent: Sequence[int] | dict) -> tuple[int, int, int]:
+        """Fold each x of order into parent[x], a root when that is x itself,
+        and count the pivots (negatives, zeros, positives) it settles."""
+        neg = zero = pos = 0
+        for x in order:
+            u = parent[x]
             a = num[x]
             if zero_children[x]:
                 neg += 1
                 pos += 1
                 zero += zero_children[x] - 1
             elif not a:
-                if u < 0:
+                if u == x:
                     zero += 1
                 else:
                     zero_children[u] += 1
@@ -134,43 +126,26 @@ def _leaf_to_root_inertia(g: Graph, p: int, q: int) -> Inertia | None:
                     pos += 1
                 else:
                     neg += 1
-                if u >= 0:
+                if u != x:
                     num[u] = num[u] * a - qq * b * den[u]
                     den[u] *= a
-        if core is not None:
-            break  # the second pass stripped the paths of opened cycles
-        core = [v for v, k in enumerate(left) if k]
-        if any(left[v] != 2 for v in core):
-            return None
-        for v in core:
-            if zero_children[v] and left[v] == 2:
-                left[v] = 0
-                neg += 1
-                pos += 1
-                zero += zero_children[v] - 1
-                for w in adj[v]:
-                    if left[w]:
-                        others[w] -= v
-                        left[w] -= 1
-                        if left[w] == 1:
-                            push(w)
-    for start in core:
-        if not left[start]:
+        return neg, zero, pos
+
+    counts = [fold(stripped, parent)]
+    for cycle in cycles:
+        cuts = [i for i, v in enumerate(cycle) if zero_children[v]]
+        if cuts:
+            # the path runs round the cycle from just after the first cut
+            # to it; every cut on it is a root
+            path = cycle[cuts[0] + 1 :] + cycle[: cuts[0] + 1]
+            to = {x: x if zero_children[x] else y for x, y in zip(path, path[1:] + path[:1])}
+            counts.append(fold(path, to))
             continue
-        cycle = [start]
-        left[start] = 0
-        prev, v = start, next(w for w in adj[start] if left[w])
-        while v != start:
-            cycle.append(v)
-            left[v] = 0
-            prev, v = v, others[v] - prev
         # a pivot keeps its value when num and den both change sign
         nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]
-        counts = _cycle_inertia(nums, [abs(den[v]) for v in cycle], q)
-        neg += counts.negatives
-        zero += counts.zeros
-        pos += counts.positives
-    return Inertia(neg, zero, pos)
+        closed = _cycle_inertia(nums, [abs(den[v]) for v in cycle], q)
+        counts.append((closed.negatives, closed.zeros, closed.positives))
+    return Inertia(*map(sum, zip(*counts)))
 
 
 def _cycle_inertia(nums: list[int], dens: list[int], q: int) -> Inertia:
@@ -224,27 +199,31 @@ def _cycle_inertia(nums: list[int], dens: list[int], q: int) -> Inertia:
     return Inertia(neg, 1, r - neg - 1)
 
 
+def _inertia(g: Graph, forest: tuple | None, c: int | Fraction) -> Inertia:
+    """Inertia of L(g) - cI, given g's leaf strip from graphs._cycle_forest."""
+    if forest is None:
+        return sparse_inertia(_shifted_rows(g, c))
+    return _forest_inertia(g, *forest, c.numerator, c.denominator)
+
+
 def shifted_inertia(g: Graph, c: int | Fraction) -> Inertia:
     """Inertia of L(g) - cI: eigenvalues of L below, at and above c.
 
     When every component of g has at most one cycle, the fraction-free
-    leaf-to-root kernel counts it; any other graph goes to sparse_inertia.
+    kernel folds g's leaf strip; any other graph goes to sparse_inertia.
     """
-    c = _exact(c)
-    counts = _leaf_to_root_inertia(g, c.numerator, c.denominator)
-    return counts if counts is not None else sparse_inertia(_shifted_rows(g, c))
-
-
-def _count_below(g: Graph, c: Fraction) -> int:
-    return shifted_inertia(g, c).negatives if c > 0 else 0
+    return _inertia(g, _cycle_forest(g), _exact(c))
 
 
 def count_interval(g: Graph, a: int | Fraction, b: int | Fraction) -> IntervalCount:
-    """Exact number of Laplacian eigenvalues in the half-open interval [a, b)."""
+    """Exact number of Laplacian eigenvalues in the half-open interval [a, b),
+    from one leaf strip of g folded at both ends."""
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise InvalidIntervalError(f"need a < b, got [{a}, {b})")
-    return IntervalCount(a, b, _count_below(g, b) - _count_below(g, a))
+    forest = _cycle_forest(g)
+    below = [_inertia(g, forest, c).negatives if c > 0 else 0 for c in (a, b)]
+    return IntervalCount(a, b, below[1] - below[0])
 
 
 def multiplicity(g: Graph, mu: int | Fraction) -> int:

@@ -20,6 +20,7 @@ from unilap.graphs import (
     CompassParams,
     Graph,
     diameter_and_path,
+    disjoint_union,
     make_compass,
     make_cycle,
     make_lollipop,
@@ -181,6 +182,45 @@ class TestBranchAndBoundSplit:
         for family in ("path", "cycle", "lollipop", "compass"):
             assert all(row.gamma is not None for row in sweep(family, 3, 12))
         assert check_tree_chain(count=50).ok
+
+    def test_no_connectivity_search_on_trees_and_unicyclic_graphs(self, monkeypatch):
+        """One leaf strip tells a tree or a connected unicyclic graph apart,
+        so Graph.is_connected never runs on one."""
+        graphs = [tree_from_code(code) for n in range(1, 10) for code in rooted_trees(n)]
+        graphs += [g for n in range(3, 10) for g in enumerate_unicyclic(n)]
+        graphs += [make_lollipop(20, 7), make_path(20000), make_cycle(20000)]
+        expected = [ceil_div(g.n, 3) if g.n > 11 else exhaustive_gamma(g) for g in graphs]
+
+        def forbidden(self):
+            raise AssertionError(f"is_connected called on {self.edges()}")
+
+        monkeypatch.setattr(Graph, "is_connected", forbidden)
+        got = [domination_number(g, cap=g.n) for g in graphs]
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            disjoint_union(make_cycle(3), make_cycle(3)),
+            disjoint_union(make_path(2), make_cycle(3)),
+            disjoint_union(make_path(3), make_path(4)),
+            disjoint_union(make_cycle(4), make_path(1)),
+        ],
+        ids=["two-triangles", "edge-and-triangle", "two-paths", "square-and-vertex"],
+    )
+    def test_reached_on_disconnected_graphs_with_at_most_one_cycle_each(self, monkeypatch, g):
+        """A strip that leaves the wrong number of cycles for a connected
+        graph sends g to branch and bound, as an is_connected check did."""
+        calls = []
+        original = bounds._branch_and_bound_gamma
+
+        def counted(h, d):
+            calls.append((h, d))
+            return original(h, d)
+
+        monkeypatch.setattr(bounds, "_branch_and_bound_gamma", counted)
+        assert domination_number(g) == exhaustive_gamma(g)
+        assert calls == [(g, None)]
 
     @pytest.mark.parametrize(
         "g",

@@ -6,15 +6,18 @@ sparse_inertia, picks pivots from a heap over rows of L - cI assembled from
 the adjacency lists; laplacian() and inertia() reach it. shifted_inertia
 counts a graph whose components each have at most one cycle by the
 fraction-free leaf-to-root kernel instead, and any other graph by
-sparse_inertia. All must give the same Inertia everywhere, and the counts
-must match the path, cycle and lollipop closed forms at sizes the dense
-kernel could not reach in reasonable time.
+sparse_inertia. fused_kernel holds the earlier leaf-to-root kernel, which
+stripped leaves from its own stack as it folded them. All must give the
+same Inertia everywhere, and the counts must match the path, cycle and
+lollipop closed forms at sizes the dense kernel could not reach in
+reasonable time.
 """
 
 import itertools
 import math
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 import dense_kernel
 from conftest import tree_from_code
 from dense_kernel import dense_inertia
+from fused_kernel import fused_inertia
 from unilap import linalg, spectra
 from unilap.bounds import ceil_div, lollipop_exact_count
 from unilap.enumeration import enumerate_unicyclic, rooted_trees
@@ -58,6 +62,11 @@ def _dense_shifted(g, c):
     return dense_kernel.ExactMatrix(laplacian_rows(g)).minus_scaled_identity(c)
 
 
+def _fused(g, c):
+    c = Fraction(c)
+    return fused_inertia(g, c.numerator, c.denominator)
+
+
 def _typed_entries(rows):
     """Every stored entry with its type: a Fraction 2 and an int 2 differ."""
     return {(i, j): (type(x), x) for i, row in rows.items() for j, x in row.items()}
@@ -76,6 +85,7 @@ def _assert_kernels_agree(g):
         assert _typed_entries(shifted.rows) == _typed_entries(expected_rows), (g.edges(), c)
         expected = dense_inertia(dense)
         assert shifted_inertia(g, c) == expected, (g.edges(), c)
+        assert _fused(g, c) == expected, (g.edges(), c)
         assert inertia(shifted) == expected, (g.edges(), c)
 
 
@@ -299,6 +309,7 @@ def _assert_leaf_to_root_agrees(g, shifts=SHIFTS):
         got = shifted_inertia(g, c)
         assert got == _heap_inertia(g, c), (g.edges(), c)
         assert got == dense_inertia(_dense_shifted(g, c)), (g.edges(), c)
+        assert got == _fused(g, c), (g.edges(), c)
 
 
 class TestLeafToRootDifferential:
@@ -339,6 +350,45 @@ class TestLeafToRootDifferential:
         assert with_one > 20
 
 
+def _sun(r):
+    """The r-cycle with a leaf r + i on every cycle vertex i."""
+    return Graph.from_edges(
+        2 * r, [(i, (i + 1) % r) for i in range(r)] + [(i, r + i) for i in range(r)]
+    )
+
+
+def _two_leaves(r, i, j):
+    """The r-cycle with a leaf on cycle vertices i and j."""
+    cycle = [(v, (v + 1) % r) for v in range(r)]
+    return Graph.from_edges(r + 2, cycle + [(i, r), (j, r + 1)])
+
+
+class TestArcBranch:
+    """A cycle vertex paired with a zero child cuts its cycle, and the arcs
+    between cuts fold as paths. At c = 1 every leaf has pivot 0, so each
+    cycle vertex that carries a leaf is paired. shifted_inertia must match
+    the fused kernel it replaced (tests/fused_kernel.py), which strips the
+    arcs from its own stack, and the heap kernel."""
+
+    def test_suns_at_one(self):
+        """Every cycle vertex of a sun is paired, so every arc is empty."""
+        for r in range(3, 31):
+            g = _sun(r)
+            got = shifted_inertia(g, 1)
+            assert got == _fused(g, 1) == _heap_inertia(g, 1), r
+            assert got == linalg.Inertia(r, 0, r), r
+
+    def test_two_leaves_at_one(self):
+        """Two paired cycle vertices, at every cycle distance and every
+        place on the cycle, cut it into two arcs; unless a leaf hangs on
+        vertex 0, one arc runs across the end of the cycle list."""
+        for r in range(3, 21):
+            for i, j in itertools.combinations(range(r), 2):
+                g = _two_leaves(r, i, j)
+                got = shifted_inertia(g, 1)
+                assert got == _fused(g, 1) == _heap_inertia(g, 1), (r, i, j)
+
+
 class TestKernelSplit:
     """shifted_inertia reaches sparse_inertia exactly when some component has
     two cycles."""
@@ -368,12 +418,22 @@ class TestKernelSplit:
                     shifted_inertia(g, c)
 
 
+def _kernel_code():
+    """The code objects of the leaf-to-root kernel: _forest_inertia, the
+    code nested in it (its fold among them) and _cycle_inertia."""
+    outer = spectra._forest_inertia.__code__
+    nested = {c for c in outer.co_consts if isinstance(c, types.CodeType)}
+    folds = [c for c in nested if c.co_name == "fold"]
+    assert len(folds) == 1, nested
+    return nested | {outer, spectra._cycle_inertia.__code__}, folds[0]
+
+
 def _widest_int_formed(g, c):
     """Largest bit length of any int the leaf-to-root kernel holds in a local
     variable while counting L(g) - cI, read at every line it runs, and of
     every int in its lists when it returns."""
-    kernel = {spectra._leaf_to_root_inertia.__code__, spectra._cycle_inertia.__code__}
-    seen = {"frames": 0, "bits": 0}
+    kernel, fold = _kernel_code()
+    seen = {"folds": 0, "bits": 0}
 
     def scan(frame, event, arg):
         bits = seen["bits"]
@@ -387,7 +447,7 @@ def _widest_int_formed(g, c):
 
     def enter(frame, event, arg):
         if frame.f_code in kernel:
-            seen["frames"] += 1
+            seen["folds"] += frame.f_code is fold
             return scan
         return None
 
@@ -397,7 +457,9 @@ def _widest_int_formed(g, c):
         shifted_inertia(g, c)
     finally:
         sys.settrace(previous)
-    assert seen["frames"] > 0
+    # the fold is where every num and den is formed: a trace that never
+    # entered it would pass on any kernel
+    assert seen["folds"] > 0, seen
     return seen["bits"]
 
 
