@@ -6,18 +6,23 @@ path has phi = 0 while the two end-trimmed path matrices start at 1
 are provably exact; a remainder means a bug in the recurrence bases and
 raises InternalConsistencyError rather than returning garbage.
 
-charpoly_det computes det(xI - L) by a wholly independent route (exact
-determinants at the integer sample points 0..n by Bareiss's fraction-free
-elimination on Python ints, then interpolation from integer forward
-differences) and exists to cross-examine the recurrences; it shares no code
-with them.
+charpoly_det computes det(xI - L) by a wholly independent route and exists
+to cross-examine the recurrences; it shares no code with them. When every
+component of the graph has at most one cycle, it runs the leaf-to-root
+elimination of spectra._forest_inertia over Z[x] on the leaf strip
+(graphs._cycle_forest), in O(n^2) coefficient operations. Any other graph,
+and every matrix minor (charpoly_det_matrix), takes exact determinants at
+the integer sample points 0..n by Bareiss's fraction-free elimination on
+Python ints, then interpolates from integer forward differences.
 """
 
+import math
+import threading
 from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, InvalidParameterError
-from .graphs import Graph, join_with_edge, make_cycle, make_lollipop, make_path
+from .graphs import Graph, _cycle_forest, join_with_edge, make_cycle, make_lollipop, make_path
 from .spectra import laplacian_rows
 
 
@@ -127,14 +132,21 @@ _X = IntPolynomial.x()
 _X_MINUS_2 = IntPolynomial((-2, 1))
 
 _path_cache: list[IntPolynomial] = [IntPolynomial.zero(), _X]
+_path_lock = threading.Lock()
 
 
 def phi_path(n: int) -> IntPolynomial:
-    """Characteristic polynomial of the n-path Laplacian; phi_path(0) = 0."""
+    """Characteristic polynomial of the n-path Laplacian; phi_path(0) = 0.
+
+    The cache only grows, under a lock, so concurrent callers never append
+    one degree twice; a reader outside the lock sees a correct prefix.
+    """
     if n < 0:
         raise InvalidParameterError(f"need n >= 0, got {n}")
-    while len(_path_cache) <= n:
-        _path_cache.append(_X_MINUS_2 * _path_cache[-1] - _path_cache[-2])
+    if len(_path_cache) <= n:
+        with _path_lock:
+            while len(_path_cache) <= n:
+                _path_cache.append(_X_MINUS_2 * _path_cache[-1] - _path_cache[-2])
     return _path_cache[n]
 
 
@@ -256,9 +268,53 @@ def charpoly_det_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     return _interpolate_int(values)
 
 
+def _forest_charpoly(g: Graph, forest: tuple) -> IntPolynomial:
+    """det(xI - L(g)) from g's leaf strip (stripped, parent, cycles) of
+    graphs._cycle_forest, in O(n^2) coefficient operations.
+
+    spectra._forest_inertia's fold, run on M = L - xI over Z[x]: num[v]
+    starts at deg(v) - x and den[v] at 1, and folding x into its parent u
+    sets num[u] to num[u] num[x] - den[x] den[u] and den[u] to den[u] num[x].
+    num[x] is then det(M) on x's subtree, plus or minus a monic polynomial
+    and so never zero: no pivot pairs and nothing is sampled. A tree
+    component's determinant is its root's num. On a cycle the pivots of the
+    pendant trees multiply to the product of the cycle's dens, and the
+    continuant of spectra._cycle_inertia at q = 1 is that product times the
+    determinant of the cycle's Schur complement, so its closing value is
+    the component's determinant.
+    """
+    stripped, parent, cycles = forest
+    one = IntPolynomial.constant(1)
+    num = [IntPolynomial((len(nbrs), -1)) for nbrs in g.adj]
+    den = [one] * g.n
+    det = one if g.n % 2 == 0 else -one  # det(xI - L) = (-1)^n det(L - xI)
+    for x in stripped:
+        u = parent[x]
+        if u == x:
+            det *= num[x]
+        else:
+            num[u] = num[u] * num[x] - den[x] * den[u]
+            den[u] *= num[x]
+    for cycle in cycles:
+        nums = [num[v] for v in cycle]
+        dens = [den[v] for v in cycle]
+        f_prev, f = one, nums[0]
+        w_prev, w = IntPolynomial.zero(), dens[0]
+        for k in range(1, len(cycle) - 1):
+            e = dens[k] * dens[k - 1]
+            f_prev, f = f, nums[k] * f - e * f_prev
+            w_prev, w = w, nums[k] * w - e * w_prev
+        det *= nums[-1] * f - dens[-1] * (dens[-2] * f_prev + w) - 2 * math.prod(dens)
+    return det
+
+
 def charpoly_det(g: Graph) -> IntPolynomial:
-    """det(xI - L(g)) by the determinant oracle."""
-    return charpoly_det_matrix(laplacian_rows(g))
+    """det(xI - L(g)) by the determinant oracle: the fold over g's leaf strip
+    when every component has at most one cycle, else Bareiss samples."""
+    forest = _cycle_forest(g)
+    if forest is None:
+        return charpoly_det_matrix(laplacian_rows(g))
+    return _forest_charpoly(g, forest)
 
 
 def laplacian_minor(g: Graph, v: int) -> list[list[int]]:

@@ -13,8 +13,16 @@ import random
 import numpy as np
 import pytest
 
-from unilap.graphs import Graph, make_compass, make_cycle, make_lollipop, make_path
-from unilap.graphs import CompassParams
+from unilap.enumeration import enumerate_unicyclic, rooted_trees
+from unilap.graphs import (
+    CompassParams,
+    Graph,
+    disjoint_union,
+    make_compass,
+    make_cycle,
+    make_lollipop,
+    make_path,
+)
 from unilap.harness import random_tree, random_unicyclic
 from unilap.spectra import laplacian_rows
 
@@ -47,6 +55,32 @@ def tree_from_code(code: tuple) -> Graph:
             edges.append((v, w))
             stack.append((w, child))
     return Graph.from_edges(len(edges) + 1, edges)
+
+
+def forests_upto(max_n):
+    """Every forest on 1..max_n vertices, isolated vertices and edgeless
+    graphs included: the children of the root of a rooted tree on n + 1
+    vertices form a rooted forest on n, and every forest arises this way."""
+    for size in range(2, max_n + 2):
+        for code in rooted_trees(size):
+            yield tree_from_code(code).without_vertex(0)
+
+
+def one_cycle_unions(max_n):
+    """Disjoint unions of two unicyclic classes, and of a forest with a
+    unicyclic class, on at most max_n vertices."""
+    small = {n: list(enumerate_unicyclic(n)) for n in range(3, max_n - 2)}
+    for n1, n2 in itertools.combinations_with_replacement(small, 2):
+        if n1 + n2 <= max_n:
+            for g1 in small[n1]:
+                for g2 in small[n2]:
+                    yield disjoint_union(g1, g2)
+    forests = list(forests_upto(max_n - 3))
+    for n, classes in small.items():
+        for f in forests:
+            if f.n + n <= max_n:
+                for g in classes:
+                    yield disjoint_union(f, g)
 
 
 def spider(r: int, stem: int, legs: list[int]) -> Graph:

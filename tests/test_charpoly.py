@@ -1,4 +1,7 @@
+import functools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_det
+from conftest import forests_upto, one_cycle_unions
 from unilap import charpoly
 from unilap.charpoly import (
     IntPolynomial,
@@ -23,9 +27,16 @@ from unilap.charpoly import (
 )
 from unilap.errors import InternalConsistencyError, InvalidParameterError
 from unilap.enumeration import enumerate_unicyclic
-from unilap.graphs import Graph, make_cycle, make_lollipop, make_path
-from unilap.harness import random_connected_graph
-from unilap.spectra import count_interval
+from unilap.graphs import (
+    Graph,
+    disjoint_union,
+    join_with_edge,
+    make_cycle,
+    make_lollipop,
+    make_path,
+)
+from unilap.harness import random_connected_graph, random_tree, random_unicyclic
+from unilap.spectra import count_interval, laplacian_rows
 
 
 def poly(*coeffs):
@@ -78,6 +89,29 @@ class TestPathRecurrence:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameterError):
             phi_path(-1)
+
+    def test_threads_extend_the_cache_once_per_degree(self, monkeypatch):
+        """Four threads extending an emptied cache at once, with the
+        interpreter switching threads as often as it can, must leave
+        phi_path(k) at index k for every k."""
+        expected = [IntPolynomial.zero(), poly(0, 1)]
+        while len(expected) <= 60:
+            expected.append(poly(-2, 1) * expected[-1] - expected[-2])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                cache = expected[:2]
+                monkeypatch.setattr(charpoly, "_path_cache", cache)
+                threads = [threading.Thread(target=phi_path, args=(60,)) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert cache == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTrimmedPathMatrices:
@@ -210,13 +244,20 @@ class TestGlobalShape:
                 assert below + above == g.n
 
 
-class TestBareissAgainstFractionOracle:
-    """charpoly_det against the Fraction-elimination route it replaced."""
+def _bareiss(g):
+    """The Bareiss route, which charpoly_det takes only off the leaf strip."""
+    return charpoly_det_matrix(laplacian_rows(g))
 
-    @pytest.mark.parametrize("n", range(3, 9))
+
+class TestBareissAgainstFractionOracle:
+    """charpoly_det against the Fraction-elimination route it replaced, and
+    on unicyclic classes also against the Bareiss route the fold replaced."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
     def test_every_unicyclic_class(self, n):
         for g in enumerate_unicyclic(n):
-            assert charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
+            got = charpoly_det(g)
+            assert got == _bareiss(g) == fraction_det.charpoly_det(g), g.edges()
 
     def test_random_connected_graphs(self):
         rng = random.Random(11)
@@ -225,14 +266,22 @@ class TestBareissAgainstFractionOracle:
             assert charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
 
     def test_every_matrix_of_the_identity_suite(self, monkeypatch):
-        seen = {}
+        """Every minor and every graph polynomial that the identity suite
+        takes from the determinant oracle, against the Fraction route."""
+        seen, seen_graphs = {}, {}
         original = charpoly.charpoly_det_matrix
+        original_graph = charpoly.charpoly_det
 
         def recording(rows):
             seen[tuple(map(tuple, rows))] = result = original(rows)
             return result
 
+        def recording_graph(g):
+            seen_graphs[g] = result = original_graph(g)
+            return result
+
         monkeypatch.setattr(charpoly, "charpoly_det_matrix", recording)
+        monkeypatch.setattr(charpoly, "charpoly_det", recording_graph)
         assert all(not bad for bad in verify_charpoly_identities(12).values())
         assert () in seen  # the minor of the one-vertex path
         for k in range(1, 12):
@@ -241,6 +290,11 @@ class TestBareissAgainstFractionOracle:
             assert tuple(map(tuple, charpoly._interior_minor_matrix(k))) in seen
         for rows, poly_ in seen.items():
             assert poly_ == fraction_det.charpoly_det_matrix(rows), rows
+        assert {make_path(k) for k in range(1, 14)} <= seen_graphs.keys()
+        assert {make_cycle(k) for k in range(3, 13)} <= seen_graphs.keys()
+        assert make_lollipop(12, 11) in seen_graphs
+        for g, poly_ in seen_graphs.items():
+            assert poly_ == fraction_det.charpoly_det(g), g.edges()
 
     def test_empty_and_one_by_one(self):
         assert charpoly_det_matrix([]) == poly(1) == fraction_det.charpoly_det_matrix([])
@@ -262,6 +316,84 @@ class TestBareissAgainstFractionOracle:
         assert type(det) is int and det == -12
         assert _det_bareiss([[0, 1], [1, 0]]) == -1
         assert _det_bareiss([[0, 1], [0, 1]]) == 0
+
+
+def _random_cycle_forest(rng, n):
+    """n vertices in components of random sizes, each a random tree or a
+    random unicyclic graph, under a random relabelling."""
+    parts, left = [], n
+    while left:
+        k = rng.randrange(1, left + 1)
+        cyclic = k >= 3 and rng.random() < 0.6
+        parts.append(random_unicyclic(rng, k) if cyclic else random_tree(rng, k))
+        left -= k
+    g = functools.reduce(disjoint_union, parts)
+    label = rng.sample(range(n), n)
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in g.edges()])
+
+
+def _small_one_cycle_graphs():
+    """Every forest and every union of two one-cycle components on at most
+    9 vertices, K1 and K2 (unicyclic classes: TestBareissAgainstFractionOracle)."""
+    return list(forests_upto(9)) + list(one_cycle_unions(9)) + [make_path(1), make_path(2)]
+
+
+def _random_one_cycle_graphs():
+    rng = random.Random(12)
+    return [_random_cycle_forest(rng, rng.randrange(1, 40)) for _ in range(200)]
+
+
+class TestLeafStripFold:
+    """charpoly_det's fold over the leaf strip against the Bareiss route,
+    and against the Fraction route on the graphs small enough for its
+    n + 1 Fraction eliminations."""
+
+    def test_small_graphs_against_bareiss_and_fraction(self):
+        for g in _small_one_cycle_graphs():
+            got = charpoly_det(g)
+            assert got == _bareiss(g), g.edges()
+            if g.n <= 7:
+                assert got == fraction_det.charpoly_det(g), g.edges()
+
+    def test_random_graphs_against_bareiss_and_fraction(self):
+        for g in _random_one_cycle_graphs():
+            got = charpoly_det(g)
+            assert got == _bareiss(g), g.edges()
+            if g.n <= 10:
+                assert got == fraction_det.charpoly_det(g), g.edges()
+
+    def test_closed_forms_at_scale(self):
+        assert charpoly_det(make_lollipop(150, 50)) == phi_lollipop(150, 50)
+        assert charpoly_det(make_cycle(150)) == phi_cycle(150)
+        assert charpoly_det(make_path(150)) == phi_path(150)
+
+    @pytest.fixture
+    def no_bareiss(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("_det_bareiss reached")
+
+        monkeypatch.setattr(charpoly, "_det_bareiss", refuse)
+
+    def test_at_most_one_cycle_per_component_never_reaches_bareiss(self, no_bareiss):
+        graphs = [g for n in range(3, 10) for g in enumerate_unicyclic(n)]
+        for g in graphs + _small_one_cycle_graphs() + _random_one_cycle_graphs():
+            assert charpoly_det(g).degree == g.n
+
+    def test_two_cycles_in_one_component_reach_bareiss(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return _det_bareiss(rows)
+
+        monkeypatch.setattr(charpoly, "_det_bareiss", counting)
+        theta = make_cycle(6).with_edge_added(0, 3)
+        triangles = join_with_edge(make_cycle(3), 0, make_cycle(3), 0)
+        k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        for g in (theta, triangles, k4):
+            calls.clear()
+            assert charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
+            assert calls == [g.n] * (g.n + 1)
 
 
 class TestIntegerInterpolation:

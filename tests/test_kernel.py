@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_kernel
-from conftest import tree_from_code
+from conftest import forests_upto, one_cycle_unions, tree_from_code
 from dense_kernel import dense_inertia
 from fused_kernel import fused_inertia
 from unilap import linalg, spectra
@@ -278,32 +278,6 @@ class TestIntAndFractionInput:
         assert linalg.sparse_inertia(as_fraction) == expected
 
 
-def _forests(max_n):
-    """Every forest on 1..max_n vertices, isolated vertices and edgeless
-    graphs included: the children of the root of a rooted tree on n + 1
-    vertices form a rooted forest on n, and every forest arises this way."""
-    for size in range(2, max_n + 2):
-        for code in rooted_trees(size):
-            yield tree_from_code(code).without_vertex(0)
-
-
-def _one_cycle_unions(max_n):
-    """Disjoint unions of two unicyclic classes, and of a forest with a
-    unicyclic class, on at most max_n vertices."""
-    small = {n: list(enumerate_unicyclic(n)) for n in range(3, max_n - 2)}
-    for n1, n2 in itertools.combinations_with_replacement(small, 2):
-        if n1 + n2 <= max_n:
-            for g1 in small[n1]:
-                for g2 in small[n2]:
-                    yield disjoint_union(g1, g2)
-    forests = list(_forests(max_n - 3))
-    for n, classes in small.items():
-        for f in forests:
-            if f.n + n <= max_n:
-                for g in classes:
-                    yield disjoint_union(f, g)
-
-
 def _assert_leaf_to_root_agrees(g, shifts=SHIFTS):
     for c in shifts:
         got = shifted_inertia(g, c)
@@ -319,13 +293,13 @@ class TestLeafToRootDifferential:
 
     def test_every_forest(self):
         count = 0
-        for g in _forests(9):
+        for g in forests_upto(9):
             _assert_leaf_to_root_agrees(g)
             count += 1
         assert count == sum(len(rooted_trees(s)) for s in range(2, 11))
 
     def test_disjoint_unions(self):
-        for g in _one_cycle_unions(9):
+        for g in one_cycle_unions(9):
             _assert_leaf_to_root_agrees(g)
 
     def test_zero_pivots(self):
@@ -401,7 +375,7 @@ class TestKernelSplit:
         monkeypatch.setattr(spectra, "sparse_inertia", refuse)
 
     def test_at_most_one_cycle_per_component_never_reaches_it(self, no_heap_kernel, corpus):
-        graphs = list(corpus) + list(_forests(6)) + list(_one_cycle_unions(8))
+        graphs = list(corpus) + list(forests_upto(6)) + list(one_cycle_unions(8))
         graphs += [make_lollipop(200, 40), make_cycle(500)]
         for g in graphs:
             for c in SHIFTS:
