@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .spectra import _forest_inertia
 
-GAMMA_CAP_DEFAULT = 32
+GAMMA_CAP_DEFAULT = 32  # largest n given to branch and bound, the one exponential path
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -90,11 +90,13 @@ def _fold(a: list[int], b: list[int], c: list[int], order: list[int], parent: li
     dominating all of it but x, with neither x nor a child in D. order
     lists each vertex after all of its children.
     """
+    # comparisons, not min(): a builtin call per vertex was most of the DP's time
     for x in order:
-        p, ax, bx = parent[x], a[x], b[x]
-        dom = min(ax, bx)
-        a[p] += min(dom, c[x])
-        b[p] = min(b[p] + dom, c[p] + ax)
+        p, ax, bx, cx = parent[x], a[x], b[x], c[x]
+        dom = ax if ax < bx else bx
+        a[p] += dom if dom < cx else cx
+        via_child, via_x = b[p] + dom, c[p] + ax
+        b[p] = via_child if via_child < via_x else via_x
         c[p] += bx
 
 
@@ -122,8 +124,9 @@ def _forest_gamma(stripped: list[int], parent: list[int], cycles: list[list[int]
     def up_the_cycle(sa: int, sb: int, sc: int) -> tuple[int, int, int]:
         """Fold c_{r-1}, given its states, up the cycle path into c_0."""
         for v in reversed(cycle[:-1]):
-            dom = min(sa, sb)
-            sa, sb, sc = a[v] + min(dom, sc), min(b[v] + dom, c[v] + sa), c[v] + sb
+            dom = sa if sa < sb else sb
+            low, via_child, via_v = dom if dom < sc else sc, b[v] + dom, c[v] + sa
+            sa, sb, sc = a[v] + low, via_child if via_child < via_v else via_v, c[v] + sb
         return sa, sb, sc
 
     last = cycle[-1]
@@ -131,11 +134,6 @@ def _forest_gamma(stripped: list[int], parent: list[int], cycles: list[list[int]
     first_in_d, _, _ = up_the_cycle(a[last], min(b[last], c[last]), inf)
     last_in_d = min(up_the_cycle(a[last], inf, inf))
     return min(plain_a, plain_b, first_in_d, last_in_d)
-
-
-def _tree_gamma(g: Graph) -> int:
-    """Domination number of the tree g: the DP folded over its leaf strip."""
-    return _forest_gamma(*_cycle_forest(g))
 
 
 def _greedy_dominating_size(closed: list[int], full: int) -> int:
@@ -152,23 +150,25 @@ def _greedy_dominating_size(closed: list[int], full: int) -> int:
     return size
 
 
-def domination_number(g: Graph, cap: int = GAMMA_CAP_DEFAULT) -> int:
-    """Exact domination number; raises SizeCapExceededError when n > cap.
+def domination_number(g: Graph) -> int:
+    """Exact domination number.
 
     A tree or a connected unicyclic graph, told apart from any other graph
     by its leaf strip with no connectivity search, takes the linear
     three-state tree DP of Cockayne, Goodman & Hedetniemi (IPL 1975), on a
-    unicyclic graph run three times round the cycle. Any other graph takes
-    branch and bound over closed neighbourhoods.
+    unicyclic graph run three times round the cycle, at any n. Any other
+    graph takes branch and bound over closed neighbourhoods, which is
+    exponential and so raises SizeCapExceededError when n exceeds
+    GAMMA_CAP_DEFAULT.
     """
-    if g.n > cap:
-        raise SizeCapExceededError(f"n={g.n} exceeds domination cap {cap}")
     if g.m <= g.n:
         # with at most one cycle per component, the cycle ranks sum to the
         # component count: g is connected when the strip leaves m - n + 1
         forest = _cycle_forest(g)
         if forest is not None and len(forest[2]) == g.m - g.n + 1:
             return _forest_gamma(*forest)
+    if g.n > GAMMA_CAP_DEFAULT:
+        raise SizeCapExceededError(f"branch and bound refuses n={g.n} > {GAMMA_CAP_DEFAULT}")
     if not g.is_connected():
         return _branch_and_bound_gamma(g, None)
     return _branch_and_bound_gamma(g, diameter_and_path(g)[0])
@@ -215,10 +215,8 @@ def _branch_and_bound_gamma(g: Graph, d: int | None) -> int:
     return best
 
 
-def _count01_mult1_gamma(
-    g: Graph, dec: UnicyclicDecomposition | None, gamma_cap: int
-) -> tuple[int, int, int | None]:
-    """count[0,1), the multiplicity of 1, and gamma (None when n > gamma_cap).
+def _count01_mult1_gamma(g: Graph, dec: UnicyclicDecomposition | None) -> tuple[int, int, int]:
+    """count[0,1), the multiplicity of 1, and gamma.
 
     g is the connected unicyclic graph decomposed as dec, or a tree when dec
     is None. L is positive semidefinite, so one elimination at 1 gives both
@@ -231,8 +229,7 @@ def _count01_mult1_gamma(
     else:
         stripped, parent, cycles = dec.order[: dec.girth - 1 : -1], dec.parent, [dec.cycle]
     at_one = _forest_inertia(g, stripped, parent, cycles, 1, 1)
-    gamma = _forest_gamma(stripped, parent, cycles) if g.n <= gamma_cap else None
-    return at_one.negatives, at_one.zeros, gamma
+    return at_one.negatives, at_one.zeros, _forest_gamma(stripped, parent, cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +245,7 @@ class BoundReport:
     diameter: int
     count01: int
     mult1: int
-    gamma: int | None
+    gamma: int
     main_bound: int
     refined_bound: int | None
     alpha: int | None
@@ -261,14 +258,14 @@ class BoundReport:
         return all(self.verdicts.values())
 
 
-def analyze(g: Graph, gamma_cap: int = GAMMA_CAP_DEFAULT) -> BoundReport:
+def analyze(g: Graph) -> BoundReport:
     """Measure g exactly and check every applicable inequality on g itself."""
     # the decomposition is computed once and shared by the diameter, gamma
     # and the core reduction, which also takes the diametral path
     dec = unicyclic_decompose(g)
     r = dec.girth
     d, path = _unicyclic_diameter_and_path(g, dec)
-    count01, mult1, gamma = _count01_mult1_gamma(g, dec, gamma_cap)
+    count01, mult1, gamma = _count01_mult1_gamma(g, dec)
     core = _reduce_to_core(g, dec, path)
 
     main = main_lower_bound(d, r)
@@ -291,12 +288,9 @@ def analyze(g: Graph, gamma_cap: int = GAMMA_CAP_DEFAULT) -> BoundReport:
     verdicts = {"main_bound": count01 >= main}
     if refined is not None:
         verdicts["refined_bound"] = count01 >= refined
-    if gamma is not None:
-        verdicts["hedetniemi"] = count01 <= gamma
-        if r >= 7:
-            verdicts["chain"] = (
-                Fraction(d + 1, 3) <= main and main <= count01 and count01 <= gamma
-            )
+    verdicts["hedetniemi"] = count01 <= gamma
+    if r >= 7:
+        verdicts["chain"] = Fraction(d + 1, 3) <= main and main <= count01 and count01 <= gamma
     return BoundReport(
         n=g.n,
         girth=r,

@@ -95,7 +95,7 @@ class Graph:
     @property
     def m(self) -> int:
         """Edge count."""
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -403,14 +403,16 @@ def _unicyclic_eccentricities(g: Graph, dec: UnicyclicDecomposition) -> list[int
     heights = [down[c] for c in cycle]
     cw = _farthest_clockwise(heights)
     ccw = _farthest_clockwise(heights[::-1])[::-1]
+    # comparisons, not max(): a builtin call per vertex was most of these loops' time
     up = [0] * g.n
     for c, a, b in zip(cycle, cw, ccw):
-        up[c] = max(a, b)
+        up[c] = a if a > b else b
     for x in order[r:]:
         p = parent[x]
         sibling = second[p] if down[x] + 1 == down[p] else down[p]
-        up[x] = 1 + max(up[p], sibling)
-    return [max(a, b) for a, b in zip(down, up)]
+        above = up[p]
+        up[x] = 1 + (above if above > sibling else sibling)
+    return [a if a > b else b for a, b in zip(down, up)]
 
 
 def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:

@@ -16,23 +16,23 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .bounds import (
-    GAMMA_CAP_DEFAULT,
     _count01_mult1_gamma,
-    _tree_gamma,
     analyze,
     ceil_div,
     compass_bounds,
+    domination_number,
     lollipop_exact_count,
     main_lower_bound,
     refined_lollipop_bound,
 )
 from .charpoly import edge_join_identity_holds, eval_at, phi_lollipop, verify_charpoly_identities
 from .enumeration import enumerate_unicyclic
-from .errors import InternalConsistencyError, InvalidParameterError, SizeCapExceededError
+from .errors import InternalConsistencyError, InvalidParameterError
 from .graphs import (
     CompassParams,
     Graph,
     _unicyclic_diameter_and_path,
+    bfs_distances,
     diameter_and_path,
     join_with_edge,
     make_compass,
@@ -376,8 +376,6 @@ def check_attachment_invariance(count: int = 100, max_n: int = 12, seed: int = 0
 
 def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> VerifyReport:
     """ceil((d+1)/3) <= count[0,1) <= gamma on random trees."""
-    if max_n > GAMMA_CAP_DEFAULT:
-        raise SizeCapExceededError(f"max_n={max_n} exceeds domination cap {GAMMA_CAP_DEFAULT}")
 
     def run():
         rng = random.Random(seed)
@@ -387,7 +385,7 @@ def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> Verify
             g = random_tree(rng, n)
             d, _ = diameter_and_path(g)
             c = count_interval(g, 0, 1).count
-            if not ceil_div(d + 1, 3) <= c <= _tree_gamma(g):
+            if not ceil_div(d + 1, 3) <= c <= domination_number(g):
                 failures.append((i, n))
         return count, failures
 
@@ -469,9 +467,9 @@ class SweepRow:
     refined_bound: int | None
     count01: int
     mult1: int
-    gamma: int | None
+    gamma: int
     bound_ok: bool | None
-    hedetniemi_ok: bool | None
+    hedetniemi_ok: bool
 
     def to_csv_fields(self) -> list[str]:
         def fmt(x):
@@ -494,22 +492,23 @@ def _measure(
     d: int,
     main_bound: int | None,
     refined_bound: int | None,
-    gamma_cap: int,
 ) -> SweepRow:
     # g is a path or a connected unicyclic graph. A unicyclic diameter takes
-    # O(n) and shares the decomposition with gamma; a path's takes one BFS
-    # per vertex, so it is checked only up to gamma_cap
+    # O(n) and shares the decomposition with gamma. A path is a tree, where
+    # the vertex farthest from any vertex ends a longest path, so two BFS
+    # sweeps give its exact diameter in O(n)
     dec = None
     if g.m == g.n:
         dec = unicyclic_decompose(g)
         measured = _unicyclic_diameter_and_path(g, dec)[0]
     else:
-        measured = diameter_and_path(g)[0] if g.n <= gamma_cap else d
+        dist = bfs_distances(g, 0)
+        measured = max(bfs_distances(g, dist.index(max(dist))))
     if measured != d:
         raise InternalConsistencyError(
             f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"
         )
-    count01, mult1, gamma = _count01_mult1_gamma(g, dec, gamma_cap)
+    count01, mult1, gamma = _count01_mult1_gamma(g, dec)
     return _row(family, g.n, r, r_prime, t, d, main_bound, refined_bound, count01, mult1, gamma)
 
 
@@ -524,7 +523,7 @@ def _row(
     refined_bound: int | None,
     count01: int,
     mult1: int,
-    gamma: int | None,
+    gamma: int,
 ) -> SweepRow:
     """The one builder of SweepRow, for sweeps and the CLI alike.
 
@@ -535,13 +534,11 @@ def _row(
         main_bound=main_bound, refined_bound=refined_bound,
         count01=count01, mult1=mult1, gamma=gamma,
         bound_ok=None if main_bound is None else count01 >= main_bound,
-        hedetniemi_ok=None if gamma is None else count01 <= gamma,
+        hedetniemi_ok=count01 <= gamma,
     )
 
 
-def sweep(
-    family: str, n_lo: int, n_hi: int, gamma_cap: int = GAMMA_CAP_DEFAULT
-) -> Iterator[SweepRow]:
+def sweep(family: str, n_lo: int, n_hi: int) -> Iterator[SweepRow]:
     """One row per family instance with n_lo <= n <= n_hi, lexicographic order."""
     if n_lo > n_hi:
         raise InvalidParameterError(f"empty range {n_lo}..{n_hi}")
@@ -551,7 +548,7 @@ def sweep(
                 continue
             yield _measure(
                 "path", make_path(n), r=None, r_prime=None, t=None, d=n - 1,
-                main_bound=None, refined_bound=None, gamma_cap=gamma_cap,
+                main_bound=None, refined_bound=None,
             )
         elif family == "cycle":
             if n < 3:
@@ -559,7 +556,6 @@ def sweep(
             yield _measure(
                 "cycle", make_cycle(n), r=n, r_prime=None, t=None, d=n // 2,
                 main_bound=main_lower_bound(n // 2, n), refined_bound=None,
-                gamma_cap=gamma_cap,
             )
         elif family == "lollipop":
             for r in range(3, n):
@@ -568,7 +564,6 @@ def sweep(
                     "lollipop", make_lollipop(n, r), r=r, r_prime=None, t=None, d=d,
                     main_bound=main_lower_bound(d, r),
                     refined_bound=refined_lollipop_bound(d, r),
-                    gamma_cap=gamma_cap,
                 )
         elif family == "compass":
             for p in compass_params_for_n(n):
@@ -576,7 +571,6 @@ def sweep(
                 yield _measure(
                     "compass", make_compass(p), r=p.r, r_prime=p.r_prime, t=p.t,
                     d=p.d, main_bound=base, refined_bound=strengthened,
-                    gamma_cap=gamma_cap,
                 )
         else:
             raise InvalidParameterError(f"unknown sweep family {family!r}")

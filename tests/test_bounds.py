@@ -102,9 +102,11 @@ class TestDomination:
             assert domination_number(g) == exhaustive_gamma(g)
 
     def test_cap_enforced(self):
+        # the tree DP has no cap; only branch and bound refuses n > 32
+        assert domination_number(make_path(40)) == 14
+        two_cycles = Graph.from_edges(33, make_cycle(33).edges() + [(0, 2)])
         with pytest.raises(SizeCapExceededError):
-            domination_number(make_path(40))
-        assert domination_number(make_path(40), cap=40) == 14
+            domination_number(two_cycles)
 
     def test_cycle_formula(self):
         for n in range(3, 25):
@@ -156,11 +158,11 @@ class TestDominationDP:
 
     def test_path_and_cycle_closed_forms(self):
         for n in range(1, 201):
-            assert domination_number(make_path(n), cap=n) == ceil_div(n, 3)
+            assert domination_number(make_path(n)) == ceil_div(n, 3)
         for n in range(3, 201):
-            assert domination_number(make_cycle(n), cap=n) == ceil_div(n, 3)
-        assert domination_number(make_path(20000), cap=20000) == 6667
-        assert domination_number(make_cycle(20000), cap=20000) == 6667
+            assert domination_number(make_cycle(n)) == ceil_div(n, 3)
+        assert domination_number(make_path(20000)) == 6667
+        assert domination_number(make_cycle(20000)) == 6667
 
 
 class TestBranchAndBoundSplit:
@@ -195,7 +197,7 @@ class TestBranchAndBoundSplit:
             raise AssertionError(f"is_connected called on {self.edges()}")
 
         monkeypatch.setattr(Graph, "is_connected", forbidden)
-        got = [domination_number(g, cap=g.n) for g in graphs]
+        got = [domination_number(g) for g in graphs]
         assert got == expected
 
     @pytest.mark.parametrize(
@@ -292,10 +294,10 @@ class TestAnalyze:
         rep6 = analyze(make_cycle(6))
         assert "chain" not in rep6.verdicts
 
-    def test_gamma_skipped_above_cap(self):
-        rep = analyze(make_cycle(40), gamma_cap=20)
-        assert rep.gamma is None
-        assert "hedetniemi" not in rep.verdicts
+    def test_gamma_reported_above_32(self):
+        rep = analyze(make_cycle(40))
+        assert rep.gamma == 14
+        assert rep.verdicts["hedetniemi"] and rep.verdicts["chain"]
         assert rep.verdicts["main_bound"]
 
 

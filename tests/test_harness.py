@@ -9,7 +9,7 @@ import pytest
 from unilap.bounds import ceil_div
 from unilap import bounds, graphs, harness
 from unilap.cli import main
-from unilap.errors import InternalConsistencyError, InvalidParameterError, SizeCapExceededError
+from unilap.errors import InternalConsistencyError, InvalidParameterError
 from unilap.graphs import (
     CompassParams,
     Graph,
@@ -72,9 +72,10 @@ class TestSuites:
         report = run_suite("inequalities", max_n=10)
         assert report.ok, report.failures[:5]
 
-    def test_tree_chain_refuses_trees_above_domination_cap(self):
-        with pytest.raises(SizeCapExceededError):
-            check_tree_chain(count=1, max_n=33)
+    def test_tree_chain_on_large_trees(self):
+        # gamma comes from the linear tree DP, so trees past n = 32 are checked
+        report = check_tree_chain(max_n=200)
+        assert report.ok, report.failures[:5]
 
     def test_unknown_suite(self):
         with pytest.raises(InvalidParameterError):
@@ -162,10 +163,11 @@ class TestSweep:
         write_csv(sweep("compass", 5, 12), b)
         assert a.getvalue() == b.getvalue()
 
-    def test_gamma_blank_above_cap(self):
+    def test_gamma_filled_above_32(self):
         rows = list(sweep("cycle", 33, 35))
+        assert [row.n for row in rows] == [33, 34, 35]
         for row in rows:
-            assert row.gamma is None and row.hedetniemi_ok is None
+            assert row.gamma == ceil_div(row.n, 3) and row.hedetniemi_ok is True
 
     def test_unknown_family(self):
         with pytest.raises(InvalidParameterError):
@@ -189,9 +191,9 @@ class TestSweep:
         with pytest.raises(InternalConsistencyError):
             list(sweep("lollipop", 6, 6))
 
-    @pytest.mark.parametrize("family", ["cycle", "lollipop", "compass"])
+    @pytest.mark.parametrize("family", ["path", "cycle", "lollipop", "compass"])
     def test_corrupted_formula_diameter_raises_above_cap(self, monkeypatch, family):
-        # the unicyclic diameter is linear, so d is checked past gamma's cap
+        # every row's diameter is measured in O(n), so d is checked past n = 32
         self._corrupt_formula_diameter(monkeypatch)
         with pytest.raises(InternalConsistencyError):
             next(sweep(family, 40, 40))
@@ -201,26 +203,33 @@ class TestSweep:
     )
     def test_one_diameter_per_row_below_cap(self, monkeypatch, family, n_hi):
         calls = []
-        original = graphs.diameter_and_path
         original_unicyclic = graphs._unicyclic_diameter_and_path
+        original_bfs = graphs.bfs_distances
 
-        def counted(g):
-            calls.append(g.n)
-            return original(g)
+        def forbidden(g):
+            raise AssertionError(f"all-pairs diameter on n={g.n}")
 
         def counted_unicyclic(g, dec):
-            calls.append(g.n)
+            calls.append(("unicyclic", g.n))
             return original_unicyclic(g, dec)
 
+        def counted_bfs(g, src):
+            calls.append(("bfs", g.n))
+            return original_bfs(g, src)
+
         for module in (graphs, bounds, harness):
-            monkeypatch.setattr(module, "diameter_and_path", counted)
-        # a unicyclic row decomposes once and takes its diameter from that
+            monkeypatch.setattr(module, "diameter_and_path", forbidden)
+        # a unicyclic row decomposes once and takes its diameter from that;
+        # a path row takes two BFS sweeps
         monkeypatch.setattr(harness, "_unicyclic_diameter_and_path", counted_unicyclic)
-        gamma_cap = 9
-        rows = list(sweep(family, 4, n_hi, gamma_cap=gamma_cap))
-        assert any(row.n > gamma_cap for row in rows)
-        # unicyclic rows (those with a girth) are checked at every n
-        assert calls == [row.n for row in rows if row.girth or row.n <= gamma_cap]
+        monkeypatch.setattr(harness, "bfs_distances", counted_bfs)
+        rows = list(sweep(family, 4, n_hi))
+        assert len(rows) > n_hi - 4
+        expected = [
+            call for row in rows
+            for call in ([("unicyclic", row.n)] if row.girth else [("bfs", row.n)] * 2)
+        ]
+        assert calls == expected
 
 
 class TestCLI:
@@ -251,7 +260,7 @@ class TestCLI:
         [
             ("c6", make_cycle(6)),
             ("compass_14_8_4_3", make_compass(CompassParams(14, 8, 4, 3))),
-            # n = 40 is above the gamma cap: gamma and hedetniemi are absent
+            # n = 40: gamma comes from the linear tree DP at every n
             ("lollipop_40_7", make_lollipop(40, 7)),
             # a triangle with two pendant P2s at one vertex: core kind "other"
             (
