@@ -21,12 +21,11 @@ from .graphs import (
     CompassParams,
     CoreClassification,
     Graph,
-    UnicyclicDecomposition,
-    _cycle_forest,
+    _connected_strip,
     _reduce_to_core,
     _unicyclic_diameter_and_path,
+    _unicyclic_strip,
     diameter_and_path,
-    unicyclic_decompose,
 )
 from .spectra import _forest_inertia
 
@@ -161,12 +160,9 @@ def domination_number(g: Graph) -> int:
     exponential and so raises SizeCapExceededError when n exceeds
     GAMMA_CAP_DEFAULT.
     """
-    if g.m <= g.n:
-        # with at most one cycle per component, the cycle ranks sum to the
-        # component count: g is connected when the strip leaves m - n + 1
-        forest = _cycle_forest(g)
-        if forest is not None and len(forest[2]) == g.m - g.n + 1:
-            return _forest_gamma(*forest)
+    forest = _connected_strip(g)
+    if forest is not None:
+        return _forest_gamma(*forest)
     if g.n > GAMMA_CAP_DEFAULT:
         raise SizeCapExceededError(f"branch and bound refuses n={g.n} > {GAMMA_CAP_DEFAULT}")
     if not g.is_connected():
@@ -215,21 +211,16 @@ def _branch_and_bound_gamma(g: Graph, d: int | None) -> int:
     return best
 
 
-def _count01_mult1_gamma(g: Graph, dec: UnicyclicDecomposition | None) -> tuple[int, int, int]:
-    """count[0,1), the multiplicity of 1, and gamma.
+def _count01_mult1_gamma(g: Graph, forest: tuple) -> tuple[int, int, int]:
+    """count[0,1), the multiplicity of 1, and gamma of a tree or a connected
+    unicyclic g with leaf strip forest (graphs._connected_strip).
 
-    g is the connected unicyclic graph decomposed as dec, or a tree when dec
-    is None. L is positive semidefinite, so one elimination at 1 gives both
-    the count in [0, 1) (its negatives) and the multiplicity of 1 (its zeros).
-    Both it and gamma fold one leaf strip: dec's forest read leaf to root,
-    or a tree's own strip.
+    L is positive semidefinite, so one elimination at 1 gives both the count
+    in [0, 1) (its negatives) and the multiplicity of 1 (its zeros). Both it
+    and gamma fold the strip.
     """
-    if dec is None:
-        stripped, parent, cycles = _cycle_forest(g)
-    else:
-        stripped, parent, cycles = dec.order[: dec.girth - 1 : -1], dec.parent, [dec.cycle]
-    at_one = _forest_inertia(g, stripped, parent, cycles, 1, 1)
-    return at_one.negatives, at_one.zeros, _forest_gamma(stripped, parent, cycles)
+    at_one = _forest_inertia(g, *forest, 1, 1)
+    return at_one.negatives, at_one.zeros, _forest_gamma(*forest)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +251,13 @@ class BoundReport:
 
 def analyze(g: Graph) -> BoundReport:
     """Measure g exactly and check every applicable inequality on g itself."""
-    # the decomposition is computed once and shared by the diameter, gamma
-    # and the core reduction, which also takes the diametral path
-    dec = unicyclic_decompose(g)
-    r = dec.girth
-    d, path = _unicyclic_diameter_and_path(g, dec)
-    count01, mult1, gamma = _count01_mult1_gamma(g, dec)
-    core = _reduce_to_core(g, dec, path)
+    # one leaf strip feeds the diameter, the inertia at 1, gamma and the
+    # core reduction, which also takes the diametral path
+    forest = _unicyclic_strip(g)
+    r = len(forest[2][0])
+    d, path = _unicyclic_diameter_and_path(*forest)
+    count01, mult1, gamma = _count01_mult1_gamma(g, forest)
+    core = _reduce_to_core(g, forest, path)
 
     main = main_lower_bound(d, r)
     refined: int | None = None

@@ -33,11 +33,18 @@ class IntPolynomial:
 
     def __init__(self, coeffs: Sequence[int]):
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
         if any(not isinstance(c, int) for c in coeffs):
             raise InvalidParameterError("coefficients must be integers")
-        self.coeffs = tuple(coeffs)
+        self.coeffs = IntPolynomial._of_ints(coeffs).coeffs
+
+    @staticmethod
+    def _of_ints(coeffs: list[int]) -> "IntPolynomial":
+        """Internal arithmetic's constructor: trims ints in place, no type check."""
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        p = object.__new__(IntPolynomial)
+        p.coeffs = tuple(coeffs)
+        return p
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -72,23 +79,26 @@ class IntPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial(out)
+        return IntPolynomial._of_ints(out)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
+        return IntPolynomial._of_ints([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            out[i] -= c
+        return IntPolynomial._of_ints(out)
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
+            return IntPolynomial._of_ints([c * other for c in self.coeffs])
         out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial._of_ints(out)
 
     __rmul__ = __mul__
 
@@ -98,7 +108,7 @@ class IntPolynomial:
             raise InternalConsistencyError(
                 f"polynomial {self!r} is not divisible by x"
             )
-        return IntPolynomial(self.coeffs[1:])
+        return IntPolynomial._of_ints(list(self.coeffs[1:]))
 
     def eval(self, x0: int | Fraction) -> int | Fraction:
         acc: int | Fraction = 0
@@ -253,7 +263,7 @@ def _interpolate_int(values: list[int]) -> IntPolynomial:
         if rem:
             raise InternalConsistencyError("interpolation produced non-integer coefficients")
         coeffs.append(q)
-    return IntPolynomial(coeffs)
+    return IntPolynomial._of_ints(coeffs)
 
 
 def charpoly_det_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
@@ -285,7 +295,7 @@ def _forest_charpoly(g: Graph, forest: tuple) -> IntPolynomial:
     """
     stripped, parent, cycles = forest
     one = IntPolynomial.constant(1)
-    num = [IntPolynomial((len(nbrs), -1)) for nbrs in g.adj]
+    num = [IntPolynomial._of_ints([len(nbrs), -1]) for nbrs in g.adj]
     den = [one] * g.n
     det = one if g.n % 2 == 0 else -one  # det(xI - L) = (-1)^n det(L - xI)
     for x in stripped:

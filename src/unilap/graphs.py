@@ -248,7 +248,8 @@ class UnicyclicDecomposition:
     order lists V with the cycle first (in cycle order) and every other vertex
     after its parent. trees maps every cycle vertex to the sorted non-cycle
     vertices of its tree (empty tuple when nothing hangs there); the tree
-    vertex sets partition V minus the cycle.
+    vertex sets partition V minus the cycle. Only unicyclic_decompose builds
+    this public view; the package itself reads the leaf strip.
     """
 
     cycle: tuple[int, ...]
@@ -259,20 +260,6 @@ class UnicyclicDecomposition:
     @property
     def girth(self) -> int:
         return len(self.cycle)
-
-
-def _rooted_forest(
-    cycle: tuple[int, ...], order: list[int], parent: list[int]
-) -> UnicyclicDecomposition:
-    """The decomposition of a cycle-rooted forest, with trees read off it."""
-    root = parent[:]
-    for x in order[len(cycle):]:
-        root[x] = root[parent[x]]
-    trees: dict[int, list[int]] = {c: [] for c in cycle}
-    for v, c in enumerate(root):
-        if c != v:
-            trees[c].append(v)
-    return UnicyclicDecomposition(cycle, {c: tuple(t) for c, t in trees.items()}, order, parent)
 
 
 def _cycle_forest(g: Graph) -> tuple[list[int], list[int], list[list[int]]] | None:
@@ -317,29 +304,44 @@ def _cycle_forest(g: Graph) -> tuple[list[int], list[int], list[list[int]]] | No
     return stripped, parent, cycles
 
 
-def unicyclic_decompose(g: Graph) -> UnicyclicDecomposition:
-    """The cycle and pendant-tree forest of g, read off its leaf strip.
+def _connected_strip(g: Graph) -> tuple | None:
+    """The leaf strip of g when g is connected with at most one cycle, else
+    None. A component with at most one cycle has m - n + 1 of them, so on
+    k such components the strip leaves m - n + k cycles: k = 1 needs no search."""
+    forest = _cycle_forest(g) if g.m <= g.n else None
+    return forest if forest and len(forest[2]) == g.m - g.n + 1 else None
 
-    The reversed strip puts every parent before its children. With
-    |E| = n, connectivity comes from the strip, with no search: the cycle
-    ranks of the components then sum to their number, so g is connected
-    exactly when the strip leaves one cycle. With |E| != n, connectivity is
-    checked first, so that a disconnected g raises NotConnectedError before
-    NotUnicyclicError.
-    """
-    if g.m != g.n:
-        if not g.is_connected():
-            raise NotConnectedError("graph is not connected")
-        raise NotUnicyclicError(f"unicyclic graph needs |E| = n, got {g.m} != {g.n}")
-    forest = _cycle_forest(g)
-    if forest is None or len(forest[2]) != 1:
+
+def _unicyclic_strip(g: Graph) -> tuple:
+    """The leaf strip of a connected unicyclic g. A disconnected g raises
+    NotConnectedError, before any other g raises NotUnicyclicError."""
+    forest = _connected_strip(g)
+    if forest is None and not g.is_connected():
         raise NotConnectedError("graph is not connected")
-    stripped, parent, (cycle,) = forest
-    return _rooted_forest(tuple(cycle), cycle + stripped[::-1], parent)
+    if forest is None or not forest[2]:
+        raise NotUnicyclicError(f"unicyclic graph needs |E| = n, got {g.m} != {g.n}")
+    return forest
+
+
+def unicyclic_decompose(g: Graph) -> UnicyclicDecomposition:
+    """The cycle and pendant-tree forest of g, read off its leaf strip,
+    which reversed puts every parent before its children."""
+    stripped, parent, (cycle,) = _unicyclic_strip(g)
+    order = cycle + stripped[::-1]
+    root = parent[:]
+    for x in order[len(cycle):]:
+        root[x] = root[parent[x]]
+    trees: dict[int, list[int]] = {c: [] for c in cycle}
+    for v, c in enumerate(root):
+        if c != v:
+            trees[c].append(v)
+    return UnicyclicDecomposition(
+        tuple(cycle), {c: tuple(t) for c, t in trees.items()}, order, parent
+    )
 
 
 def girth(g: Graph) -> int:
-    return unicyclic_decompose(g).girth
+    return len(_unicyclic_strip(g)[2][0])
 
 
 def bfs_distances(g: Graph, src: int) -> list[int]:
@@ -379,8 +381,12 @@ def _farthest_clockwise(h: list[int]) -> list[int]:
     return out
 
 
-def _unicyclic_eccentricities(g: Graph, dec: UnicyclicDecomposition) -> list[int]:
-    """Eccentricity of every vertex of a connected unicyclic graph, in O(n).
+def _unicyclic_eccentricities(
+    cycle: list[int], pendant: list[int], parent: list[int]
+) -> list[int]:
+    """Eccentricity of every vertex of a tree or a connected unicyclic
+    graph, in O(n). pendant lists the vertices off the cycle, each after its
+    children; a tree's cycle is its root alone.
 
     down[x] is the height of x's subtree (pendant trees rooted on the cycle),
     far(c) the farthest reach from cycle vertex c through the rest of the
@@ -388,13 +394,13 @@ def _unicyclic_eccentricities(g: Graph, dec: UnicyclicDecomposition) -> list[int
     farthest reach from x outside its subtree: up[c] = far(c), and for a
     child x of p, 1 + max(up[p], the best reach from p through a sibling).
     Every cycle vertex lies within r//2 of c one way round or the other, so
-    far(c) is the larger of a clockwise and a counter-clockwise window.
+    far(c) is the larger of a clockwise and a counter-clockwise window (both
+    empty on a tree, where up[root] = 0).
     """
-    cycle, order, parent = dec.cycle, dec.order, dec.parent
-    r = len(cycle)
-    down = [0] * g.n
-    second = [0] * g.n  # runner-up over the children of x of 1 + down[child]
-    for x in reversed(order[r:]):
+    n = len(parent)
+    down = [0] * n
+    second = [0] * n  # runner-up over the children of x of 1 + down[child]
+    for x in pendant:
         p, h = parent[x], down[x] + 1
         if h > down[p]:
             down[p], second[p] = h, down[p]
@@ -404,10 +410,10 @@ def _unicyclic_eccentricities(g: Graph, dec: UnicyclicDecomposition) -> list[int
     cw = _farthest_clockwise(heights)
     ccw = _farthest_clockwise(heights[::-1])[::-1]
     # comparisons, not max(): a builtin call per vertex was most of these loops' time
-    up = [0] * g.n
+    up = [0] * n
     for c, a, b in zip(cycle, cw, ccw):
         up[c] = a if a > b else b
-    for x in order[r:]:
+    for x in reversed(pendant):
         p = parent[x]
         sibling = second[p] if down[x] + 1 == down[p] else down[p]
         above = up[p]
@@ -427,40 +433,41 @@ def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:
 
 
 def _unicyclic_diameter_and_path(
-    g: Graph, dec: UnicyclicDecomposition
+    stripped: list[int], parent: list[int], cycles: list[list[int]]
 ) -> tuple[int, tuple[int, ...]]:
-    """diameter_and_path for a connected unicyclic g with decomposition dec.
+    """diameter_and_path for a tree or a connected unicyclic graph, from its
+    leaf strip; a tree is rooted at the last vertex stripped.
 
     Every vertex at distance d from a vertex of eccentricity d has
     eccentricity d too, so the smallest pair (u, v) at distance d has u the
     smallest vertex of eccentricity d and v the smallest vertex at distance
     d from u. Both, and the path, come off the forest with no search.
 
-    Distances from u take one pass over dec.order: u's ancestors lie on its
-    climb to its cycle vertex, every other cycle vertex is the shorter arc
-    further on, and every other vertex is one past its parent, since u is not
-    below it. When one cycle vertex roots both u and v, their only path runs
-    through the vertex where the two climbs meet. Otherwise every shortest
-    path climbs from u, takes a shortest arc and descends to v; only an even
-    cycle has two, and the smallest sequence takes the one whose first
-    vertex is smaller.
+    Distances from u take one pass over the reversed strip: u's ancestors
+    lie on its climb to its cycle vertex, every other cycle vertex is the
+    shorter arc further on, and every other vertex is one past its parent,
+    since u is not below it. When one cycle vertex roots both u and v (as
+    on a tree, always), their only path runs through the vertex where the
+    two climbs meet. Otherwise every shortest path climbs from u, takes a
+    shortest arc and descends to v; only an even cycle has two, and the
+    smallest sequence takes the one whose first vertex is smaller.
     """
-    cycle, parent = dec.cycle, dec.parent
+    cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
     r = len(cycle)
-    ecc = _unicyclic_eccentricities(g, dec)
+    ecc = _unicyclic_eccentricities(cycle, pendant, parent)
     d = max(ecc)
     u = ecc.index(d)
     climb = [u]
     while parent[climb[-1]] != climb[-1]:
         climb.append(parent[climb[-1]])
     k, home = len(climb) - 1, cycle.index(climb[-1])
-    dist = [-1] * g.n
+    dist = [-1] * len(parent)
     for i, c in enumerate(cycle):
         arc = abs(i - home)
         dist[c] = k + min(arc, r - arc)
     for i, x in enumerate(climb):
         dist[x] = i
-    for x in dec.order[r:]:
+    for x in reversed(pendant):
         if dist[x] < 0:
             dist[x] = dist[parent[x]] + 1
     v = dist.index(d)
@@ -484,14 +491,14 @@ def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     Ties break to the lexicographically smallest endpoint pair (u, v) with
     u < v, then to the lexicographically smallest vertex sequence from u.
-    A unicyclic g takes O(n) time and memory and no search: eccentricities
-    from the pendant-tree heights and sliding windows round the cycle, then
-    distances and the path read off the pendant-tree forest. Any other g
-    takes one BFS per vertex, O(n m) time, and keeps only O(n) memory.
+    A tree or a unicyclic g takes O(n) time and memory and no search:
+    eccentricities from the pendant-tree heights and sliding windows round
+    the cycle, then distances and the path read off the leaf strip. Any
+    other g takes one BFS per vertex, O(n m) time, and O(n) memory.
     """
-    if g.m == g.n:
-        # unicyclic_decompose checks connectivity and raises NotConnectedError
-        return _unicyclic_diameter_and_path(g, unicyclic_decompose(g))
+    forest = _connected_strip(g)
+    if forest is not None:
+        return _unicyclic_diameter_and_path(*forest)
     if not g.is_connected():
         raise NotConnectedError("diameter of a disconnected graph is undefined")
     # the first source of the largest eccentricity, and the smallest vertex
@@ -528,24 +535,26 @@ class CoreClassification:
     diametral_path: tuple[int, ...]
 
 
-def _classify(core: Graph, dec: UnicyclicDecomposition) -> tuple[str, tuple[int, ...]]:
-    """Kind and parameters of a unicyclic core from its decomposition.
+def _classify(core: Graph, cycle: list[int], path: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """Kind and parameters of a unicyclic core from its degrees, its cycle
+    and its diametral path, in the core's labels.
 
-    A nonempty tree is a path hanging off its root exactly when none of its
-    vertices, root included, has two children: the root has degree 3 and no
-    other tree vertex degree above 2. Its length is then the size of the tree.
+    The core is a cycle when no vertex has degree above 2, and a lollipop or
+    a compass when one or two do, each a cycle vertex of degree 3 rooting a
+    path. A compass's tails are then the path's two ends off the cycle, and
+    the path runs the shorter arc between them.
     """
-    r = dec.girth
-    slots = [pos for pos, c in enumerate(dec.cycle) if dec.trees[c]]
-    if not slots:
+    branch = [v for v, nbrs in enumerate(core.adj) if len(nbrs) > 2]
+    if not branch:
         return "cycle", (core.n,)
-    if len(slots) > 2 or any(len(core.adj[v]) > 2 + (dec.parent[v] == v) for v in range(core.n)):
+    on_cycle = set(cycle)
+    if len(branch) > 2 or any(len(core.adj[v]) > 3 or v not in on_cycle for v in branch):
         return "other", ()
-    if len(slots) == 1:
-        return "lollipop", (core.n, r)
-    arc = slots[1] - slots[0]
-    t = min(len(dec.trees[dec.cycle[pos]]) for pos in slots)
-    return "compass", (core.n, r, min(arc, r - arc), t)
+    if len(branch) == 1:
+        return "lollipop", (core.n, len(cycle))
+    ends = [i for i, v in enumerate(path) if v in on_cycle]
+    first, last = ends[0], ends[-1]
+    return "compass", (core.n, len(cycle), last - first, min(first, len(path) - 1 - last))
 
 
 def reduce_to_core(g: Graph) -> CoreClassification:
@@ -554,23 +563,21 @@ def reduce_to_core(g: Graph) -> CoreClassification:
     Lower bounds certified on the core transfer to g because g is recovered
     from the core by repeatedly attaching pendant vertices.
     """
-    dec = unicyclic_decompose(g)
-    _, path = _unicyclic_diameter_and_path(g, dec)
-    return _reduce_to_core(g, dec, path)
+    forest = _unicyclic_strip(g)
+    _, path = _unicyclic_diameter_and_path(*forest)
+    return _reduce_to_core(g, forest, path)
 
 
-def _reduce_to_core(
-    g: Graph, dec: UnicyclicDecomposition, path: tuple[int, ...]
-) -> CoreClassification:
-    """reduce_to_core given g's decomposition and diametral path.
+def _reduce_to_core(g: Graph, forest: tuple, path: tuple[int, ...]) -> CoreClassification:
+    """reduce_to_core given g's leaf strip and diametral path.
 
     The core is the subgraph induced on the cycle, the path and, when the
     path misses the cycle, the tree walk joining them. That vertex set is
-    closed under dec.parent, so its edges are the cycle's plus one edge from
+    closed under parent, so its edges are the cycle's plus one edge from
     each other kept vertex to its parent. When it is all of V, the core is
-    g itself, returned with dec and nothing rebuilt.
+    g itself, returned with nothing rebuilt.
     """
-    cycle, parent = dec.cycle, dec.parent
+    _, parent, (cycle,) = forest
     keep = set(path).union(cycle)
     # climbing from an end of the path meets only path vertices up to the
     # cycle, unless the path lies in one pendant tree: then it passes the
@@ -580,19 +587,15 @@ def _reduce_to_core(
         x = parent[x]
         keep.add(x)
     if len(keep) == g.n:
-        return CoreClassification(*_classify(g, dec), g, tuple(range(g.n)), path)
+        return CoreClassification(*_classify(g, cycle, path), g, tuple(range(g.n)), path)
 
     verts = sorted(keep)
     relabel = {v: i for i, v in enumerate(verts)}
-    core_cycle = tuple(relabel[c] for c in cycle)
-    core_parent = [relabel[parent[v]] for v in verts]
-    edges = [(i, p) for i, p in enumerate(core_parent) if p != i]
+    core_cycle = [relabel[c] for c in cycle]
+    edges = [(i, relabel[parent[v]]) for i, v in enumerate(verts) if parent[v] != v]
     edges += zip(core_cycle, core_cycle[1:] + core_cycle[:1])
     core = Graph.from_edges(len(verts), edges)
-    # relabelling keeps the order, so the core's cycle runs as g's does, and
-    # a core vertex off the cycle hangs from the same cycle vertex as in g
-    core_order = [relabel[v] for v in dec.order if v in keep]
-    kind, params = _classify(core, _rooted_forest(core_cycle, core_order, core_parent))
+    kind, params = _classify(core, core_cycle, tuple(relabel[v] for v in path))
     return CoreClassification(kind, params, core, tuple(verts), path)
 
 

@@ -31,8 +31,8 @@ from .errors import InternalConsistencyError, InvalidParameterError
 from .graphs import (
     CompassParams,
     Graph,
+    _connected_strip,
     _unicyclic_diameter_and_path,
-    bfs_distances,
     diameter_and_path,
     join_with_edge,
     make_compass,
@@ -40,7 +40,6 @@ from .graphs import (
     make_lollipop,
     make_path,
     pendant_vertices,
-    unicyclic_decompose,
 )
 from .spectra import check_interlacing, count_interval, multiplicity
 from .witnesses import compass_one_witness, cycle_one_vectors, lollipop_one_witness, path_one_vector
@@ -292,7 +291,7 @@ def suite_charpoly(max_n: int = 12, seed: int = 0, random_joins: int = 20) -> Ve
 
 
 def suite_exhaustive(max_n: int = 10, seed: int = 0) -> VerifyReport:
-    """Main bound and domination sandwich on every unicyclic graph, n <= max_n."""
+    """Every verdict of analyze on every unicyclic graph with n <= max_n."""
 
     def run():
         failures = []
@@ -300,11 +299,9 @@ def suite_exhaustive(max_n: int = 10, seed: int = 0) -> VerifyReport:
         for n in range(3, max_n + 1):
             for g in enumerate_unicyclic(n):
                 checked += 1
-                report = analyze(g)
-                if not report.verdicts["main_bound"]:
-                    failures.append(("main", n, g.edges()))
-                if not report.verdicts.get("hedetniemi", True):
-                    failures.append(("hedetniemi", n, g.edges()))
+                for name, ok in analyze(g).verdicts.items():
+                    if not ok:
+                        failures.append((name, n, g.edges()))
         return checked, failures
 
     return _timed(run, "exhaustive")
@@ -493,22 +490,15 @@ def _measure(
     main_bound: int | None,
     refined_bound: int | None,
 ) -> SweepRow:
-    # g is a path or a connected unicyclic graph. A unicyclic diameter takes
-    # O(n) and shares the decomposition with gamma. A path is a tree, where
-    # the vertex farthest from any vertex ends a longest path, so two BFS
-    # sweeps give its exact diameter in O(n)
-    dec = None
-    if g.m == g.n:
-        dec = unicyclic_decompose(g)
-        measured = _unicyclic_diameter_and_path(g, dec)[0]
-    else:
-        dist = bfs_distances(g, 0)
-        measured = max(bfs_distances(g, dist.index(max(dist))))
+    # g is a path or a connected unicyclic graph: its one leaf strip gives
+    # the diameter in O(n) and feeds the count and gamma
+    forest = _connected_strip(g)
+    measured = _unicyclic_diameter_and_path(*forest)[0]
     if measured != d:
         raise InternalConsistencyError(
             f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"
         )
-    count01, mult1, gamma = _count01_mult1_gamma(g, dec)
+    count01, mult1, gamma = _count01_mult1_gamma(g, forest)
     return _row(family, g.n, r, r_prime, t, d, main_bound, refined_bound, count01, mult1, gamma)
 
 

@@ -5,7 +5,7 @@ The half-open count m[a, b) is the package's primitive: eigenvalues of L in
 exact inertias of L - cI. For c = p/q, qL - pI has the same inertia and
 integer entries. When every component of the graph has at most one cycle,
 a fraction-free kernel folds its leaf strip (graphs._cycle_forest, which
-the cycle decomposition and the gamma DP read too) in Python ints: its
+the diameter, the core and the gamma DP read too) in Python ints: its
 numbers are minors of qL - pI, so they have O(n) bits and no gcd ever
 runs, the cost is linear in n at an integer shift, and a rational shift
 adds only the cost of multiplying O(n)-bit ints. It also beats the heap
@@ -252,11 +252,14 @@ def spectrum_float(g: Graph) -> list[float]:
     return sorted(np.linalg.eigvalsh(rows).tolist())
 
 
-def check_interlacing(g: Graph, e: tuple[int, int], slack: float = 1e-8) -> bool:
+INTERLACING_SLACK = 1e-8  # float tolerance of check_interlacing's comparisons
+
+
+def check_interlacing(g: Graph, e: tuple[int, int]) -> bool:
     """Whether the edge-deletion interlacing chain holds for every index.
 
     Checks mu_i(g) <= mu_{i+1}(g - e) <= mu_{i+1}(g) for i = 1..n-1 under
-    float comparison with the given slack.
+    float comparison with slack INTERLACING_SLACK.
     """
     u, v = min(e), max(e)
     if not g.has_edge(u, v):
@@ -264,6 +267,6 @@ def check_interlacing(g: Graph, e: tuple[int, int], slack: float = 1e-8) -> bool
     spec_g = spectrum_float(g)
     spec_h = spectrum_float(g.with_edge_removed(u, v))
     return all(
-        spec_g[i] <= spec_h[i + 1] + slack and spec_h[i + 1] <= spec_g[i + 1] + slack
-        for i in range(g.n - 1)
+        a <= b + INTERLACING_SLACK and b <= c + INTERLACING_SLACK
+        for a, b, c in zip(spec_g, spec_h[1:], spec_g[1:])
     )

@@ -1,11 +1,12 @@
 """The linear-time diameter against the all-pairs diameter it replaced.
 
-allpairs_diameter holds the earlier n^2-distance diameter_and_path; the
-unicyclic path now reads the diameter off eccentricities from pendant-tree
-heights and sliding windows round the cycle, and every other graph runs one
-BFS per source keeping O(n) memory. Both must choose the same diameter and
-the same diametral path everywhere, and the family closed forms must hold at
-sizes the all-pairs table could not reach.
+allpairs_diameter holds the earlier n^2-distance diameter_and_path; a tree
+or a unicyclic graph now reads the diameter off eccentricities from
+pendant-tree heights and sliding windows round the cycle (a tree's cycle is
+its root alone), and every other graph runs one BFS per source keeping O(n)
+memory. Both must choose the same diameter and the same diametral path
+everywhere, and the family closed forms must hold at sizes the all-pairs
+table could not reach.
 """
 
 import random
@@ -14,9 +15,9 @@ import tracemalloc
 import pytest
 
 from allpairs_diameter import diameter_and_path as allpairs_diameter_and_path
-from conftest import spider
-from unilap import bounds, graphs
-from unilap.enumeration import enumerate_unicyclic
+from conftest import spider, tree_from_code
+from unilap import bounds, graphs, spectra
+from unilap.enumeration import enumerate_unicyclic, rooted_trees
 from unilap.errors import NotConnectedError
 from unilap.graphs import (
     CompassParams,
@@ -44,8 +45,16 @@ def _assert_same_diameter(g: Graph) -> None:
     assert diameter_and_path(g) == allpairs_diameter_and_path(g), g.edges()
 
 
+def _forest_args(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """(cycle, pendant strip, parent) of a tree or a connected unicyclic g;
+    a tree's cycle is its root alone, the last vertex stripped."""
+    stripped, parent, cycles = graphs._connected_strip(g)
+    cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
+    return cycle, pendant, parent
+
+
 def _assert_eccentricities(g: Graph) -> None:
-    ecc = graphs._unicyclic_eccentricities(g, unicyclic_decompose(g))
+    ecc = graphs._unicyclic_eccentricities(*_forest_args(g))
     assert ecc == [max(bfs_distances(g, v)) for v in range(g.n)], g.edges()
 
 
@@ -80,6 +89,45 @@ class TestDifferential:
         for f in (diameter_and_path, allpairs_diameter_and_path):
             with pytest.raises(NotConnectedError):
                 f(g)
+
+
+def _star(n: int, centre: int) -> Graph:
+    return Graph.from_edges(n, [(centre, v) for v in range(n) if v != centre])
+
+
+class TestTreeDifferential:
+    """Trees take the unicyclic route as a one-vertex cycle at the root the
+    strip ends on, and must pick the all-pairs diameter's path and ties."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_paths_and_their_relabellings(self, n):
+        rng = random.Random(n)
+        g = make_path(n)
+        assert diameter_and_path(g) == (n - 1, tuple(range(n)))
+        for h in [g] + [_relabelled(g, rng) for _ in range(10)]:
+            _assert_same_diameter(h)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stars_centred_anywhere(self, n):
+        for centre in range(n):
+            _assert_same_diameter(_star(n, centre))
+
+    def test_random_trees_and_relabellings(self):
+        rng = random.Random(2025)
+        for _ in range(400):
+            g = random_tree(rng, rng.randrange(1, 80))
+            _assert_same_diameter(g)
+            _assert_same_diameter(_relabelled(g, rng))
+
+    def test_every_rooted_tree_shape(self):
+        """Every tree on up to 8 vertices, as the rooted trees of enumeration
+        with the root at 0, and each under a relabelling."""
+        rng = random.Random(3)
+        for n in range(1, 9):
+            for code in rooted_trees(n):
+                g = tree_from_code(code)
+                _assert_same_diameter(g)
+                _assert_same_diameter(_relabelled(g, rng))
 
 
 def _even_cycle_with_tails(k: int, j: int, length: int) -> Graph:
@@ -203,6 +251,13 @@ class TestEccentricities:
             for r in range(3, n):
                 _assert_eccentricities(make_lollipop(n, r))
 
+    def test_trees_rooted_as_a_one_vertex_cycle(self):
+        rng = random.Random(6)
+        corpus = [make_path(n) for n in range(1, 12)]
+        corpus += [random_tree(rng, rng.randrange(1, 61)) for _ in range(200)]
+        for g in corpus:
+            _assert_eccentricities(g)
+
 
 class TestClosedFormsAtScale:
     @pytest.mark.parametrize("n", [960, 5000])
@@ -260,17 +315,23 @@ class TestLinearMemory:
 
 class TestCoreDecomposition:
     def test_derived_core_decomposition_classifies_like_a_fresh_one(self):
+        """The core's cycle is relabelled from g's, not found again; a fresh
+        strip of the core, with the diametral path in the core's labels,
+        classifies it the same way."""
         rng = random.Random(9)
         graphs_ = [g for n in range(3, 10) for g in enumerate_unicyclic(n)]
         graphs_ += [random_unicyclic(rng, rng.randrange(5, 40)) for _ in range(100)]
         for g in graphs_:
             core = reduce_to_core(g)
-            fresh = graphs._classify(core.core, unicyclic_decompose(core.core))
+            _, _, (cycle,) = graphs._unicyclic_strip(core.core)
+            path = tuple(core.core_vertices.index(v) for v in core.diametral_path)
+            fresh = graphs._classify(core.core, cycle, path)
             assert (core.kind, core.params) == fresh, g.edges()
 
 
 def _count_calls(monkeypatch, names):
-    """Wrap each named graphs function wherever graphs or bounds binds it."""
+    """Wrap each named graphs function wherever graphs, bounds or spectra
+    binds it, recording the first argument of every call."""
     calls = []
     for name in names:
         original = getattr(graphs, name)
@@ -279,7 +340,7 @@ def _count_calls(monkeypatch, names):
             calls.append(args[0])
             return _original(*args, **kwargs)
 
-        for module in (graphs, bounds):
+        for module in (graphs, bounds, spectra):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
     return calls
@@ -296,14 +357,19 @@ class TestStructureOncePerAnalyze:
         ids=["compass", "lollipop", "random"],
     )
     def test_decompose_and_diameter_run_once(self, monkeypatch, g):
-        decompositions = _count_calls(monkeypatch, ["unicyclic_decompose"])
+        """One leaf strip and one forest diameter, and no decomposition."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("analyze built a UnicyclicDecomposition")
+
+        strips = _count_calls(monkeypatch, ["_cycle_forest"])
         diameters = _count_calls(
             monkeypatch, ["diameter_and_path", "_unicyclic_diameter_and_path"]
         )
-        report = bounds.analyze(g)
-        assert report.gamma is not None  # n <= 32, so gamma ran as well
-        assert decompositions == [g]
-        assert diameters == [g]
+        monkeypatch.setattr(graphs, "UnicyclicDecomposition", forbidden)
+        bounds.analyze(g)
+        assert strips == [g]
+        assert len(diameters) == 1
 
 
 class TestSingleConnectivityPass:
@@ -332,6 +398,30 @@ class TestSingleConnectivityPass:
         diameter_and_path(g)
         reduce_to_core(g)
         bounds.analyze(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            make_path(1),
+            make_path(2),
+            make_path(30),
+            _star(12, 5),
+            random_tree(random.Random(4), 40),
+        ],
+        ids=["one-vertex", "edge", "path", "star", "random"],
+    )
+    def test_no_search_on_a_tree(self, monkeypatch, g):
+        """A tree takes the unicyclic route, rooted at its last stripped
+        vertex, so its diameter and gamma need no search either."""
+
+        def forbidden(*args):
+            raise AssertionError("searched a tree")
+
+        monkeypatch.setattr(Graph, "is_connected", forbidden)
+        monkeypatch.setattr(graphs, "bfs_distances", forbidden)
+        monkeypatch.setattr(graphs, "_walk_to", forbidden)
+        diameter_and_path(g)
+        bounds.domination_number(g)
 
     def test_disconnected_with_as_many_edges_as_vertices(self):
         g = disjoint_union(make_cycle(3), make_cycle(4))

@@ -67,6 +67,21 @@ class TestSuites:
         assert report.checked > 0
         assert report.seconds >= 0
 
+    @pytest.mark.parametrize("name", ["main_bound", "refined_bound", "hedetniemi", "chain"])
+    def test_exhaustive_reports_every_false_verdict_by_name(self, monkeypatch, name):
+        original = harness.analyze
+
+        def one_false(g):
+            report = original(g)
+            report.verdicts[name] = False
+            return report
+
+        monkeypatch.setattr(harness, "analyze", one_false)
+        report = run_suite("exhaustive", max_n=4)
+        assert report.checked == 3  # C3, C4 and the triangle with a pendant
+        assert [f[:2] for f in report.failures] == [(name, 3), (name, 4), (name, 4)]
+        assert all(f[2] for f in report.failures)  # each carries its edge list
+
     def test_inequalities_suite_smoke(self):
         # full inner sample counts; keep graph sizes small for speed
         report = run_suite("inequalities", max_n=10)
@@ -199,37 +214,29 @@ class TestSweep:
             next(sweep(family, 40, 40))
 
     @pytest.mark.parametrize(
-        "family,n_hi", [("lollipop", 12), ("compass", 12), ("path", 12)]
+        "family,n_hi", [("lollipop", 12), ("compass", 12), ("path", 12), ("cycle", 12)]
     )
     def test_one_diameter_per_row_below_cap(self, monkeypatch, family, n_hi):
+        """Every row, a path's included, takes one forest diameter off its
+        leaf strip, and no row searches or builds a decomposition."""
         calls = []
-        original_unicyclic = graphs._unicyclic_diameter_and_path
-        original_bfs = graphs.bfs_distances
+        original = graphs._unicyclic_diameter_and_path
 
-        def forbidden(g):
-            raise AssertionError(f"all-pairs diameter on n={g.n}")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep row searched or decomposed")
 
-        def counted_unicyclic(g, dec):
-            calls.append(("unicyclic", g.n))
-            return original_unicyclic(g, dec)
-
-        def counted_bfs(g, src):
-            calls.append(("bfs", g.n))
-            return original_bfs(g, src)
+        def counted(stripped, parent, cycles):
+            calls.append(len(parent))
+            return original(stripped, parent, cycles)
 
         for module in (graphs, bounds, harness):
             monkeypatch.setattr(module, "diameter_and_path", forbidden)
-        # a unicyclic row decomposes once and takes its diameter from that;
-        # a path row takes two BFS sweeps
-        monkeypatch.setattr(harness, "_unicyclic_diameter_and_path", counted_unicyclic)
-        monkeypatch.setattr(harness, "bfs_distances", counted_bfs)
+        monkeypatch.setattr(graphs, "bfs_distances", forbidden)
+        monkeypatch.setattr(graphs, "UnicyclicDecomposition", forbidden)
+        monkeypatch.setattr(harness, "_unicyclic_diameter_and_path", counted)
         rows = list(sweep(family, 4, n_hi))
         assert len(rows) > n_hi - 4
-        expected = [
-            call for row in rows
-            for call in ([("unicyclic", row.n)] if row.girth else [("bfs", row.n)] * 2)
-        ]
-        assert calls == expected
+        assert calls == [row.n for row in rows]
 
 
 class TestCLI:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import numpy_eigs
 from jacobi import spectrum_float as jacobi_spectrum
+from unilap import spectra
 from unilap.errors import EdgeNotPresentError, InvalidIntervalError, InvalidParameterError
 from unilap.graphs import (
     CompassParams,
@@ -195,6 +196,23 @@ class TestInterlacing:
     def test_missing_edge_rejected(self):
         with pytest.raises(EdgeNotPresentError):
             check_interlacing(make_path(4), (0, 3))
+
+    @pytest.mark.parametrize(
+        "spec_h, holds",
+        [
+            ([0.0, 1.0, 3.0], True),
+            ([0.0, 1.0, 3.0 + spectra.INTERLACING_SLACK / 2], True),
+            ([0.0, 0.9, 3.0], False),  # mu_2(g - e) below mu_1(g)
+            ([0.0, 2.1, 3.0], False),  # mu_2(g - e) above mu_2(g)
+            ([0.0, 1.0, 3.1], False),  # mu_3(g - e) above mu_3(g)
+        ],
+    )
+    def test_each_side_of_the_chain_is_checked(self, monkeypatch, spec_h, holds):
+        """The chain compared on made-up spectra: g's is [1, 2, 3] and
+        g - e's is the second call's."""
+        spectra_seen = iter([[1.0, 2.0, 3.0], spec_h])
+        monkeypatch.setattr(spectra, "spectrum_float", lambda g: next(spectra_seen))
+        assert check_interlacing(make_path(3), (0, 1)) is holds
 
 
 class TestPendantAndAttachment:

@@ -1,11 +1,12 @@
 """The shared cycle-rooted forest against the structure code it replaced.
 
-unicyclic_decompose now owns one forest (order, parent) that the
-eccentricities, the diametral path, the connector to the cycle and the tail
-test all read. structure_oracle holds the earlier code, which built that
-rooting three times over and found the path by two BFS; both must give the
-same cycle, trees, eccentricities, diametral path and core classification
-on every input.
+One leaf strip (stripped, parent, cycle) is read by the eccentricities,
+the diametral path, the connector to the cycle and the core's
+classification; unicyclic_decompose builds its public view from the same
+strip. structure_oracle holds the earlier code, which built that rooting
+three times over and found the path by two BFS; both must give the same
+cycle, trees, eccentricities, diametral path and core classification on
+every input.
 """
 
 import random
@@ -46,9 +47,11 @@ def _assert_same_structure(g: Graph) -> None:
     cycle, trees = oracle.decompose(g)
     assert dec.cycle == cycle, g.edges()
     assert dec.trees == trees, g.edges()
-    ecc = graphs._unicyclic_eccentricities(g, dec)
+    stripped, parent, (strip_cycle,) = graphs._unicyclic_strip(g)
+    assert tuple(strip_cycle) == cycle and parent == dec.parent, g.edges()
+    ecc = graphs._unicyclic_eccentricities(strip_cycle, stripped, parent)
     assert ecc == oracle.eccentricities(g, cycle)
-    got = graphs._unicyclic_diameter_and_path(g, dec)
+    got = graphs._unicyclic_diameter_and_path(stripped, parent, [strip_cycle])
     assert got == oracle.path_from_eccentricities(g, ecc), g.edges()
     assert diameter_and_path(g) == oracle.diameter_and_path(g), g.edges()
     got, want = reduce_to_core(g), oracle.reduce_to_core(g)
@@ -177,24 +180,28 @@ class TestForest:
             _assert_forest(g, unicyclic_decompose(g))
 
     def test_core_decomposition_is_a_full_forest(self, monkeypatch):
-        """The relabelled core decomposition matches a fresh one of the core."""
+        """The core's cycle, relabelled from g's, is the cycle of a fresh
+        strip of the core, and the path _classify reads is the diametral
+        path in the core's labels."""
         seen = []
         original = graphs._classify
 
-        def recording(core, dec):
-            seen.append((core, dec))
-            return original(core, dec)
+        def recording(core, cycle, path):
+            seen.append((core, cycle, path))
+            return original(core, cycle, path)
 
         monkeypatch.setattr(graphs, "_classify", recording)
         rng = random.Random(6)
         corpus = [make_lollipop(12, 5), make_cycle(7)] + _spiders()
         corpus += [random_unicyclic(rng, rng.randrange(3, 60)) for _ in range(100)]
         for g in corpus:
-            reduce_to_core(g)
-            core, dec = seen.pop()
-            fresh = unicyclic_decompose(core)
-            assert (dec.cycle, dec.trees, dec.parent) == (fresh.cycle, fresh.trees, fresh.parent)
-            _assert_forest(core, dec)
+            got = reduce_to_core(g)
+            core, cycle, path = seen.pop()
+            assert core is got.core
+            _, _, (fresh,) = graphs._unicyclic_strip(core)
+            assert cycle == fresh, g.edges()
+            assert path == tuple(got.core_vertices.index(v) for v in got.diametral_path)
+            _assert_forest(core, unicyclic_decompose(core))
 
     def test_whole_graph_core_is_the_graph(self):
         """A core kept on all of V is g itself, not a rebuilt copy."""
