@@ -87,9 +87,14 @@ class Graph:
             nbrs[v].add(u)
         # the edges were checked one by one and the lists are built sorted and
         # symmetric, so __post_init__'s second O(n + m) pass is skipped
+        return Graph._trusted(n, tuple(tuple(sorted(s)) for s in nbrs))
+
+    @staticmethod
+    def _trusted(n: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":
+        """A Graph on adjacency its caller built valid, without __post_init__."""
         g = object.__new__(Graph)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(tuple(sorted(s)) for s in nbrs))
+        object.__setattr__(g, "adj", adj)
         return g
 
     @property

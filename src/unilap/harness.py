@@ -20,7 +20,6 @@ from .bounds import (
     analyze,
     ceil_div,
     compass_bounds,
-    domination_number,
     lollipop_exact_count,
     main_lower_bound,
     refined_lollipop_bound,
@@ -33,7 +32,6 @@ from .graphs import (
     Graph,
     _connected_strip,
     _unicyclic_diameter_and_path,
-    diameter_and_path,
     join_with_edge,
     make_compass,
     make_cycle,
@@ -380,9 +378,11 @@ def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> Verify
         for i in range(count):
             n = rng.randrange(2, max_n + 1)
             g = random_tree(rng, n)
-            d, _ = diameter_and_path(g)
-            c = count_interval(g, 0, 1).count
-            if not ceil_div(d + 1, 3) <= c <= domination_number(g):
+            # one leaf strip gives the diameter, the count (negatives at 1) and gamma
+            forest = _connected_strip(g)
+            d = _unicyclic_diameter_and_path(*forest)[0]
+            c, _, gamma = _count01_mult1_gamma(g, forest)
+            if not ceil_div(d + 1, 3) <= c <= gamma:
                 failures.append((i, n))
         return count, failures
 

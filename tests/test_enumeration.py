@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 
 from conftest import graphs_isomorphic
-from unilap.enumeration import enumerate_unicyclic, rooted_trees, tree_size
+from necklace_oracle import oracle_unicyclic
+from unilap import enumeration
+from unilap.enumeration import enumerate_unicyclic, rooted_trees
 from unilap.errors import InvalidParameterError
-from unilap.graphs import Graph, unicyclic_decompose
+from unilap.graphs import Graph, girth, unicyclic_decompose
 
 
 def labeled_trees(k):
@@ -37,6 +39,10 @@ def labeled_trees(k):
         u, v = candidates
         edges.append((u, v))
         yield Graph.from_edges(k, edges)
+
+
+def tree_size(code):
+    return 1 + sum(tree_size(child) for child in code)
 
 
 def rooted_code(g, root, parent=None):
@@ -142,9 +148,55 @@ class TestEnumerateUnicyclic:
         with pytest.raises(InvalidParameterError):
             list(enumerate_unicyclic(2))
         with pytest.raises(InvalidParameterError):
-            list(enumerate_unicyclic(12))
+            list(enumerate_unicyclic(17))
 
     def test_deterministic_order(self):
         first = [g.edges() for g in enumerate_unicyclic(7)]
         second = [g.edges() for g in enumerate_unicyclic(7)]
         assert first == second
+
+    def test_counts_past_the_old_cap(self):
+        # OEIS A001429, connected unicyclic graphs on n nodes
+        for n, want in {12: 5026, 13: 13999, 14: 39260}.items():
+            assert sum(1 for _ in enumerate_unicyclic(n)) == want
+
+    def test_order_is_girth_ascending_and_independent_of_the_cache(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_ALPHABET", enumeration._Alphabet([], [], [], [], []))
+        first = [g.edges() for g in enumerate_unicyclic(9)]
+        enumeration._alphabet(12)  # a larger alphabet re-ranks every code
+        assert [g.edges() for g in enumerate_unicyclic(9)] == first
+        for n in range(3, 12):
+            girths = [girth(g) for g in enumerate_unicyclic(n)]
+            assert girths == sorted(girths)
+
+    def test_bracelets_are_least_and_ascending(self):
+        # each girth yields least sequences (over rotations and reflections)
+        # in strictly increasing lexicographic order, the documented order
+        alpha = enumeration._alphabet(8)
+        for n in range(3, 11):
+            for r in range(3, n + 1):
+                seqs = [tuple(a) for a in enumeration._bracelets(n, r, alpha)]
+                assert seqs == sorted(set(seqs))
+                for s in seqs:
+                    assert sum(alpha.size[x] for x in s) == n
+                    assert s == min(v[i:] + v[:i] for v in (s, s[::-1]) for i in range(r))
+
+
+class TestAgainstDedupeOracle:
+    """The necklace generator against the assign-then-dedupe enumerator it replaced."""
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_same_edge_lists_per_girth(self, n):
+        want: dict[int, Counter] = {}
+        for r, g in oracle_unicyclic(n):
+            want.setdefault(r, Counter())[tuple(g.edges())] += 1
+        got: dict[int, Counter] = {}
+        for g in enumerate_unicyclic(n):
+            got.setdefault(girth(g), Counter())[tuple(g.edges())] += 1
+        assert got == want
+
+    def test_outputs_pass_full_validation(self):
+        # the build bypasses __post_init__, so run it on every output
+        for n in range(3, 12):
+            for g in enumerate_unicyclic(n):
+                assert Graph(g.n, g.adj) == g

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from unilap.bounds import ceil_div
-from unilap import bounds, graphs, harness
+from unilap.bounds import ceil_div, domination_number
+from unilap import bounds, charpoly, graphs, harness, spectra
 from unilap.cli import main
 from unilap.errors import InternalConsistencyError, InvalidParameterError
 from unilap.graphs import (
     CompassParams,
     Graph,
+    diameter_and_path,
     make_compass,
     make_cycle,
     make_lollipop,
@@ -30,6 +31,7 @@ from unilap.harness import (
     sweep,
     write_csv,
 )
+from unilap.spectra import count_interval
 import random
 
 
@@ -91,6 +93,38 @@ class TestSuites:
         # gamma comes from the linear tree DP, so trees past n = 32 are checked
         report = check_tree_chain(max_n=200)
         assert report.ok, report.failures[:5]
+
+    def test_tree_chain_strips_each_tree_once(self, monkeypatch):
+        calls = []
+        strip = graphs._cycle_forest
+
+        def counted(g):
+            calls.append(g.n)
+            return strip(g)
+
+        for module in (graphs, spectra, charpoly):
+            monkeypatch.setattr(module, "_cycle_forest", counted)
+        report = check_tree_chain(count=50, max_n=20, seed=3)
+        assert report.checked == 50 and len(calls) == 50
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tree_chain_matches_the_public_route(self, seed):
+        # the same corpus, each tree measured by one strip and by three
+        # separate public calls
+        rng = random.Random(seed)
+        want = []
+        for i in range(100):
+            n = rng.randrange(2, 40 + 1)
+            g = random_tree(rng, n)
+            d, _ = diameter_and_path(g)
+            c = count_interval(g, 0, 1).count
+            gamma = domination_number(g)
+            forest = graphs._connected_strip(g)
+            count01, _, strip_gamma = bounds._count01_mult1_gamma(g, forest)
+            assert (graphs._unicyclic_diameter_and_path(*forest)[0], count01, strip_gamma) == (d, c, gamma)
+            if not ceil_div(d + 1, 3) <= c <= gamma:
+                want.append((i, n))
+        assert check_tree_chain(count=100, max_n=40, seed=seed).failures == want
 
     def test_unknown_suite(self):
         with pytest.raises(InvalidParameterError):
@@ -230,7 +264,9 @@ class TestSweep:
             return original(stripped, parent, cycles)
 
         for module in (graphs, bounds, harness):
-            monkeypatch.setattr(module, "diameter_and_path", forbidden)
+            # harness no longer imports it; set it there anyway, so a call
+            # through that name would still fail
+            monkeypatch.setattr(module, "diameter_and_path", forbidden, raising=False)
         monkeypatch.setattr(graphs, "bfs_distances", forbidden)
         monkeypatch.setattr(graphs, "UnicyclicDecomposition", forbidden)
         monkeypatch.setattr(harness, "_unicyclic_diameter_and_path", counted)
