@@ -11,15 +11,16 @@ to cross-examine the recurrences; it shares no code with them. When every
 component of the graph has at most one cycle, it runs the leaf-to-root
 elimination of spectra._forest_inertia over Z[x] on the leaf strip
 (graphs._cycle_forest), in O(n^2) coefficient operations. Any other graph,
-and every matrix minor (charpoly_det_matrix), takes exact determinants at
-the integer sample points 0..n by Bareiss's fraction-free elimination on
-Python ints, then interpolates from integer forward differences.
+and every matrix minor, goes to charpoly_det_matrix: the division-free
+Samuelson-Berkowitz recursion over the leading principal blocks, on
+Python ints, in O(n^4) integer operations.
 """
 
 import math
 import threading
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 
 from .errors import InternalConsistencyError, InvalidParameterError
 from .graphs import Graph, _cycle_forest, join_with_edge, make_cycle, make_lollipop, make_path
@@ -207,75 +208,25 @@ def phi_lollipop(n: int, r: int) -> IntPolynomial:
 # determinant oracle (independent of every recurrence above)
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
-
-    Bareiss: each step replaces the trailing block by 2x2 cross products
-    divided by the previous pivot. Every entry is then a minor of the input,
-    so each division is exact and every value stays a Python int. A zero
-    pivot swaps in a lower row with a nonzero leading entry and flips the
-    sign; if there is none, the matrix is singular.
-    """
-    sign, prev = 1, 1
-    while len(rows) > 1:
-        if not rows[0][0]:
-            swap = next((i for i, row in enumerate(rows) if row[0]), None)
-            if swap is None:
-                return 0
-            rows[0], rows[swap] = rows[swap], rows[0]
-            sign = -sign
-        top = rows[0]
-        pivot = top[0]
-        rows = [
-            [(pivot * a - row[0] * b) // prev for a, b in zip(row[1:], top[1:])]
-            for row in rows[1:]
-        ]
-        prev = pivot
-    return sign * rows[0][0] if rows else 1
-
-
-def _interpolate_int(values: list[int]) -> IntPolynomial:
-    """The integer polynomial of degree at most n taking values[x] at x = 0..n.
-
-    Newton's forward form: p(x) is the sum over k of D^k p(0) times
-    x(x-1)...(x-k+1) / k!, with D the forward difference. Scaled by n! each
-    term has integer coefficients, so the Horner expansion runs on ints and
-    each coefficient is divided by n! once at the end; a remainder means
-    the samples do not come from an integer polynomial.
-    """
-    diffs = []
-    row = list(values)
-    while row:
-        diffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    scale = 1  # n!/k! at step k, n! after the last
-    poly = [diffs[-1]]
-    for k in range(len(diffs) - 2, -1, -1):
-        scale *= k + 1
-        shifted = [0] + poly
-        for i, c in enumerate(poly):
-            shifted[i] -= k * c
-        shifted[0] += diffs[k] * scale
-        poly = shifted
-    coeffs = []
-    for c in poly:
-        q, rem = divmod(c, scale)
-        if rem:
-            raise InternalConsistencyError("interpolation produced non-integer coefficients")
-        coeffs.append(q)
-    return IntPolynomial._of_ints(coeffs)
-
-
 def charpoly_det_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
-    """det(xI - M) for an integer matrix, by sampling and interpolation."""
-    n = len(rows)
-    values = []
-    for x0 in range(n + 1):
-        mat = [
-            [(x0 if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)
-        ]
-        values.append(_det_bareiss(mat))
-    return _interpolate_int(values)
+    """det(xI - M) for an integer matrix by the Samuelson-Berkowitz recursion.
+
+    Berkowitz (Inf. Process. Lett. 18, 1984). With A the leading k x k
+    block and M's next row (R, a) and column (C, a) bordering it,
+    det(xI - A') = det(xI - A) (x - a - sum_j R A^j C / x^(j+1)). The terms
+    with j >= k cancel by Cayley-Hamilton, so the new coefficients are a
+    Toeplitz product of the old ones with 1, -a, -RC, ..., -R A^(k-1) C.
+    Everything is integer multiplication and addition: no division, no
+    sampling and no interpolation.
+    """
+    p = [1]  # det(xI - A), highest degree first
+    for k, row in enumerate(rows):
+        q, col = [1, -row[k]], [r[k] for r in rows[:k]]
+        for _ in range(k):
+            q.append(-sum(map(mul, row, col)))
+            col = [sum(map(mul, r, col)) for r in rows[:k]]
+        p = [sum(q[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return IntPolynomial._of_ints(p[::-1])
 
 
 def _forest_charpoly(g: Graph, forest: tuple) -> IntPolynomial:
@@ -320,7 +271,7 @@ def _forest_charpoly(g: Graph, forest: tuple) -> IntPolynomial:
 
 def charpoly_det(g: Graph) -> IntPolynomial:
     """det(xI - L(g)) by the determinant oracle: the fold over g's leaf strip
-    when every component has at most one cycle, else Bareiss samples."""
+    when every component has at most one cycle, else the Berkowitz recursion."""
     forest = _cycle_forest(g)
     if forest is None:
         return charpoly_det_matrix(laplacian_rows(g))

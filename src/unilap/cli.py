@@ -22,7 +22,7 @@ from .graphs import (
     read_edge_list,
     write_edge_list,
 )
-from .harness import CSV_COLUMNS, SUITES, _row, run_suite, sweep, write_csv
+from .harness import CSV_COLUMNS, SUITES, SWEEP_FAMILIES, _row, run_suite, sweep, write_csv
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(fn=_cmd_verify)
 
     scan = sub.add_parser("scan", help="sweep a family and emit CSV")
-    scan.add_argument("--family", required=True, choices=["path", "cycle", "lollipop", "compass"])
+    scan.add_argument("--family", required=True, choices=SWEEP_FAMILIES)
     scan.add_argument("--n-range", required=True, help="inclusive range A..B")
     scan.add_argument("--out", default=None, help="CSV output file (default stdout)")
     scan.set_defaults(fn=_cmd_scan)

@@ -176,12 +176,17 @@ def enumerate_unicyclic(n: int) -> Iterator[Graph]:
 
     Deterministic order: girth ascending, then each class's least rank
     sequence in lexicographic order (see the module docstring). Each class
-    is yielded as soon as it is found.
+    is yielded as soon as it is found. n is checked here, at call time;
+    all the work, the tree alphabet included, waits for the first next().
     """
     if not 3 <= n <= ENUMERATION_MAX_N:
         raise InvalidParameterError(
             f"need 3 <= n <= {ENUMERATION_MAX_N}, got {n}"
         )
+    return _classes(n)
+
+
+def _classes(n: int) -> Iterator[Graph]:
     alpha = _alphabet(n - 2)
     for r in range(3, n + 1):
         for seq in _bracelets(n, r, alpha):

@@ -12,7 +12,7 @@ import csv
 import random
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TextIO
 
 from .bounds import (
@@ -46,6 +46,9 @@ from .witnesses import compass_one_witness, cycle_one_vectors, lollipop_one_witn
 # valid whenever the diameter is divisible by 3
 PHI_AT_ONE_BY_R_MOD6 = {1: 1, 2: 2, 3: -4, 4: -1, 5: 1}
 
+# random bridge joins that the charpoly suite checks after the identities
+CHARPOLY_RANDOM_JOINS = 20
+
 
 @dataclass
 class VerifyReport:
@@ -69,6 +72,9 @@ def random_tree(rng: random.Random, n: int) -> Graph:
 
 
 def random_unicyclic(rng: random.Random, n: int) -> Graph:
+    """A random recursive tree plus one uniform non-edge; needs n >= 3."""
+    if n < 3:
+        raise InvalidParameterError(f"a unicyclic graph needs n >= 3, got {n}")
     g = random_tree(rng, n)
     while True:
         u, v = rng.randrange(n), rng.randrange(n)
@@ -263,7 +269,7 @@ def suite_witnesses(max_n: int = 60, seed: int = 0) -> VerifyReport:
     return _timed(run, "witnesses")
 
 
-def suite_charpoly(max_n: int = 12, seed: int = 0, random_joins: int = 20) -> VerifyReport:
+def suite_charpoly(max_n: int = 12, seed: int = 0) -> VerifyReport:
     """Polynomial identities against the determinant oracle, plus random joins."""
     if max_n < 4:
         raise InvalidParameterError(f"charpoly suite needs max_n >= 4, got {max_n}")
@@ -276,7 +282,7 @@ def suite_charpoly(max_n: int = 12, seed: int = 0, random_joins: int = 20) -> Ve
             for item in bad:
                 failures.append((name, item))
         rng = random.Random(seed)
-        for _ in range(random_joins):
+        for _ in range(CHARPOLY_RANDOM_JOINS):
             checked += 1
             g1 = random_connected_graph(rng, rng.randrange(2, 7), rng.randrange(0, 3))
             g2 = random_connected_graph(rng, rng.randrange(2, 7), rng.randrange(0, 3))
@@ -290,12 +296,15 @@ def suite_charpoly(max_n: int = 12, seed: int = 0, random_joins: int = 20) -> Ve
 
 def suite_exhaustive(max_n: int = 10, seed: int = 0) -> VerifyReport:
     """Every verdict of analyze on every unicyclic graph with n <= max_n."""
+    # each call checks its n before any class is built, so a max_n past
+    # the enumeration cap is rejected before anything is analyzed
+    classes = {n: enumerate_unicyclic(n) for n in range(3, max_n + 1)}
 
     def run():
         failures = []
         checked = 0
-        for n in range(3, max_n + 1):
-            for g in enumerate_unicyclic(n):
+        for n, graphs in classes.items():
+            for g in graphs:
                 checked += 1
                 for name, ok in analyze(g).verdicts.items():
                     if not ok:
@@ -433,24 +442,6 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> VerifyRepor
 # ---------------------------------------------------------------------------
 # sweeps
 
-CSV_COLUMNS = [
-    "family",
-    "n",
-    "r",
-    "r_prime",
-    "t",
-    "d",
-    "girth",
-    "main_bound",
-    "refined_bound",
-    "count01",
-    "mult1",
-    "gamma",
-    "bound_ok",
-    "hedetniemi_ok",
-]
-
-
 @dataclass
 class SweepRow:
     family: str
@@ -477,6 +468,9 @@ class SweepRow:
             return str(x)
 
         return [fmt(getattr(self, col)) for col in CSV_COLUMNS]
+
+
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 def _measure(
@@ -528,10 +522,23 @@ def _row(
     )
 
 
+SWEEP_FAMILIES = ("path", "cycle", "lollipop", "compass")
+
+
 def sweep(family: str, n_lo: int, n_hi: int) -> Iterator[SweepRow]:
-    """One row per family instance with n_lo <= n <= n_hi, lexicographic order."""
+    """One row per family instance with n_lo <= n <= n_hi, lexicographic order.
+
+    The family and the range are checked here, at call time, so a bad
+    request fails before a caller writes anything; every row is built lazily.
+    """
+    if family not in SWEEP_FAMILIES:
+        raise InvalidParameterError(f"unknown sweep family {family!r}")
     if n_lo > n_hi:
         raise InvalidParameterError(f"empty range {n_lo}..{n_hi}")
+    return _sweep_rows(family, n_lo, n_hi)
+
+
+def _sweep_rows(family: str, n_lo: int, n_hi: int) -> Iterator[SweepRow]:
     for n in range(n_lo, n_hi + 1):
         if family == "path":
             if n < 1:
@@ -555,15 +562,13 @@ def sweep(family: str, n_lo: int, n_hi: int) -> Iterator[SweepRow]:
                     main_bound=main_lower_bound(d, r),
                     refined_bound=refined_lollipop_bound(d, r),
                 )
-        elif family == "compass":
+        else:  # compass
             for p in compass_params_for_n(n):
                 base, strengthened = compass_bounds(p)
                 yield _measure(
                     "compass", make_compass(p), r=p.r, r_prime=p.r_prime, t=p.t,
                     d=p.d, main_bound=base, refined_bound=strengthened,
                 )
-        else:
-            raise InvalidParameterError(f"unknown sweep family {family!r}")
 
 
 def write_csv(rows: Iterator[SweepRow], dest: TextIO) -> int:

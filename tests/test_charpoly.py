@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bareiss_det
 import fraction_det
 from conftest import forests_upto, one_cycle_unions
 from unilap import charpoly
 from unilap.charpoly import (
     IntPolynomial,
-    _det_bareiss,
     charpoly_det,
     charpoly_det_matrix,
     edge_join_identity_holds,
@@ -244,26 +244,44 @@ class TestGlobalShape:
                 assert below + above == g.n
 
 
-def _bareiss(g):
-    """The Bareiss route, which charpoly_det takes only off the leaf strip."""
-    return charpoly_det_matrix(laplacian_rows(g))
+def _against_both_oracles(rows):
+    """charpoly_det_matrix(rows), checked against the Bareiss-sampling route
+    it replaced and the Fraction-elimination route before that."""
+    got = charpoly_det_matrix(rows)
+    assert got == bareiss_det.charpoly_det_matrix(rows), rows
+    assert got == fraction_det.charpoly_det_matrix(rows), rows
+    return got
 
 
 class TestBareissAgainstFractionOracle:
-    """charpoly_det against the Fraction-elimination route it replaced, and
-    on unicyclic classes also against the Bareiss route the fold replaced."""
+    """charpoly_det and the Berkowitz recursion of charpoly_det_matrix against
+    the two test oracles: the Bareiss-sampling route (tests/bareiss_det.py)
+    and the Fraction-elimination route (tests/fraction_det.py)."""
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_every_unicyclic_class(self, n):
         for g in enumerate_unicyclic(n):
             got = charpoly_det(g)
-            assert got == _bareiss(g) == fraction_det.charpoly_det(g), g.edges()
+            assert got == bareiss_det.charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
 
     def test_random_connected_graphs(self):
         rng = random.Random(11)
         for _ in range(50):
             g = random_connected_graph(rng, rng.randrange(1, 15), rng.randrange(0, 4))
             assert charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
+
+    def test_random_connected_graphs_and_a_minor_of_each(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            g = random_connected_graph(rng, rng.randrange(1, 15), rng.randrange(0, 4))
+            _against_both_oracles(laplacian_rows(g))
+            _against_both_oracles(laplacian_minor(g, rng.randrange(g.n)))
+
+    def test_random_integer_matrices(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            n = rng.randrange(0, 8)
+            _against_both_oracles([[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)])
 
     def test_every_matrix_of_the_identity_suite(self, monkeypatch):
         """Every minor and every graph polynomial that the identity suite
@@ -289,7 +307,7 @@ class TestBareissAgainstFractionOracle:
         for k in range(1, 11):
             assert tuple(map(tuple, charpoly._interior_minor_matrix(k))) in seen
         for rows, poly_ in seen.items():
-            assert poly_ == fraction_det.charpoly_det_matrix(rows), rows
+            assert poly_ == _against_both_oracles(rows), rows
         assert {make_path(k) for k in range(1, 14)} <= seen_graphs.keys()
         assert {make_cycle(k) for k in range(3, 13)} <= seen_graphs.keys()
         assert make_lollipop(12, 11) in seen_graphs
@@ -297,25 +315,24 @@ class TestBareissAgainstFractionOracle:
             assert poly_ == fraction_det.charpoly_det(g), g.edges()
 
     def test_empty_and_one_by_one(self):
-        assert charpoly_det_matrix([]) == poly(1) == fraction_det.charpoly_det_matrix([])
-        assert charpoly_det_matrix([[5]]) == poly(-5, 1)
-        assert charpoly_det_matrix([[-3]]) == fraction_det.charpoly_det_matrix([[-3]])
-        assert _det_bareiss([]) == 1 and _det_bareiss([[7]]) == 7
+        assert _against_both_oracles([]) == poly(1)
+        assert _against_both_oracles([[5]]) == poly(-5, 1)
+        assert _against_both_oracles([[-3]]) == poly(3, 1)
+        assert bareiss_det._det_bareiss([]) == 1 and bareiss_det._det_bareiss([[7]]) == 7
 
     def test_zero_leading_entry_swaps_rows(self):
         # at x0 = 1 the sample [[0, -2], [-2, 0]] has a zero pivot and det -4
         rows = [[1, 2], [2, 1]]
-        assert charpoly_det_matrix(rows) == poly(-3, -2, 1)
-        assert charpoly_det_matrix(rows) == fraction_det.charpoly_det_matrix(rows)
+        assert _against_both_oracles(rows) == poly(-3, -2, 1)
         # the star's centre has degree 3, so the sample at 3 swaps, and 3 is
         # not an eigenvalue, so the swapped determinant is nonzero
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert charpoly_det(star) == poly(0, -4, 9, -6, 1)
         assert charpoly_det(star) == fraction_det.charpoly_det(star)
-        det = _det_bareiss([[0, 1, 1, 1], [1, 2, 0, 0], [1, 0, 2, 0], [1, 0, 0, 2]])
+        det = bareiss_det._det_bareiss([[0, 1, 1, 1], [1, 2, 0, 0], [1, 0, 2, 0], [1, 0, 0, 2]])
         assert type(det) is int and det == -12
-        assert _det_bareiss([[0, 1], [1, 0]]) == -1
-        assert _det_bareiss([[0, 1], [0, 1]]) == 0
+        assert bareiss_det._det_bareiss([[0, 1], [1, 0]]) == -1
+        assert bareiss_det._det_bareiss([[0, 1], [0, 1]]) == 0
 
 
 def _random_cycle_forest(rng, n):
@@ -344,21 +361,21 @@ def _random_one_cycle_graphs():
 
 
 class TestLeafStripFold:
-    """charpoly_det's fold over the leaf strip against the Bareiss route,
+    """charpoly_det's fold over the leaf strip against the Bareiss oracle,
     and against the Fraction route on the graphs small enough for its
     n + 1 Fraction eliminations."""
 
     def test_small_graphs_against_bareiss_and_fraction(self):
         for g in _small_one_cycle_graphs():
             got = charpoly_det(g)
-            assert got == _bareiss(g), g.edges()
+            assert got == bareiss_det.charpoly_det(g), g.edges()
             if g.n <= 7:
                 assert got == fraction_det.charpoly_det(g), g.edges()
 
     def test_random_graphs_against_bareiss_and_fraction(self):
         for g in _random_one_cycle_graphs():
             got = charpoly_det(g)
-            assert got == _bareiss(g), g.edges()
+            assert got == bareiss_det.charpoly_det(g), g.edges()
             if g.n <= 10:
                 assert got == fraction_det.charpoly_det(g), g.edges()
 
@@ -368,41 +385,74 @@ class TestLeafStripFold:
         assert charpoly_det(make_path(150)) == phi_path(150)
 
     @pytest.fixture
-    def no_bareiss(self, monkeypatch):
+    def no_matrix_route(self, monkeypatch):
         def refuse(rows):
-            raise AssertionError("_det_bareiss reached")
+            raise AssertionError("charpoly_det_matrix reached")
 
-        monkeypatch.setattr(charpoly, "_det_bareiss", refuse)
+        monkeypatch.setattr(charpoly, "charpoly_det_matrix", refuse)
 
-    def test_at_most_one_cycle_per_component_never_reaches_bareiss(self, no_bareiss):
+    def test_at_most_one_cycle_per_component_never_reaches_charpoly_det_matrix(
+        self, no_matrix_route
+    ):
         graphs = [g for n in range(3, 10) for g in enumerate_unicyclic(n)]
         for g in graphs + _small_one_cycle_graphs() + _random_one_cycle_graphs():
             assert charpoly_det(g).degree == g.n
 
-    def test_two_cycles_in_one_component_reach_bareiss(self, monkeypatch):
+    def test_two_cycles_in_one_component_reach_charpoly_det_matrix_once(self, monkeypatch):
         calls = []
 
         def counting(rows):
-            calls.append(len(rows))
-            return _det_bareiss(rows)
+            calls.append(rows)
+            return charpoly_det_matrix(rows)
 
-        monkeypatch.setattr(charpoly, "_det_bareiss", counting)
+        monkeypatch.setattr(charpoly, "charpoly_det_matrix", counting)
         theta = make_cycle(6).with_edge_added(0, 3)
         triangles = join_with_edge(make_cycle(3), 0, make_cycle(3), 0)
-        k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        k4 = _complete(4)
         for g in (theta, triangles, k4):
             calls.clear()
             assert charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
-            assert calls == [g.n] * (g.n + 1)
+            assert calls == [laplacian_rows(g)]
 
 
 class TestIntegerInterpolation:
+    """The Bareiss oracle's interpolation step."""
+
     def test_recovers_integer_polynomials(self):
-        assert charpoly._interpolate_int([7]) == poly(7)
-        assert charpoly._interpolate_int([0, 0, 2]) == poly(0, -1, 1)
-        assert charpoly._interpolate_int([-5, -3, 11, 49]) == poly(-5, 0, 0, 2)
+        assert bareiss_det._interpolate_int([7]) == poly(7)
+        assert bareiss_det._interpolate_int([0, 0, 2]) == poly(0, -1, 1)
+        assert bareiss_det._interpolate_int([-5, -3, 11, 49]) == poly(-5, 0, 0, 2)
 
     def test_remainder_raises(self):
         # x(x-1)/2 is an integer at every integer, but its coefficients are not
         with pytest.raises(InternalConsistencyError):
-            charpoly._interpolate_int([0, 0, 1])
+            bareiss_det._interpolate_int([0, 0, 1])
+
+
+def _complete(n):
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _theta(n):
+    """The n-cycle with the chord (0, n // 2): paths of lengths a = n // 2,
+    b = n - a and 1 between two vertices, so ab + a + b spanning trees."""
+    return make_cycle(n).with_edge_added(0, n // 2)
+
+
+class TestKirchhoff:
+    """The x coefficient of det(xI - L) of a connected graph is
+    (-1)^(n-1) n tau(G), with tau the number of spanning trees
+    (matrix-tree theorem), checked on the Berkowitz route directly."""
+
+    @staticmethod
+    def _x_coefficient(g):
+        return charpoly_det_matrix(laplacian_rows(g)).coeffs[1]
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 13, 20, 31, 60])
+    def test_theta_graphs(self, n):
+        a, b = n // 2, n - n // 2
+        assert self._x_coefficient(_theta(n)) == (-1) ** (n - 1) * n * (a * b + a + b)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_complete_graphs(self, n):
+        assert self._x_coefficient(_complete(n)) == (-1) ** (n - 1) * n * n ** (n - 2)

@@ -145,10 +145,11 @@ class TestEnumerateUnicyclic:
         assert by_girth[3] > by_girth[5]
 
     def test_range_enforced(self):
+        # at call time, before the first class is asked for
         with pytest.raises(InvalidParameterError):
-            list(enumerate_unicyclic(2))
+            enumerate_unicyclic(2)
         with pytest.raises(InvalidParameterError):
-            list(enumerate_unicyclic(17))
+            enumerate_unicyclic(17)
 
     def test_deterministic_order(self):
         first = [g.edges() for g in enumerate_unicyclic(7)]

@@ -48,6 +48,21 @@ class TestRandomCorpora:
             g = random_unicyclic(rng, 8)
             assert g.m == g.n and g.is_connected()
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_random_unicyclic_rejects_too_few_vertices(self, n):
+        # a tree on at most 2 vertices has no non-edge to add; the bounded
+        # rng turns a search for one into a failure instead of a hang
+        class Bounded(random.Random):
+            draws = 0
+
+            def randrange(self, *args):
+                self.draws += 1
+                assert self.draws < 100, "searching for a non-edge"
+                return super().randrange(*args)
+
+        with pytest.raises(InvalidParameterError, match="n >= 3"):
+            random_unicyclic(Bounded(0), n)
+
 
 class TestSuites:
     @pytest.mark.parametrize(
@@ -219,8 +234,9 @@ class TestSweep:
             assert row.gamma == ceil_div(row.n, 3) and row.hedetniemi_ok is True
 
     def test_unknown_family(self):
+        # at call time, before the first row is asked for
         with pytest.raises(InvalidParameterError):
-            list(sweep("wheel", 3, 5))
+            sweep("wheel", 3, 5)
 
     def test_compass_param_order_lexicographic(self):
         params = [(p.r, p.r_prime, p.t) for p in compass_params_for_n(12)]
@@ -362,6 +378,25 @@ class TestCLI:
 
     def test_bad_range(self, capsys):
         assert main(["scan", "--family", "cycle", "--n-range", "abc"]) == 2
+
+    def test_empty_range_writes_nothing(self, tmp_path, capsys):
+        assert main(["scan", "--family", "cycle", "--n-range", "5..3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "empty range 5..3" in captured.err
+        out = tmp_path / "rows.csv"
+        assert main(["scan", "--family", "cycle", "--n-range", "5..3", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_verify_rejects_exhaustive_past_the_cap_before_any_work(self, monkeypatch, capsys):
+        def refuse(g):
+            raise AssertionError("analyze reached")
+
+        monkeypatch.setattr(harness, "analyze", refuse)
+        with pytest.raises(InvalidParameterError, match="got 17"):
+            run_suite("exhaustive", max_n=17)
+        assert main(["verify", "--suite", "exhaustive", "--max-n", "17"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "got 17" in captured.err
 
     def test_reimport_frees_previous_copy(self):
         # run in a child: dropping unilap from sys.modules here would split
