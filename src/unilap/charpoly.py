@@ -7,18 +7,21 @@ are provably exact; a remainder means a bug in the recurrence bases and
 raises InternalConsistencyError rather than returning garbage.
 
 charpoly_det computes det(xI - L) by a wholly independent route and exists
-to cross-examine the recurrences; it shares no code with them. When every
-component of the graph has at most one cycle, it runs the leaf-to-root
-elimination of spectra._forest_inertia over Z[x] on the leaf strip
-(graphs._cycle_forest), in O(n^2) coefficient operations. Any other graph,
-and every matrix minor, goes to charpoly_det_matrix: the division-free
-Samuelson-Berkowitz recursion over the leading principal blocks, on
-Python ints, in O(n^4) integer operations.
+to cross-examine the recurrences; it shares no code with them and runs no
+IntPolynomial arithmetic. When every component has at most one cycle, it
+runs spectra._forest_inertia's elimination on the leaf strip
+(graphs._cycle_forest) over the integers at x = 2^b and reads the
+coefficients off the signed base-2^b digits; on paths, cycles and
+lollipops that beats the Z[x] fold it replaced at every n measured, and on
+bushy graphs up to n = 300 (_forest_charpoly: width proof, cost). The
+identity suite's path minors take the same fold. Any other graph, and the
+edge-join minors, go to charpoly_det_matrix: the division-free
+Samuelson-Berkowitz recursion, on Python ints, in O(n^4) operations.
 """
 
 import math
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -229,53 +232,96 @@ def charpoly_det_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     return IntPolynomial._of_ints(p[::-1])
 
 
-def _forest_charpoly(g: Graph, forest: tuple) -> IntPolynomial:
-    """det(xI - L(g)) from g's leaf strip (stripped, parent, cycles) of
-    graphs._cycle_forest, in O(n^2) coefficient operations.
+def _forest_charpoly(diag: list[int], forest: tuple) -> IntPolynomial:
+    """det(xI - M) for M with diagonal diag and -1 on the edges of the leaf
+    strip (stripped, parent, cycles) of graphs._cycle_forest, for M positive
+    semidefinite: a Laplacian or a principal submatrix of one.
 
-    spectra._forest_inertia's fold, run on M = L - xI over Z[x]: num[v]
-    starts at deg(v) - x and den[v] at 1, and folding x into its parent u
-    sets num[u] to num[u] num[x] - den[x] den[u] and den[u] to den[u] num[x].
-    num[x] is then det(M) on x's subtree, plus or minus a monic polynomial
-    and so never zero: no pivot pairs and nothing is sampled. A tree
+    The polynomial is read off one integer (Kronecker substitution).
+    spectra._forest_inertia's fold runs on M - XI over the integers at the
+    single point X = 2^b: num[v] starts at diag[v] - X and den[v] at 1, and
+    folding x into its parent u sets num[u] to num[u] num[x] - den[x] den[u]
+    and den[u] to den[u] num[x]. num[x] is then det(M - XI) on x's s-vertex
+    subtree, at least (X - tr M)^s > 1 in size, so den[u] == 1 exactly while
+    no child has touched u, and num[u] is still diag[u] - X: a product with
+    it is a shift and a subtraction, and one with den = 1 is skipped. A tree
     component's determinant is its root's num. On a cycle the pivots of the
     pendant trees multiply to the product of the cycle's dens, and the
     continuant of spectra._cycle_inertia at q = 1 is that product times the
     determinant of the cycle's Schur complement, so its closing value is
-    the component's determinant.
+    the component's determinant. Evaluation is a ring map, so the result is
+    p(X) for p = det(xI - M), and p's coefficients are its base-2^b digits
+    taken from [-2^(b-1), 2^(b-1)).
+
+    The width b = bitlen(prod(1 + diag)) + 1 is enough. p's roots are M's
+    eigenvalues, all >= 0, so its coefficients alternate in sign and
+    sum |c_k| = |p(-1)| = det(I + M). I + M is positive definite, so
+    Hadamard's inequality bounds det(I + M) by the product of its diagonal,
+    prod(1 + diag) < 2^(b-1).
+
+    Cost: each value is padded to b bits a coefficient, an s-vertex subtree
+    to about s b bits, so paths, cycles and lollipops take O(n^2 b) bit
+    operations. Against the Z[x] fold it replaced (2-vCPU VM, CPython 3.11)
+    a lollipop is 7x faster at n = 14, 11x at 60, 3.5x at 300 and 1.5x at
+    1000. Where large subtrees merge, Karatsuba pays for the padding: at
+    n = 300 a random recursive tree is still 1.5x faster, at n = 1000 it
+    takes 1.3x and a random unicyclic graph 1.5x as long.
     """
     stripped, parent, cycles = forest
-    one = IntPolynomial.constant(1)
-    num = [IntPolynomial._of_ints([len(nbrs), -1]) for nbrs in g.adj]
-    den = [one] * g.n
-    det = one if g.n % 2 == 0 else -one  # det(xI - L) = (-1)^n det(L - xI)
+    n = len(diag)
+    b = math.prod(d + 1 for d in diag).bit_length() + 1
+    big = 1 << b
+    num = [d - big for d in diag]
+    den = [1] * n
+    det = 1 if n % 2 == 0 else -1  # det(xI - M) = (-1)^n det(M - xI)
+
+    def times_num(v: int, a: int) -> int:
+        return a * diag[v] - (a << b) if den[v] == 1 else num[v] * a
+
+    def times_den(v: int, a: int) -> int:
+        return a if den[v] == 1 else den[v] * a
+
     for x in stripped:
-        u = parent[x]
+        u, a = parent[x], num[x]
         if u == x:
-            det *= num[x]
+            det *= a
         else:
-            num[u] = num[u] * num[x] - den[x] * den[u]
-            den[u] *= num[x]
+            num[u] = times_num(u, a) - times_den(x, den[u])
+            den[u] = times_den(u, a)
     for cycle in cycles:
-        nums = [num[v] for v in cycle]
-        dens = [den[v] for v in cycle]
-        f_prev, f = one, nums[0]
-        w_prev, w = IntPolynomial.zero(), dens[0]
-        for k in range(1, len(cycle) - 1):
-            e = dens[k] * dens[k - 1]
-            f_prev, f = f, nums[k] * f - e * f_prev
-            w_prev, w = w, nums[k] * w - e * w_prev
-        det *= nums[-1] * f - dens[-1] * (dens[-2] * f_prev + w) - 2 * math.prod(dens)
-    return det
+        first, *middle, last = cycle
+        f_prev, f = 1, num[first]
+        w_prev, w = 0, den[first]
+        prev = first
+        for v in middle:
+            e = den[v] * den[prev]
+            f_prev, f = f, times_num(v, f) - (f_prev if e == 1 else e * f_prev)
+            w_prev, w = w, times_num(v, w) - (w_prev if e == 1 else e * w_prev)
+            prev = v
+        closing = times_num(last, f) - times_den(last, times_den(prev, f_prev) + w)
+        det *= closing - 2 * math.prod(den[v] for v in cycle)
+    half = big >> 1
+    coeffs = []
+    for _ in range(n + 1):
+        c = det & (big - 1)
+        det >>= b
+        if c >= half:
+            c -= big
+            det += 1
+        coeffs.append(c)
+    if det:
+        raise InternalConsistencyError(f"p(2^{b}) has more than {n + 1} digits")
+    return IntPolynomial._of_ints(coeffs)
 
 
 def charpoly_det(g: Graph) -> IntPolynomial:
-    """det(xI - L(g)) by the determinant oracle: the fold over g's leaf strip
-    when every component has at most one cycle, else the Berkowitz recursion."""
+    """det(xI - L(g)) by the determinant oracle: the integer fold over g's
+    leaf strip (O(n^2 b) bit operations on paths, cycles and lollipops) when
+    every component has at most one cycle, else the Berkowitz recursion."""
     forest = _cycle_forest(g)
     if forest is None:
         return charpoly_det_matrix(laplacian_rows(g))
-    return _forest_charpoly(g, forest)
+    return _forest_charpoly(list(map(len, g.adj)), forest)
 
 
 def laplacian_minor(g: Graph, v: int) -> list[list[int]]:
@@ -305,16 +351,70 @@ def edge_join_identity_holds(g1: Graph, u: int, g2: Graph, v: int) -> bool:
     return lhs == rhs
 
 
-def _end_minor_matrix(n: int) -> list[list[int]]:
-    # (n+1)-path Laplacian with the last row/column deleted
-    rows = laplacian_rows(make_path(n + 1))
-    return [row[:n] for row in rows[:n]]
+def _trimmed_path_charpoly(k: int, raised: tuple[int, ...]) -> IntPolynomial:
+    """det(xI - M) for M the k-path Laplacian with its diagonal entries at
+    `raised` raised by one each: the end minor of the (k+1)-path Laplacian
+    for raised = (k - 1,), the interior minor of the (k+2)-path's for
+    (0, k - 1). Both are principal submatrices of a Laplacian, so the
+    leaf-strip fold's width bound holds for them."""
+    path = make_path(k)
+    diag = list(map(len, path.adj))
+    for v in raised:
+        diag[v] += 1
+    return _forest_charpoly(diag, _cycle_forest(path))
 
 
-def _interior_minor_matrix(n: int) -> list[list[int]]:
-    # (n+2)-path Laplacian with both end rows/columns deleted
-    rows = laplacian_rows(make_path(n + 2))
-    return [row[1 : n + 1] for row in rows[1 : n + 1]]
+_IDENTITIES = (
+    "path_recurrence",
+    "end_minor_times_x",
+    "interior_minor_shift",
+    "cycle_from_paths",
+    "lollipop_formula",
+    "edge_join_product",
+)
+
+
+def _identity_checks(n_max: int) -> Iterator[tuple[str, object, bool]]:
+    """Every instance of every polynomial identity up to n_max, checked
+    against the determinant oracle, as (identity, parameters, holds)."""
+    det_path = {k: charpoly_det(make_path(k)) for k in range(1, n_max + 2)}
+    det_path[0] = IntPolynomial.zero()
+
+    for k in range(1, n_max + 1):
+        yield "path_recurrence", k, phi_path(k) == det_path[k]
+
+    for k in range(0, n_max):
+        det_b = IntPolynomial.constant(1) if k == 0 else _trimmed_path_charpoly(k, (k - 1,))
+        yield "end_minor_times_x", k, _X * det_b == det_path[k + 1] + det_path[k]
+        yield "end_minor_times_x", ("recurrence", k), phi_aux("B", k) == det_b
+
+    for k in range(1, n_max):
+        det_h = IntPolynomial.constant(1) if k == 1 else _trimmed_path_charpoly(k - 1, (0, k - 2))
+        yield "interior_minor_shift", k, det_path[k] == _X * det_h
+        yield "interior_minor_shift", ("recurrence", k), phi_aux("H", k - 1) == det_h
+
+    for k in range(3, n_max + 1):
+        det_c = charpoly_det(make_cycle(k))
+        sign = 1 if k % 2 == 0 else -1
+        rhs = (det_path[k + 1] - det_path[k - 1]).divexact_x() + IntPolynomial.constant(
+            -2 * sign
+        )
+        yield "cycle_from_paths", k, det_c == rhs
+        yield "cycle_from_paths", ("recurrence", k), phi_cycle(k) == det_c
+
+    for n in range(4, n_max + 1):
+        for r in range(3, n):
+            yield "lollipop_formula", (n, r), phi_lollipop(n, r) == charpoly_det(make_lollipop(n, r))
+
+    join_cases = [
+        (make_path(2), 0, make_path(3), 1),
+        (make_path(1), 0, make_path(1), 0),
+        (make_cycle(3), 0, make_path(2), 0),
+        (make_cycle(4), 2, make_cycle(3), 1),
+        (make_path(4), 1, make_cycle(3), 2),
+    ]
+    for g1, u, g2, v in join_cases:
+        yield "edge_join_product", (g1.n, u, g2.n, v), edge_join_identity_holds(g1, u, g2, v)
 
 
 def verify_charpoly_identities(n_max: int) -> dict[str, list]:
@@ -325,68 +425,8 @@ def verify_charpoly_identities(n_max: int) -> dict[str, list]:
     """
     if n_max < 4:
         raise InvalidParameterError(f"need n_max >= 4, got {n_max}")
-    failures: dict[str, list] = {
-        "path_recurrence": [],
-        "end_minor_times_x": [],
-        "interior_minor_shift": [],
-        "cycle_from_paths": [],
-        "lollipop_formula": [],
-        "edge_join_product": [],
-    }
-    det_path = {k: charpoly_det(make_path(k)) for k in range(1, n_max + 2)}
-    det_path[0] = IntPolynomial.zero()
-
-    for k in range(1, n_max + 1):
-        if phi_path(k) != det_path[k]:
-            failures["path_recurrence"].append(k)
-
-    for k in range(0, n_max):
-        det_b = (
-            IntPolynomial.constant(1)
-            if k == 0
-            else charpoly_det_matrix(_end_minor_matrix(k))
-        )
-        if _X * det_b != det_path[k + 1] + det_path[k]:
-            failures["end_minor_times_x"].append(k)
-        if phi_aux("B", k) != det_b:
-            failures["end_minor_times_x"].append(("recurrence", k))
-
-    for k in range(1, n_max):
-        det_h = (
-            IntPolynomial.constant(1)
-            if k - 1 == 0
-            else charpoly_det_matrix(_interior_minor_matrix(k - 1))
-        )
-        if det_path[k] != _X * det_h:
-            failures["interior_minor_shift"].append(k)
-        if phi_aux("H", k - 1) != det_h:
-            failures["interior_minor_shift"].append(("recurrence", k))
-
-    for k in range(3, n_max + 1):
-        det_c = charpoly_det(make_cycle(k))
-        sign = 1 if k % 2 == 0 else -1
-        rhs = (det_path[k + 1] - det_path[k - 1]).divexact_x() + IntPolynomial.constant(
-            -2 * sign
-        )
-        if det_c != rhs:
-            failures["cycle_from_paths"].append(k)
-        if phi_cycle(k) != det_c:
-            failures["cycle_from_paths"].append(("recurrence", k))
-
-    for n in range(4, n_max + 1):
-        for r in range(3, n):
-            if phi_lollipop(n, r) != charpoly_det(make_lollipop(n, r)):
-                failures["lollipop_formula"].append((n, r))
-
-    join_cases = [
-        (make_path(2), 0, make_path(3), 1),
-        (make_path(1), 0, make_path(1), 0),
-        (make_cycle(3), 0, make_path(2), 0),
-        (make_cycle(4), 2, make_cycle(3), 1),
-        (make_path(4), 1, make_cycle(3), 2),
-    ]
-    for g1, u, g2, v in join_cases:
-        if not edge_join_identity_holds(g1, u, g2, v):
-            failures["edge_join_product"].append((g1.n, u, g2.n, v))
-
+    failures: dict[str, list] = {name: [] for name in _IDENTITIES}
+    for name, params, holds in _identity_checks(n_max):
+        if not holds:
+            failures[name].append(params)
     return failures

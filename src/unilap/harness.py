@@ -24,7 +24,7 @@ from .bounds import (
     main_lower_bound,
     refined_lollipop_bound,
 )
-from .charpoly import edge_join_identity_holds, eval_at, phi_lollipop, verify_charpoly_identities
+from .charpoly import _identity_checks, edge_join_identity_holds, eval_at, phi_lollipop
 from .enumeration import enumerate_unicyclic
 from .errors import InternalConsistencyError, InvalidParameterError
 from .graphs import (
@@ -275,12 +275,11 @@ def suite_charpoly(max_n: int = 12, seed: int = 0) -> VerifyReport:
         raise InvalidParameterError(f"charpoly suite needs max_n >= 4, got {max_n}")
 
     def run():
-        failures = []
-        identity_failures = verify_charpoly_identities(max_n)
-        checked = len(identity_failures)
-        for name, bad in identity_failures.items():
-            for item in bad:
-                failures.append((name, item))
+        failures, checked = [], 0
+        for name, params, holds in _identity_checks(max_n):
+            checked += 1
+            if not holds:
+                failures.append((name, params))
         rng = random.Random(seed)
         for _ in range(CHARPOLY_RANDOM_JOINS):
             checked += 1

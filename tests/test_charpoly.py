@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import sys
 import threading
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import bareiss_det
 import fraction_det
-from conftest import forests_upto, one_cycle_unions
+import zx_fold
+from conftest import forests_upto, one_cycle_unions, tree_from_code
 from unilap import charpoly
 from unilap.charpoly import (
     IntPolynomial,
@@ -26,7 +28,7 @@ from unilap.charpoly import (
     verify_charpoly_identities,
 )
 from unilap.errors import InternalConsistencyError, InvalidParameterError
-from unilap.enumeration import enumerate_unicyclic
+from unilap.enumeration import enumerate_unicyclic, rooted_trees
 from unilap.graphs import (
     Graph,
     disjoint_union,
@@ -253,6 +255,24 @@ def _against_both_oracles(rows):
     return got
 
 
+def _trimmed_path_rows(k, raised):
+    """The k-path Laplacian with the diagonal entries at `raised` raised by one."""
+    rows = laplacian_rows(make_path(k))
+    for v in raised:
+        rows[v][v] += 1
+    return rows
+
+
+def _end_minor_rows(k):
+    """The (k+1)-path Laplacian with its last row and column deleted."""
+    return [row[:k] for row in laplacian_rows(make_path(k + 1))[:k]]
+
+
+def _interior_minor_rows(k):
+    """The (k+2)-path Laplacian with both end rows and columns deleted."""
+    return [row[1 : k + 1] for row in laplacian_rows(make_path(k + 2))[1 : k + 1]]
+
+
 class TestBareissAgainstFractionOracle:
     """charpoly_det and the Berkowitz recursion of charpoly_det_matrix against
     the two test oracles: the Bareiss-sampling route (tests/bareiss_det.py)
@@ -285,13 +305,20 @@ class TestBareissAgainstFractionOracle:
 
     def test_every_matrix_of_the_identity_suite(self, monkeypatch):
         """Every minor and every graph polynomial that the identity suite
-        takes from the determinant oracle, against the Fraction route."""
-        seen, seen_graphs = {}, {}
+        takes from the determinant oracle, against the Fraction route: the
+        edge-join minors through charpoly_det_matrix, the end and interior
+        path minors through the leaf-strip fold."""
+        seen, seen_minors, seen_graphs = {}, {}, {}
         original = charpoly.charpoly_det_matrix
+        original_minor = charpoly._trimmed_path_charpoly
         original_graph = charpoly.charpoly_det
 
         def recording(rows):
             seen[tuple(map(tuple, rows))] = result = original(rows)
+            return result
+
+        def recording_minor(k, raised):
+            seen_minors[k, raised] = result = original_minor(k, raised)
             return result
 
         def recording_graph(g):
@@ -299,15 +326,18 @@ class TestBareissAgainstFractionOracle:
             return result
 
         monkeypatch.setattr(charpoly, "charpoly_det_matrix", recording)
+        monkeypatch.setattr(charpoly, "_trimmed_path_charpoly", recording_minor)
         monkeypatch.setattr(charpoly, "charpoly_det", recording_graph)
         assert all(not bad for bad in verify_charpoly_identities(12).values())
         assert () in seen  # the minor of the one-vertex path
-        for k in range(1, 12):
-            assert tuple(map(tuple, charpoly._end_minor_matrix(k))) in seen
-        for k in range(1, 11):
-            assert tuple(map(tuple, charpoly._interior_minor_matrix(k))) in seen
         for rows, poly_ in seen.items():
             assert poly_ == _against_both_oracles(rows), rows
+        want = {(k, (k - 1,)) for k in range(1, 12)} | {(k, (0, k - 1)) for k in range(1, 11)}
+        assert seen_minors.keys() == want
+        for (k, raised), poly_ in seen_minors.items():
+            rows = _trimmed_path_rows(k, raised)
+            assert rows == (_end_minor_rows(k) if len(raised) == 1 else _interior_minor_rows(k))
+            assert poly_ == _against_both_oracles(rows), (k, raised)
         assert {make_path(k) for k in range(1, 14)} <= seen_graphs.keys()
         assert {make_cycle(k) for k in range(3, 13)} <= seen_graphs.keys()
         assert make_lollipop(12, 11) in seen_graphs
@@ -361,21 +391,21 @@ def _random_one_cycle_graphs():
 
 
 class TestLeafStripFold:
-    """charpoly_det's fold over the leaf strip against the Bareiss oracle,
-    and against the Fraction route on the graphs small enough for its
-    n + 1 Fraction eliminations."""
+    """charpoly_det's fold over the leaf strip against the Z[x] fold and the
+    Bareiss oracle, and against the Fraction route on the graphs small
+    enough for its n + 1 Fraction eliminations."""
 
     def test_small_graphs_against_bareiss_and_fraction(self):
         for g in _small_one_cycle_graphs():
             got = charpoly_det(g)
-            assert got == bareiss_det.charpoly_det(g), g.edges()
+            assert got == bareiss_det.charpoly_det(g) == zx_fold.charpoly_det(g), g.edges()
             if g.n <= 7:
                 assert got == fraction_det.charpoly_det(g), g.edges()
 
     def test_random_graphs_against_bareiss_and_fraction(self):
         for g in _random_one_cycle_graphs():
             got = charpoly_det(g)
-            assert got == bareiss_det.charpoly_det(g), g.edges()
+            assert got == bareiss_det.charpoly_det(g) == zx_fold.charpoly_det(g), g.edges()
             if g.n <= 10:
                 assert got == fraction_det.charpoly_det(g), g.edges()
 
@@ -413,6 +443,94 @@ class TestLeafStripFold:
             calls.clear()
             assert charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
             assert calls == [laplacian_rows(g)]
+
+
+def _relabelled(rng, g):
+    label = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+
+def _star(m):
+    return Graph.from_edges(m + 1, [(0, i) for i in range(1, m + 1)])
+
+
+@functools.cache
+def _fold_corpus():
+    """Every unicyclic class with n <= 9, relabelled; every rooted tree shape
+    with n <= 8 (K1 and K2 among them); edgeless graphs and disjoint unions;
+    stars K_{1,m} with m <= 60; paths, cycles and lollipops with n <= 60;
+    and 200 seeded random trees and unicyclic graphs with n < 150."""
+    rng = random.Random(18)
+    graphs = [_relabelled(rng, g) for n in range(3, 10) for g in enumerate_unicyclic(n)]
+    graphs += [tree_from_code(code) for n in range(1, 9) for code in rooted_trees(n)]
+    graphs += [Graph.from_edges(n, []) for n in range(1, 6)]
+    graphs += [
+        disjoint_union(make_path(1), make_path(1)),
+        disjoint_union(make_cycle(5), Graph.from_edges(3, [])),
+        disjoint_union(disjoint_union(make_lollipop(7, 4), make_path(2)), make_cycle(3)),
+        disjoint_union(_star(6), make_cycle(4)),
+    ]
+    graphs += [_star(m) for m in range(1, 61)]
+    graphs += [make_path(n) for n in range(1, 61)] + [make_cycle(n) for n in range(3, 61)]
+    graphs += [make_lollipop(n, r) for n in range(4, 61) for r in range(3, n)]
+    for _ in range(100):
+        graphs.append(random_tree(rng, rng.randrange(1, 150)))
+        graphs.append(random_unicyclic(rng, rng.randrange(3, 150)))
+    return graphs
+
+
+class TestIntegerFold:
+    """The leaf-strip fold at x = 2^b, read back from the digits, against
+    the Z[x] fold it replaced (tests/zx_fold.py), the Berkowitz recursion
+    and the recurrences, plus both steps of the digit-width bound."""
+
+    def test_matches_the_zx_fold(self):
+        for g in _fold_corpus():
+            assert charpoly_det(g) == zx_fold.charpoly_det(g), g.edges()
+
+    def test_matches_berkowitz_below_n_17(self):
+        for g in _fold_corpus():
+            if g.n <= 16:
+                assert charpoly_det(g) == charpoly_det_matrix(laplacian_rows(g)), g.edges()
+
+    def test_matches_the_recurrences(self):
+        for n in range(1, 61):
+            assert charpoly_det(make_path(n)) == phi_path(n)
+        for n in range(3, 61):
+            assert charpoly_det(make_cycle(n)) == phi_cycle(n)
+            for r in range(3, n):
+                assert charpoly_det(make_lollipop(n, r)) == phi_lollipop(n, r)
+
+    def test_coefficients_alternate_and_sum_to_at_most_the_hadamard_bound(self):
+        for g in _fold_corpus():
+            p = charpoly_det(g)
+            assert all((-1) ** (g.n - k) * c >= 0 for k, c in enumerate(p.coeffs)), g.edges()
+            assert abs(p.eval(-1)) == sum(map(abs, p.coeffs))
+            assert abs(p.eval(-1)) <= math.prod(len(nbrs) + 1 for nbrs in g.adj), g.edges()
+
+    def test_trimmed_path_minors(self):
+        """The identity suite's path minors: diagonals raised at one or both
+        ends, against Berkowitz and the B and H recurrences, with the same
+        width bound (a minor of a Laplacian is positive semidefinite)."""
+        for k in range(1, 30):
+            for raised, kind in (((k - 1,), "B"), ((0, k - 1), "H")):
+                got = charpoly._trimmed_path_charpoly(k, raised)
+                rows = _trimmed_path_rows(k, raised)
+                assert got == charpoly_det_matrix(rows) == phi_aux(kind, k), (k, raised)
+                assert abs(got.eval(-1)) <= math.prod(row[i] + 1 for i, row in enumerate(rows))
+
+    def test_runs_no_polynomial_arithmetic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("IntPolynomial arithmetic reached")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
+            monkeypatch.setattr(IntPolynomial, name, refuse)
+        with pytest.raises(AssertionError, match="arithmetic reached"):
+            poly(1, 2) * poly(3)
+        graphs = [g for n in range(3, 8) for g in enumerate_unicyclic(n)]
+        graphs += list(forests_upto(6)) + [make_lollipop(60, 20), random_unicyclic(random.Random(3), 100)]
+        for g in graphs:
+            assert charpoly_det(g).degree == g.n
 
 
 class TestIntegerInterpolation:

@@ -157,6 +157,15 @@ class TestSuites:
     def test_cycles_count_the_cases_run(self, max_n, checked):
         assert run_suite("cycles", max_n=max_n).checked == checked
 
+    @pytest.mark.parametrize("max_n,checked", [(4, 48), (7, 78), (12, 148)])
+    def test_charpoly_counts_every_identity_instance(self, max_n, checked):
+        # max_n paths, 2 max_n end minors, 2 (max_n - 1) interior minors,
+        # 2 (max_n - 2) cycles, (max_n - 3)(max_n - 2) / 2 lollipops, 5 fixed
+        # and 20 random bridge joins
+        n = max_n
+        assert checked == n + 2 * n + 2 * (n - 1) + 2 * (n - 2) + (n - 3) * (n - 2) // 2 + 25
+        assert run_suite("charpoly", max_n=max_n).checked == checked
+
     @pytest.mark.parametrize("max_n", [1, 3])
     def test_charpoly_rejects_max_n_below_four(self, max_n):
         with pytest.raises(InvalidParameterError, match="max_n >= 4, got"):
