@@ -6,7 +6,8 @@ girth r is
     count[0,1) >= ceil(d/3) + ceil(r/6) - 1,
 
 sandwiched from above by the domination number gamma. gamma is exact: a
-linear tree DP on trees and unicyclic graphs, branch and bound on any other
+linear tree DP on trees and unicyclic graphs, in the one fold of the leaf
+strip at 1 that also gives the count, and branch and bound on any other
 graph. Refinements exist for lollipop cores (r not divisible by 6 improves
 the bound by one in the diameter term) and for a narrow compass case.
 analyze() measures everything on the input graph itself and never trusts
@@ -14,7 +15,6 @@ the core reduction as the sole certificate.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidParameterError, SizeCapExceededError
 from .graphs import (
@@ -22,12 +22,12 @@ from .graphs import (
     CoreClassification,
     Graph,
     _connected_strip,
+    _fold_at_one,
     _reduce_to_core,
     _unicyclic_diameter_and_path,
     _unicyclic_strip,
     diameter_and_path,
 )
-from .spectra import _forest_inertia
 
 GAMMA_CAP_DEFAULT = 32  # largest n given to branch and bound, the one exponential path
 
@@ -80,61 +80,6 @@ def compass_bounds(p: CompassParams) -> tuple[int, int | None]:
 # domination number
 
 
-def _fold(a: list[int], b: list[int], c: list[int], order: list[int], parent: list[int]) -> None:
-    """Fold every vertex of order into its parent, in leaf-to-root order.
-
-    Over the part of x's subtree folded so far, a[x] is the size of the
-    smallest set D dominating it with x in D, b[x] the same with x outside
-    D but dominated by a child, and c[x] the size of the smallest D
-    dominating all of it but x, with neither x nor a child in D. order
-    lists each vertex after all of its children.
-    """
-    # comparisons, not min(): a builtin call per vertex was most of the DP's time
-    for x in order:
-        p, ax, bx, cx = parent[x], a[x], b[x], c[x]
-        dom = ax if ax < bx else bx
-        a[p] += dom if dom < cx else cx
-        via_child, via_x = b[p] + dom, c[p] + ax
-        b[p] = via_child if via_child < via_x else via_x
-        c[p] += bx
-
-
-def _forest_gamma(stripped: list[int], parent: list[int], cycles: list[list[int]]) -> int:
-    """Domination number of a tree (no cycles) or a connected unicyclic
-    graph (one cycle), from its leaf strip (graphs._cycle_forest).
-
-    A tree is folded into its root, the last vertex stripped. On a
-    unicyclic graph, with cycle vertex c_i a child of c_{i-1}, G minus the
-    closing edge c_{r-1}c_0 is a tree rooted at c_0. A dominating set of G
-    holding neither end of that edge dominates the tree, so gamma is the
-    least of three tree DPs: plain, c_0 in D with c_{r-1} dominated by it,
-    and c_{r-1} in D with c_0 dominated by it. The pendant trees are folded
-    once; only the cycle path is walked three times.
-    """
-    n = len(parent)
-    inf = n + 1  # above every set size, and so is any sum containing it
-    a, b, c = [1] * n, [inf] * n, [0] * n
-    if not cycles:
-        _fold(a, b, c, stripped[:-1], parent)
-        return min(a[stripped[-1]], b[stripped[-1]])
-    _fold(a, b, c, stripped, parent)
-    cycle = cycles[0]
-
-    def up_the_cycle(sa: int, sb: int, sc: int) -> tuple[int, int, int]:
-        """Fold c_{r-1}, given its states, up the cycle path into c_0."""
-        for v in reversed(cycle[:-1]):
-            dom = sa if sa < sb else sb
-            low, via_child, via_v = dom if dom < sc else sc, b[v] + dom, c[v] + sa
-            sa, sb, sc = a[v] + low, via_child if via_child < via_v else via_v, c[v] + sb
-        return sa, sb, sc
-
-    last = cycle[-1]
-    plain_a, plain_b, _ = up_the_cycle(a[last], b[last], c[last])
-    first_in_d, _, _ = up_the_cycle(a[last], min(b[last], c[last]), inf)
-    last_in_d = min(up_the_cycle(a[last], inf, inf))
-    return min(plain_a, plain_b, first_in_d, last_in_d)
-
-
 def _greedy_dominating_size(closed: list[int], full: int) -> int:
     dominated = 0
     size = 0
@@ -153,16 +98,14 @@ def domination_number(g: Graph) -> int:
     """Exact domination number.
 
     A tree or a connected unicyclic graph, told apart from any other graph
-    by its leaf strip with no connectivity search, takes the linear
-    three-state tree DP of Cockayne, Goodman & Hedetniemi (IPL 1975), on a
-    unicyclic graph run three times round the cycle, at any n. Any other
-    graph takes branch and bound over closed neighbourhoods, which is
-    exponential and so raises SizeCapExceededError when n exceeds
-    GAMMA_CAP_DEFAULT.
+    by its leaf strip with no connectivity search, takes the linear DP of
+    graphs._fold_at_one at any n. Any other graph takes branch and bound
+    over closed neighbourhoods, which is exponential and so raises
+    SizeCapExceededError when n exceeds GAMMA_CAP_DEFAULT.
     """
     forest = _connected_strip(g)
     if forest is not None:
-        return _forest_gamma(*forest)
+        return _fold_at_one(g, *forest)[2]
     if g.n > GAMMA_CAP_DEFAULT:
         raise SizeCapExceededError(f"branch and bound refuses n={g.n} > {GAMMA_CAP_DEFAULT}")
     if not g.is_connected():
@@ -211,18 +154,6 @@ def _branch_and_bound_gamma(g: Graph, d: int | None) -> int:
     return best
 
 
-def _count01_mult1_gamma(g: Graph, forest: tuple) -> tuple[int, int, int]:
-    """count[0,1), the multiplicity of 1, and gamma of a tree or a connected
-    unicyclic g with leaf strip forest (graphs._connected_strip).
-
-    L is positive semidefinite, so one elimination at 1 gives both the count
-    in [0, 1) (its negatives) and the multiplicity of 1 (its zeros). Both it
-    and gamma fold the strip.
-    """
-    at_one = _forest_inertia(g, *forest, 1, 1)
-    return at_one.negatives, at_one.zeros, _forest_gamma(*forest)
-
-
 # ---------------------------------------------------------------------------
 # per-graph report
 
@@ -251,12 +182,12 @@ class BoundReport:
 
 def analyze(g: Graph) -> BoundReport:
     """Measure g exactly and check every applicable inequality on g itself."""
-    # one leaf strip feeds the diameter, the inertia at 1, gamma and the
-    # core reduction, which also takes the diametral path
+    # one leaf strip, folded once at 1, gives count01, mult1, gamma and the
+    # heights the diameter reads; the core reduction takes the diametral path
     forest = _unicyclic_strip(g)
     r = len(forest[2][0])
-    d, path = _unicyclic_diameter_and_path(*forest)
-    count01, mult1, gamma = _count01_mult1_gamma(g, forest)
+    count01, mult1, gamma, down, second = _fold_at_one(g, *forest)
+    d, path = _unicyclic_diameter_and_path(*forest, down, second)
     core = _reduce_to_core(g, forest, path)
 
     main = main_lower_bound(d, r)
@@ -281,18 +212,5 @@ def analyze(g: Graph) -> BoundReport:
         verdicts["refined_bound"] = count01 >= refined
     verdicts["hedetniemi"] = count01 <= gamma
     if r >= 7:
-        verdicts["chain"] = Fraction(d + 1, 3) <= main and main <= count01 and count01 <= gamma
-    return BoundReport(
-        n=g.n,
-        girth=r,
-        diameter=d,
-        count01=count01,
-        mult1=mult1,
-        gamma=gamma,
-        main_bound=main,
-        refined_bound=refined,
-        alpha=alpha,
-        k=k,
-        verdicts=verdicts,
-        core=core,
-    )
+        verdicts["chain"] = d + 1 <= 3 * main and main <= count01 and count01 <= gamma
+    return BoundReport(g.n, r, d, count01, mult1, gamma, main, refined, alpha, k, verdicts, core)

@@ -21,7 +21,8 @@ package can address vertices by index):
 
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TextIO
 
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     NotConnectedError,
     NotUnicyclicError,
 )
+from .linalg import _cycle_inertia
 
 
 @dataclass(frozen=True)
@@ -313,8 +315,8 @@ def _connected_strip(g: Graph) -> tuple | None:
     """The leaf strip of g when g is connected with at most one cycle, else
     None. A component with at most one cycle has m - n + 1 of them, so on
     k such components the strip leaves m - n + k cycles: k = 1 needs no search."""
-    forest = _cycle_forest(g) if g.m <= g.n else None
-    return forest if forest and len(forest[2]) == g.m - g.n + 1 else None
+    forest = _cycle_forest(g) if (excess := g.m - g.n) <= 0 else None
+    return forest if forest and len(forest[2]) == excess + 1 else None
 
 
 def _unicyclic_strip(g: Graph) -> tuple:
@@ -386,15 +388,104 @@ def _farthest_clockwise(h: list[int]) -> list[int]:
     return out
 
 
+def _fold_at_one(
+    g: Graph, stripped: list[int], parent: list[int], cycles: list[list[int]]
+) -> tuple[int, int, int, list[int], list[int]]:
+    """(count01, mult1, gamma, down, second) of a tree or a connected
+    unicyclic g in one pass over its leaf strip; a tree's cycle is its root.
+
+    Folding x into its parent u carries three things. num[x] / den[x] is
+    the pivot of L - I on x's subtree (Jacobs and Trevisan, LAA 2011, as in
+    spectra._forest_inertia at p = q = 1): a zero pivot pairs with u, giving
+    one negative and one positive, and each further zero child is a zero.
+    a[x], b[x], c[x] are the smallest sets dominating the subtree with x in
+    the set, with x out but dominated by a child, and dominating all but x
+    with neither in the set (Cockayne, Goodman and Hedetniemi, IPL 1975).
+    down[x] is the subtree's height and second[x] the runner-up over x's
+    children of 1 + down[child]. The cycle then closes once for each: a
+    paired cycle vertex cuts it into arcs folded as paths, an intact one
+    closes by linalg._cycle_inertia, and gamma is the least of three walks
+    up the cycle path c_0..c_{r-1}, G minus the edge c_{r-1}c_0: plain, c_0
+    in D dominating c_{r-1}, and c_{r-1} in D dominating c_0.
+    """
+    n = g.n
+    cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
+    num = [len(nbrs) - 1 for nbrs in g.adj]
+    den = [1] * n
+    paired = [0] * n  # zero children
+    inf = n + 1  # above every set size, and so is any sum containing it
+    a, b, c, down, second = [1] * n, [inf] * n, [0] * n, [0] * n, [0] * n
+    neg = zero = 0
+    # comparisons, not min() or max(): a builtin call per vertex was most of this loop's time
+    for x in pendant:
+        u = parent[x]
+        if paired[x]:
+            neg, zero = neg + 1, zero + paired[x] - 1
+        elif num[x]:
+            t, s = num[x], den[x]
+            neg += (t > 0) is not (s > 0)
+            num[u] = num[u] * t - s * den[u]
+            den[u] *= t
+        else:
+            paired[u] += 1
+        ax, bx, cx = a[x], b[x], c[x]
+        dom = ax if ax < bx else bx
+        a[u] += dom if dom < cx else cx
+        via_child, via_x = b[u] + dom, c[u] + ax
+        b[u] = via_child if via_child < via_x else via_x
+        c[u] += bx
+        h = down[x] + 1
+        if h > down[u]:
+            down[u], second[u] = h, down[u]
+        elif h > second[u]:
+            second[u] = h
+
+    cut = next((i for i, v in enumerate(cycle) if paired[v]), None)
+    if cut is None and cycles:
+        # a pivot keeps its value when num and den both change sign
+        nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]
+        closed = _cycle_inertia(nums, [abs(den[v]) for v in cycle], 1)
+        neg, zero = neg + closed.negatives, zero + closed.zeros
+    else:
+        # from just after the first cut round to it, each vertex folds into
+        # the next; the last is a cut, which settles alone, or a tree's root
+        path = cycle[cut + 1 :] + cycle[: cut + 1] if cycles else cycle
+        for x, u in zip(path, path[1:] + path[-1:]):
+            if paired[x]:
+                neg, zero = neg + 1, zero + paired[x] - 1
+            elif num[x]:
+                t, s = num[x], den[x]
+                neg += (t > 0) is not (s > 0)
+                num[u] = num[u] * t - s * den[u]
+                den[u] *= t
+            elif u == x:
+                zero += 1
+            else:
+                paired[u] += 1
+
+    def up_the_cycle(sa: int, sb: int, sc: int) -> tuple[int, int, int]:
+        for v in reversed(cycle[:-1]):
+            dom = sa if sa < sb else sb
+            low, via_child, via_v = dom if dom < sc else sc, b[v] + dom, c[v] + sa
+            sa, sb, sc = a[v] + low, via_child if via_child < via_v else via_v, c[v] + sb
+        return sa, sb, sc
+
+    last = cycle[-1]
+    plain_a, plain_b, _ = up_the_cycle(a[last], b[last], c[last])
+    first_in_d = up_the_cycle(a[last], min(b[last], c[last]), inf)[0]
+    last_in_d = min(up_the_cycle(a[last], inf, inf))
+    return neg, zero, min(plain_a, plain_b, first_in_d, last_in_d), down, second
+
+
 def _unicyclic_eccentricities(
-    cycle: list[int], pendant: list[int], parent: list[int]
+    cycle: list[int], pendant: list[int], parent: list[int], down: list[int], second: list[int]
 ) -> list[int]:
     """Eccentricity of every vertex of a tree or a connected unicyclic
-    graph, in O(n). pendant lists the vertices off the cycle, each after its
-    children; a tree's cycle is its root alone.
+    graph, in O(n), from the heights down and second of _fold_at_one.
+    pendant lists the vertices off the cycle, each after its children; a
+    tree's cycle is its root alone.
 
-    down[x] is the height of x's subtree (pendant trees rooted on the cycle),
-    far(c) the farthest reach from cycle vertex c through the rest of the
+    far(c) is the farthest reach from cycle vertex c through the rest of the
     cycle (cycle distance plus the height there, over c' != c), and up[x] the
     farthest reach from x outside its subtree: up[c] = far(c), and for a
     child x of p, 1 + max(up[p], the best reach from p through a sibling).
@@ -402,20 +493,11 @@ def _unicyclic_eccentricities(
     far(c) is the larger of a clockwise and a counter-clockwise window (both
     empty on a tree, where up[root] = 0).
     """
-    n = len(parent)
-    down = [0] * n
-    second = [0] * n  # runner-up over the children of x of 1 + down[child]
-    for x in pendant:
-        p, h = parent[x], down[x] + 1
-        if h > down[p]:
-            down[p], second[p] = h, down[p]
-        elif h > second[p]:
-            second[p] = h
     heights = [down[c] for c in cycle]
     cw = _farthest_clockwise(heights)
     ccw = _farthest_clockwise(heights[::-1])[::-1]
     # comparisons, not max(): a builtin call per vertex was most of these loops' time
-    up = [0] * n
+    up = [0] * len(parent)
     for c, a, b in zip(cycle, cw, ccw):
         up[c] = a if a > b else b
     for x in reversed(pendant):
@@ -438,10 +520,11 @@ def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:
 
 
 def _unicyclic_diameter_and_path(
-    stripped: list[int], parent: list[int], cycles: list[list[int]]
+    stripped: list[int], parent: list[int], cycles: list[list[int]], down: list[int], second: list[int]
 ) -> tuple[int, tuple[int, ...]]:
     """diameter_and_path for a tree or a connected unicyclic graph, from its
-    leaf strip; a tree is rooted at the last vertex stripped.
+    leaf strip and the heights of _fold_at_one; a tree is rooted at the last
+    vertex stripped.
 
     Every vertex at distance d from a vertex of eccentricity d has
     eccentricity d too, so the smallest pair (u, v) at distance d has u the
@@ -459,7 +542,7 @@ def _unicyclic_diameter_and_path(
     """
     cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
     r = len(cycle)
-    ecc = _unicyclic_eccentricities(cycle, pendant, parent)
+    ecc = _unicyclic_eccentricities(cycle, pendant, parent, down, second)
     d = max(ecc)
     u = ecc.index(d)
     climb = [u]
@@ -497,13 +580,14 @@ def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
     Ties break to the lexicographically smallest endpoint pair (u, v) with
     u < v, then to the lexicographically smallest vertex sequence from u.
     A tree or a unicyclic g takes O(n) time and memory and no search:
-    eccentricities from the pendant-tree heights and sliding windows round
-    the cycle, then distances and the path read off the leaf strip. Any
-    other g takes one BFS per vertex, O(n m) time, and O(n) memory.
+    eccentricities from the pendant-tree heights of the fold at 1 and
+    sliding windows round the cycle, then distances and the path read off
+    the leaf strip. Any other g takes one BFS per vertex, O(n m) time, and
+    O(n) memory.
     """
     forest = _connected_strip(g)
     if forest is not None:
-        return _unicyclic_diameter_and_path(*forest)
+        return _unicyclic_diameter_and_path(*forest, *_fold_at_one(g, *forest)[3:])
     if not g.is_connected():
         raise NotConnectedError("diameter of a disconnected graph is undefined")
     # the first source of the largest eccentricity, and the smallest vertex
@@ -528,38 +612,26 @@ class CoreClassification:
     kind is one of "cycle", "lollipop", "compass", "other". params holds the
     reconstructed family parameters: (n,) for a cycle, (n, r) for a lollipop
     and (n, r, r_prime, t) for a compass with t <= s canonically (swapping
-    the two tails is a graph isomorphism). core is reindexed over the sorted
-    original labels listed in core_vertices; diametral_path keeps the labels
-    of the input graph.
+    the two tails is a graph isomorphism). core_vertices and diametral_path
+    keep the labels of the input graph. core, built when first read, is
+    graph induced on core_vertices, reindexed in order, or graph itself.
     """
 
     kind: str
     params: tuple[int, ...]
-    core: Graph
     core_vertices: tuple[int, ...]
     diametral_path: tuple[int, ...]
+    graph: Graph = field(repr=False)  # the input
 
-
-def _classify(core: Graph, cycle: list[int], path: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-    """Kind and parameters of a unicyclic core from its degrees, its cycle
-    and its diametral path, in the core's labels.
-
-    The core is a cycle when no vertex has degree above 2, and a lollipop or
-    a compass when one or two do, each a cycle vertex of degree 3 rooting a
-    path. A compass's tails are then the path's two ends off the cycle, and
-    the path runs the shorter arc between them.
-    """
-    branch = [v for v, nbrs in enumerate(core.adj) if len(nbrs) > 2]
-    if not branch:
-        return "cycle", (core.n,)
-    on_cycle = set(cycle)
-    if len(branch) > 2 or any(len(core.adj[v]) > 3 or v not in on_cycle for v in branch):
-        return "other", ()
-    if len(branch) == 1:
-        return "lollipop", (core.n, len(cycle))
-    ends = [i for i, v in enumerate(path) if v in on_cycle]
-    first, last = ends[0], ends[-1]
-    return "compass", (core.n, len(cycle), last - first, min(first, len(path) - 1 - last))
+    @cached_property
+    def core(self) -> Graph:
+        verts, g = self.core_vertices, self.graph
+        if len(verts) == g.n:
+            return g
+        index = {v: i for i, v in enumerate(verts)}  # monotone: filtered lists stay sorted
+        return Graph._trusted(
+            len(verts), tuple(tuple(index[w] for w in g.adj[v] if w in index) for v in verts)
+        )
 
 
 def reduce_to_core(g: Graph) -> CoreClassification:
@@ -569,21 +641,23 @@ def reduce_to_core(g: Graph) -> CoreClassification:
     from the core by repeatedly attaching pendant vertices.
     """
     forest = _unicyclic_strip(g)
-    _, path = _unicyclic_diameter_and_path(*forest)
+    _, path = _unicyclic_diameter_and_path(*forest, *_fold_at_one(g, *forest)[3:])
     return _reduce_to_core(g, forest, path)
 
 
 def _reduce_to_core(g: Graph, forest: tuple, path: tuple[int, ...]) -> CoreClassification:
-    """reduce_to_core given g's leaf strip and diametral path.
+    """reduce_to_core given g's leaf strip and diametral path, in g's labels.
 
-    The core is the subgraph induced on the cycle, the path and, when the
-    path misses the cycle, the tree walk joining them. That vertex set is
-    closed under parent, so its edges are the cycle's plus one edge from
-    each other kept vertex to its parent. When it is all of V, the core is
-    g itself, returned with nothing rebuilt.
+    The core is induced on the cycle, the path and, when the path misses
+    the cycle, the tree walk joining them; that set is closed under parent,
+    so its other edges join each kept vertex to its parent. It is a cycle
+    when nothing hangs off the cycle, and a lollipop or a compass when one
+    or two cycle vertices root a path each (no vertex has two kept
+    children): the compass's tails are the path's ends off the cycle.
     """
     _, parent, (cycle,) = forest
-    keep = set(path).union(cycle)
+    on_cycle = set(cycle)
+    keep = on_cycle.union(path)
     # climbing from an end of the path meets only path vertices up to the
     # cycle, unless the path lies in one pendant tree: then it passes the
     # path's vertex nearest the cycle and goes on along the connector
@@ -591,17 +665,20 @@ def _reduce_to_core(g: Graph, forest: tuple, path: tuple[int, ...]) -> CoreClass
     while parent[x] != x:
         x = parent[x]
         keep.add(x)
-    if len(keep) == g.n:
-        return CoreClassification(*_classify(g, cycle, path), g, tuple(range(g.n)), path)
-
-    verts = sorted(keep)
-    relabel = {v: i for i, v in enumerate(verts)}
-    core_cycle = [relabel[c] for c in cycle]
-    edges = [(i, relabel[parent[v]]) for i, v in enumerate(verts) if parent[v] != v]
-    edges += zip(core_cycle, core_cycle[1:] + core_cycle[:1])
-    core = Graph.from_edges(len(verts), edges)
-    kind, params = _classify(core, core_cycle, tuple(relabel[v] for v in path))
-    return CoreClassification(kind, params, core, tuple(verts), path)
+    sizes = (len(keep), len(cycle))
+    hangs = [parent[v] for v in keep if v not in on_cycle]  # one per core edge off the cycle
+    branch = on_cycle.intersection(hangs)
+    if not hangs:
+        kind, params = "cycle", sizes[:1]
+    elif len(branch) > 2 or len(set(hangs)) < len(hangs):
+        kind, params = "other", ()
+    elif len(branch) == 1:
+        kind, params = "lollipop", sizes
+    else:
+        ends = [i for i, v in enumerate(path) if v in on_cycle]
+        first, last = ends[0], ends[-1]
+        kind, params = "compass", sizes + (last - first, min(first, len(path) - 1 - last))
+    return CoreClassification(kind, params, tuple(sorted(keep)), path, g)
 
 
 # ---------------------------------------------------------------------------

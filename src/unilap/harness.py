@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields
 from typing import TextIO
 
 from .bounds import (
-    _count01_mult1_gamma,
     analyze,
     ceil_div,
     compass_bounds,
@@ -31,6 +30,7 @@ from .graphs import (
     CompassParams,
     Graph,
     _connected_strip,
+    _fold_at_one,
     _unicyclic_diameter_and_path,
     join_with_edge,
     make_compass,
@@ -386,10 +386,11 @@ def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> Verify
         for i in range(count):
             n = rng.randrange(2, max_n + 1)
             g = random_tree(rng, n)
-            # one leaf strip gives the diameter, the count (negatives at 1) and gamma
+            # one fold of the leaf strip at 1 gives the count, gamma and the
+            # heights the diameter reads
             forest = _connected_strip(g)
-            d = _unicyclic_diameter_and_path(*forest)[0]
-            c, _, gamma = _count01_mult1_gamma(g, forest)
+            c, _, gamma, down, second = _fold_at_one(g, *forest)
+            d = _unicyclic_diameter_and_path(*forest, down, second)[0]
             if not ceil_div(d + 1, 3) <= c <= gamma:
                 failures.append((i, n))
         return count, failures
@@ -483,15 +484,15 @@ def _measure(
     main_bound: int | None,
     refined_bound: int | None,
 ) -> SweepRow:
-    # g is a path or a connected unicyclic graph: its one leaf strip gives
-    # the diameter in O(n) and feeds the count and gamma
+    # g is a path or a connected unicyclic graph: one fold of its leaf strip
+    # at 1 gives the count, gamma and the heights the O(n) diameter reads
     forest = _connected_strip(g)
-    measured = _unicyclic_diameter_and_path(*forest)[0]
+    count01, mult1, gamma, down, second = _fold_at_one(g, *forest)
+    measured = _unicyclic_diameter_and_path(*forest, down, second)[0]
     if measured != d:
         raise InternalConsistencyError(
             f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"
         )
-    count01, mult1, gamma = _count01_mult1_gamma(g, forest)
     return _row(family, g.n, r, r_prime, t, d, main_bound, refined_bound, count01, mult1, gamma)
 
 

@@ -4,12 +4,13 @@ The half-open count m[a, b) is the package's primitive: eigenvalues of L in
 [a, b) number negatives(L - bI) - negatives(L - aI), and both terms are
 exact inertias of L - cI. For c = p/q, qL - pI has the same inertia and
 integer entries. When every component of the graph has at most one cycle,
-a fraction-free kernel folds its leaf strip (graphs._cycle_forest, which
-the diameter, the core and the gamma DP read too) in Python ints: its
-numbers are minors of qL - pI, so they have O(n) bits and no gcd ever
-runs, the cost is linear in n at an integer shift, and a rational shift
-adds only the cost of multiplying O(n)-bit ints. It also beats the heap
-kernel at c = 1, so it serves every such graph. Any other graph goes to
+a fraction-free kernel folds its leaf strip (graphs._cycle_forest) in
+Python ints: its numbers are minors of qL - pI, so they have O(n) bits and
+no gcd ever runs, the cost is linear in n at an integer shift, and a
+rational shift adds only the cost of multiplying O(n)-bit ints. It also
+beats the heap kernel at c = 1, so it serves every such graph; analyze and
+the sweeps take count01 from graphs._fold_at_one instead, the same fold at
+1 carrying gamma and the heights. Any other graph goes to
 linalg.sparse_inertia, fed sparse rows of L - cI assembled straight from
 the adjacency lists. L is positive semidefinite, so the term at a <= 0 is
 zero and needs no elimination. laplacian(g) wraps the sparse rows at c = 0
@@ -33,7 +34,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .graphs import Graph, _cycle_forest
-from .linalg import ExactMatrix, Inertia, SparseRows, _exact, sparse_inertia
+from .linalg import ExactMatrix, Inertia, SparseRows, _cycle_inertia, _exact, sparse_inertia
 
 
 def laplacian_rows(g: Graph) -> list[list[int]]:
@@ -146,57 +147,6 @@ def _forest_inertia(
         closed = _cycle_inertia(nums, [abs(den[v]) for v in cycle], q)
         counts.append((closed.negatives, closed.zeros, closed.positives))
     return Inertia(*map(sum, zip(*counts)))
-
-
-def _cycle_inertia(nums: list[int], dens: list[int], q: int) -> Inertia:
-    """Inertia of the periodic tridiagonal matrix with diagonal nums[k] / dens[k]
-    (every dens[k] > 0) and off-diagonal -q, r = len(nums) >= 3.
-
-    F_k = f_k * dens[0] * ... * dens[k-1] scales the leading minors f_k, so
-    F_{k+1} = nums[k] F_k - q^2 dens[k] dens[k-1] F_{k-1} stays in ints with
-    the sign of f_{k+1}, and W_k does the same for the minors of rows
-    1..k-1. The negatives are the sign changes of f_0, ..., f_{r-1}, f_r
-    with zeros skipped: a zero f_k inside the path has
-    f_{k+1} = -q^2 f_{k-1}, so its pair of positions counts once each way.
-    f_r is the periodic-tridiagonal determinant: the full continuant minus
-    q^2 times the inner one, minus 2 q^r. If f_{r-1} = 0 the trailing 2x2
-    Schur block [[0, s], [s, t]] decides: one of each sign when f_r != 0,
-    else a zero plus the sign of t, the ratio of the continuant over
-    positions r-1, 0, ..., r-3 to f_{r-2}.
-    """
-    r = len(nums)
-    qq = q * q
-    f_prev, f = 1, nums[0]  # F_{k-1}, F_k
-    w_prev, w = 0, dens[0]  # W_{k-1}, W_k
-    positive = True  # the sign of the last nonzero f, from f_0 = 1
-    neg = 0
-    for k in range(1, r - 1):
-        if f and (f > 0) is not positive:
-            neg += 1
-            positive = not positive
-        e = qq * dens[k] * dens[k - 1]
-        a = nums[k]
-        f_prev, f = f, a * f - e * f_prev
-        w_prev, w = w, a * w - e * w_prev
-    e = qq * dens[r - 1]
-    full = nums[r - 1] * f - e * dens[r - 2] * f_prev - e * w - 2 * q**r * math.prod(dens)
-    if f:  # f_{r-1} != 0, so the closing pivot is f_r / f_{r-1}
-        if (f > 0) is not positive:
-            neg += 1
-            positive = not positive
-        if not full:
-            return Inertia(neg, 1, r - neg - 1)
-        if (full > 0) is not positive:
-            neg += 1
-        return Inertia(neg, 0, r - neg)
-    if full:
-        return Inertia(neg + 1, 0, r - neg - 1)
-    t = nums[r - 1] * f_prev - e * w_prev
-    if not t:
-        return Inertia(neg, 2, r - neg - 2)
-    if (t > 0) is not (f_prev > 0):
-        neg += 1
-    return Inertia(neg, 1, r - neg - 1)
 
 
 def _inertia(g: Graph, forest: tuple | None, c: int | Fraction) -> Inertia:

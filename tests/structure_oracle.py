@@ -15,10 +15,10 @@ one BFS from u to find v and another, inside _walk_to, to walk back.
 """
 
 from collections import deque
+from typing import NamedTuple
 
 from unilap.errors import NotConnectedError, NotUnicyclicError
 from unilap.graphs import (
-    CoreClassification,
     Graph,
     _farthest_clockwise,
     _walk_to,
@@ -162,7 +162,17 @@ def classify(
     return "other", ()
 
 
-def reduce_to_core(g: Graph) -> CoreClassification:
+class EagerCore(NamedTuple):
+    """The fields of graphs.CoreClassification, with the core built at once."""
+
+    kind: str
+    params: tuple[int, ...]
+    core: Graph
+    core_vertices: tuple[int, ...]
+    diametral_path: tuple[int, ...]
+
+
+def reduce_to_core(g: Graph) -> EagerCore:
     """Cycle plus diametral path plus (if needed) a shortest connector."""
     cycle, trees = decompose(g)
     _, path = diameter_and_path(g)
@@ -204,4 +214,4 @@ def reduce_to_core(g: Graph) -> CoreClassification:
         relabel[c]: tuple(relabel[v] for v in trees[c] if v in keep) for c in cycle
     }
     kind, params = classify(core, core_cycle, core_trees)
-    return CoreClassification(kind, params, core, tuple(verts), path)
+    return EagerCore(kind, params, core, tuple(verts), path)

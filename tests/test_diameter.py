@@ -14,6 +14,7 @@ import tracemalloc
 
 import pytest
 
+import separate_folds
 from allpairs_diameter import diameter_and_path as allpairs_diameter_and_path
 from conftest import spider, tree_from_code
 from unilap import bounds, graphs, spectra
@@ -54,7 +55,8 @@ def _forest_args(g: Graph) -> tuple[list[int], list[int], list[int]]:
 
 
 def _assert_eccentricities(g: Graph) -> None:
-    ecc = graphs._unicyclic_eccentricities(*_forest_args(g))
+    heights = graphs._fold_at_one(g, *graphs._connected_strip(g))[3:]
+    ecc = graphs._unicyclic_eccentricities(*_forest_args(g), *heights)
     assert ecc == [max(bfs_distances(g, v)) for v in range(g.n)], g.edges()
 
 
@@ -325,7 +327,7 @@ class TestCoreDecomposition:
             core = reduce_to_core(g)
             _, _, (cycle,) = graphs._unicyclic_strip(core.core)
             path = tuple(core.core_vertices.index(v) for v in core.diametral_path)
-            fresh = graphs._classify(core.core, cycle, path)
+            fresh = separate_folds.classify(core.core, cycle, path)
             assert (core.kind, core.params) == fresh, g.edges()
 
 

@@ -1,0 +1,174 @@
+"""The one fold at 1 against the separate walks of the strip it replaced.
+
+graphs._fold_at_one carries the pivot of L - I, the domination states and
+the pendant-tree heights through one pass over the leaf strip, then closes
+the cycle once for each. separate_folds holds the earlier code: the
+inertia from spectra._forest_inertia at p = q = 1 (still the kernel at every
+other shift), gamma from a fold of its own, and the heights from a loop of
+their own. The core reduction now classifies in the input's labels and
+builds the core only when .core is read; structure_oracle builds it at once
+by BFS, and separate_folds rebuilds it from parent edges and classifies it
+from its degrees.
+"""
+
+import random
+
+import pytest
+
+import separate_folds
+import structure_oracle
+from conftest import spider
+from unilap import graphs, spectra
+from unilap.bounds import analyze
+from unilap.enumeration import enumerate_unicyclic
+from unilap.graphs import (
+    CompassParams,
+    Graph,
+    make_compass,
+    make_cycle,
+    make_lollipop,
+    make_path,
+    reduce_to_core,
+)
+from unilap.harness import random_tree, random_unicyclic
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def _sun(r: int, rays: int) -> Graph:
+    """C_r with a pendant vertex on each of its first `rays` cycle vertices."""
+    edges = [(i, (i + 1) % r) for i in range(r)] + [(i, r + i) for i in range(rays)]
+    return Graph.from_edges(r + rays, edges)
+
+
+def _spiders() -> list[Graph]:
+    """Graphs whose every diametral path lies in one pendant tree."""
+    return [
+        spider(r, stem, legs)
+        for r in range(3, 9)
+        for stem in range(1, 5)
+        for legs in ([stem + r // 2 + 1] * 2, [stem + r // 2 + 2, stem + r // 2 + 1, 1])
+    ]
+
+
+def _assert_fold(g: Graph) -> None:
+    forest = graphs._connected_strip(g)
+    stripped, parent, cycles = forest
+    neg, zero, gamma, down, second = graphs._fold_at_one(g, *forest)
+    at_one = spectra._forest_inertia(g, *forest, 1, 1)
+    assert (neg, zero) == (at_one.negatives, at_one.zeros), g.edges()
+    assert gamma == separate_folds.forest_gamma(*forest), g.edges()
+    pendant = stripped if cycles else stripped[:-1]
+    assert (down, second) == separate_folds.heights(pendant, parent), g.edges()
+
+
+class TestFoldAgainstSeparateWalks:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_unicyclic_class_and_a_relabelling(self, n):
+        rng = random.Random(n)
+        for g in enumerate_unicyclic(n):
+            _assert_fold(g)
+            _assert_fold(_relabelled(g, rng))
+
+    @pytest.mark.parametrize("make", [random_tree, random_unicyclic], ids=["tree", "unicyclic"])
+    def test_random_graphs(self, make):
+        rng = random.Random(18)
+        for _ in range(300):
+            _assert_fold(make(rng, rng.randrange(3, 201)))
+
+    def test_small_trees(self):
+        for n in range(1, 13):
+            _assert_fold(make_path(n))
+            _assert_fold(Graph.from_edges(n, [(0, v) for v in range(1, n)]))
+
+    def test_suns_cut_the_cycle(self):
+        """A ray pairs with its cycle vertex at 1, which cuts the cycle: with
+        every vertex cut the arcs are empty, with some cut they fold as paths."""
+        for r in range(3, 25):
+            for rays in range(1, r + 1):
+                _assert_fold(_sun(r, rays))
+        sun = _sun(30, 30)  # each ray and its cycle vertex: one negative, one positive
+        assert graphs._fold_at_one(sun, *graphs._connected_strip(sun))[:2] == (30, 0)
+
+    def test_cycles_whose_closing_minor_vanishes(self):
+        """1 is a double eigenvalue of C_r exactly when 6 | r, so the intact
+        cycle closes through the zero branches of _cycle_inertia."""
+        for r in range(3, 61):
+            g = make_cycle(r)
+            _assert_fold(g)
+            _, zero, gamma = graphs._fold_at_one(g, *graphs._connected_strip(g))[:3]
+            assert zero == (2 if r % 6 == 0 else 0), r
+            assert gamma == -(-r // 3), r
+
+    def test_families(self):
+        for n in range(4, 30):
+            for r in range(3, n):
+                _assert_fold(make_lollipop(n, r))
+        _assert_fold(make_compass(CompassParams(30, 12, 6, 5)))
+        for g in _spiders():
+            _assert_fold(g)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_analyze_reads_the_fold(self, n):
+        """analyze's count01, mult1 and gamma are the separate walks' values."""
+        for g in enumerate_unicyclic(n):
+            rep = analyze(g)
+            want = separate_folds.count01_mult1_gamma(g, graphs._connected_strip(g))
+            assert (rep.count01, rep.mult1, rep.gamma) == want, g.edges()
+
+
+def _assert_core(g: Graph) -> None:
+    got, want = reduce_to_core(g), structure_oracle.reduce_to_core(g)
+    assert (got.kind, got.params) == (want.kind, want.params), g.edges()
+    assert got.core_vertices == want.core_vertices, g.edges()
+    assert got.diametral_path == want.diametral_path, g.edges()
+    core = got.core
+    assert (core.n, core.edges()) == (want.core.n, want.core.edges()), g.edges()
+    assert got.core is core  # built once
+    assert (core is g) == (len(got.core_vertices) == g.n)
+    forest = graphs._connected_strip(g)
+    rebuilt = separate_folds.classify_rebuilt(g, forest, got.diametral_path)
+    assert rebuilt[:2] == (got.kind, got.params) and rebuilt[3] == got.core_vertices, g.edges()
+    assert rebuilt[2].edges() == core.edges(), g.edges()
+
+
+class TestLazyCore:
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_every_unicyclic_class(self, n):
+        for g in enumerate_unicyclic(n):
+            _assert_core(g)
+
+    def test_spiders_and_random_graphs(self):
+        rng = random.Random(19)
+        corpus = _spiders() + [random_unicyclic(rng, rng.randrange(3, 120)) for _ in range(200)]
+        for g in corpus:
+            _assert_core(g)
+
+
+class TestAnalyzeBuildsNoGraph:
+    @pytest.mark.parametrize(
+        "g",
+        [spider(5, 2, [6, 5, 1]), spider(8, 1, [7, 6, 1])]
+        + [random_unicyclic(random.Random(s), 40) for s in range(5)],
+    )
+    def test_core_built_only_when_read(self, monkeypatch, g):
+        """A core short of V is classified in g's labels: analyze calls
+        neither Graph constructor, and reading .core builds one Graph."""
+        built = []
+        for name in ("from_edges", "_trusted"):
+            original = getattr(Graph, name)
+
+            def counted(*args, _name=name, _original=original):
+                built.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(Graph, name, staticmethod(counted))
+        rep = analyze(g)
+        assert len(rep.core.core_vertices) < g.n
+        assert built == []
+        core = rep.core.core
+        assert built == ["_trusted"] and core.n == len(rep.core.core_vertices)

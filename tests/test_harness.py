@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import separate_folds
 from unilap.bounds import ceil_div, domination_number
 from unilap import bounds, charpoly, graphs, harness, spectra
 from unilap.cli import main
@@ -13,6 +14,7 @@ from unilap.errors import InternalConsistencyError, InvalidParameterError
 from unilap.graphs import (
     CompassParams,
     Graph,
+    bfs_distances,
     diameter_and_path,
     make_compass,
     make_cycle,
@@ -124,8 +126,8 @@ class TestSuites:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tree_chain_matches_the_public_route(self, seed):
-        # the same corpus, each tree measured by one strip and by three
-        # separate public calls
+        # the same corpus, each tree measured by one fold of one strip, by
+        # three separate public calls and by the separate walks it replaced
         rng = random.Random(seed)
         want = []
         for i in range(100):
@@ -135,8 +137,11 @@ class TestSuites:
             c = count_interval(g, 0, 1).count
             gamma = domination_number(g)
             forest = graphs._connected_strip(g)
-            count01, _, strip_gamma = bounds._count01_mult1_gamma(g, forest)
-            assert (graphs._unicyclic_diameter_and_path(*forest)[0], count01, strip_gamma) == (d, c, gamma)
+            count01, _, strip_gamma, down, second = graphs._fold_at_one(g, *forest)
+            measured = graphs._unicyclic_diameter_and_path(*forest, down, second)[0]
+            assert (measured, count01, strip_gamma) == (d, c, gamma)
+            assert separate_folds.count01_mult1_gamma(g, forest)[::2] == (c, gamma)
+            assert max(max(bfs_distances(g, v)) for v in range(g.n)) == d
             if not ceil_div(d + 1, 3) <= c <= gamma:
                 want.append((i, n))
         assert check_tree_chain(count=100, max_n=40, seed=seed).failures == want
@@ -277,16 +282,21 @@ class TestSweep:
     )
     def test_one_diameter_per_row_below_cap(self, monkeypatch, family, n_hi):
         """Every row, a path's included, takes one forest diameter off its
-        leaf strip, and no row searches or builds a decomposition."""
-        calls = []
-        original = graphs._unicyclic_diameter_and_path
+        leaf strip, from the heights of one fold at 1, and no row searches
+        or builds a decomposition."""
+        calls, folds = [], []
+        original, fold = graphs._unicyclic_diameter_and_path, graphs._fold_at_one
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a sweep row searched or decomposed")
 
-        def counted(stripped, parent, cycles):
+        def counted(stripped, parent, cycles, down, second):
             calls.append(len(parent))
-            return original(stripped, parent, cycles)
+            return original(stripped, parent, cycles, down, second)
+
+        def counted_fold(g, *forest):
+            folds.append(g.n)
+            return fold(g, *forest)
 
         for module in (graphs, bounds, harness):
             # harness no longer imports it; set it there anyway, so a call
@@ -295,9 +305,10 @@ class TestSweep:
         monkeypatch.setattr(graphs, "bfs_distances", forbidden)
         monkeypatch.setattr(graphs, "UnicyclicDecomposition", forbidden)
         monkeypatch.setattr(harness, "_unicyclic_diameter_and_path", counted)
+        monkeypatch.setattr(harness, "_fold_at_one", counted_fold)
         rows = list(sweep(family, 4, n_hi))
         assert len(rows) > n_hi - 4
-        assert calls == [row.n for row in rows]
+        assert calls == folds == [row.n for row in rows]
 
 
 class TestCLI:

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import separate_folds
 import structure_oracle as oracle
 from conftest import spider
 from unilap import graphs
@@ -49,9 +50,10 @@ def _assert_same_structure(g: Graph) -> None:
     assert dec.trees == trees, g.edges()
     stripped, parent, (strip_cycle,) = graphs._unicyclic_strip(g)
     assert tuple(strip_cycle) == cycle and parent == dec.parent, g.edges()
-    ecc = graphs._unicyclic_eccentricities(strip_cycle, stripped, parent)
+    down, second = graphs._fold_at_one(g, stripped, parent, [strip_cycle])[3:]
+    ecc = graphs._unicyclic_eccentricities(strip_cycle, stripped, parent, down, second)
     assert ecc == oracle.eccentricities(g, cycle)
-    got = graphs._unicyclic_diameter_and_path(stripped, parent, [strip_cycle])
+    got = graphs._unicyclic_diameter_and_path(stripped, parent, [strip_cycle], down, second)
     assert got == oracle.path_from_eccentricities(g, ecc), g.edges()
     assert diameter_and_path(g) == oracle.diameter_and_path(g), g.edges()
     got, want = reduce_to_core(g), oracle.reduce_to_core(g)
@@ -179,28 +181,25 @@ class TestForest:
         for g in corpus:
             _assert_forest(g, unicyclic_decompose(g))
 
-    def test_core_decomposition_is_a_full_forest(self, monkeypatch):
+    def test_core_decomposition_is_a_full_forest(self):
         """The core's cycle, relabelled from g's, is the cycle of a fresh
-        strip of the core, and the path _classify reads is the diametral
-        path in the core's labels."""
-        seen = []
-        original = graphs._classify
-
-        def recording(core, cycle, path):
-            seen.append((core, cycle, path))
-            return original(core, cycle, path)
-
-        monkeypatch.setattr(graphs, "_classify", recording)
+        strip of the core, and the diametral path in the core's labels is a
+        diametral path of the core; classified from the core's own degrees
+        with that cycle and path, it is what reduce_to_core says."""
         rng = random.Random(6)
         corpus = [make_lollipop(12, 5), make_cycle(7)] + _spiders()
         corpus += [random_unicyclic(rng, rng.randrange(3, 60)) for _ in range(100)]
         for g in corpus:
             got = reduce_to_core(g)
-            core, cycle, path = seen.pop()
-            assert core is got.core
+            core = got.core
+            index = {v: i for i, v in enumerate(got.core_vertices)}
+            _, _, (cycle,) = graphs._unicyclic_strip(g)
             _, _, (fresh,) = graphs._unicyclic_strip(core)
-            assert cycle == fresh, g.edges()
-            assert path == tuple(got.core_vertices.index(v) for v in got.diametral_path)
+            assert [index[c] for c in cycle] == fresh, g.edges()
+            path = tuple(index[v] for v in got.diametral_path)
+            assert all(b in core.adj[a] for a, b in zip(path, path[1:])), g.edges()
+            assert diameter_and_path(core)[0] == len(path) - 1, g.edges()
+            assert separate_folds.classify(core, fresh, path) == (got.kind, got.params), g.edges()
             _assert_forest(core, unicyclic_decompose(core))
 
     def test_whole_graph_core_is_the_graph(self):
