@@ -17,6 +17,11 @@ package can address vertices by index):
   (t-1, t+r'-1), which puts its attachment point at cycle distance r' from
   the degree-3 vertex t+r-1. Deleting (t-1, t+r'-1) therefore leaves the
   disjoint union of a t-path and a lollipop on n-t vertices.
+
+The generators and with_edge_removed write their sorted neighbour tuples
+straight into Graph._trusted: they are valid by construction, and edge
+removal edits only the two tuples it touches. Graph.from_edges, and
+read_edge_list through it, validate input from outside edge by edge.
 """
 
 from collections import deque
@@ -108,6 +113,8 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InvalidParameterError(f"edge ({u},{v}) out of range for n={self.n}")
         return v in self.adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
@@ -131,7 +138,10 @@ class Graph:
     def with_edge_removed(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
             raise EdgeNotPresentError(f"edge ({u},{v}) not in graph")
-        return Graph.from_edges(self.n, [e for e in self.edges() if e != (min(u, v), max(u, v))])
+        adj = list(self.adj)
+        adj[u] = tuple(w for w in adj[u] if w != v)
+        adj[v] = tuple(w for w in adj[v] if w != u)
+        return Graph._trusted(self.n, tuple(adj))
 
     def with_edge_added(self, u: int, v: int) -> "Graph":
         if u == v or self.has_edge(u, v):
@@ -157,6 +167,8 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 def join_with_edge(g1: Graph, u: int, g2: Graph, v: int) -> Graph:
     """Disjoint union of g1 and g2 plus the bridge (u, g1.n + v)."""
+    if not (0 <= u < g1.n and 0 <= v < g2.n):
+        raise InvalidParameterError(f"bridge ({u},{v}) out of range for n={g1.n} and n={g2.n}")
     return disjoint_union(g1, g2).with_edge_added(u, g1.n + v)
 
 
@@ -168,16 +180,24 @@ def pendant_vertices(g: Graph) -> list[int]:
 # family generators
 
 
+def _path_adj(n: int) -> list[tuple[int, ...]]:
+    """Neighbour tuples of the path 0-1-...-(n-1), n >= 1."""
+    adj = [(i - 1, i + 1) for i in range(n)]
+    adj[0] = adj[0][1:]
+    adj[-1] = adj[-1][:-1]
+    return adj
+
+
 def make_path(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError(f"path needs n >= 1, got {n}")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph._trusted(n, tuple(_path_adj(n)))
 
 
 def make_cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParameterError(f"cycle needs n >= 3, got {n}")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    return make_lollipop(n, n)
 
 
 def make_lollipop(n: int, r: int) -> Graph:
@@ -187,11 +207,10 @@ def make_lollipop(n: int, r: int) -> Graph:
     """
     if not 3 <= r <= n:
         raise InvalidParameterError(f"lollipop needs 3 <= r <= n, got n={n} r={r}")
-    if r == n:
-        return make_cycle(n)
-    edges = [(i, i + 1) for i in range(r - 1)] + [(0, r - 1)]
-    edges += [(r - 1 + j, r + j) for j in range(n - r)]
-    return Graph.from_edges(n, edges)
+    adj = _path_adj(n)  # plus the closing edge (0, r-1)
+    adj[0] = (1, r - 1)
+    adj[r - 1] = (0,) + adj[r - 1]
+    return Graph._trusted(n, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -233,12 +252,19 @@ class CompassParams:
 
 def make_compass(p: CompassParams) -> Graph:
     p.validate()
-    t, r = p.t, p.r
-    edges = [(i, i + 1) for i in range(t - 1)]                       # first tail
-    edges += [(t + i, t + i + 1) for i in range(r - 1)] + [(t, t + r - 1)]  # cycle
-    edges += [(t - 1, t + p.r_prime - 1)]                            # attachment
-    edges += [(t + r - 1 + j, t + r + j) for j in range(p.s)]        # second tail
-    return Graph.from_edges(p.n, edges)
+    t = p.t
+    a, b = t + p.r_prime - 1, t + p.r - 1  # the first tail's attachment, the degree-3 end
+    # the path 0..n-1 plus the closing edge (t, b), with the path edge
+    # (t-1, t) moved to the attachment (t-1, a); a <= b - 2 as r' <= r/2
+    adj = _path_adj(p.n)
+    adj[b] = (t, b - 1, b + 1)
+    if a == t:
+        adj[t] = (t - 1, t + 1, b)
+    else:
+        adj[t - 1] = adj[t - 1][:-1] + (a,)
+        adj[t] = (t + 1, b)
+        adj[a] = (t - 1, a - 1, a + 1)
+    return Graph._trusted(p.n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -68,9 +69,7 @@ def laplacian_apply(g: Graph, vec: Sequence[int]) -> list[int]:
     """L(g) @ vec in exact integer arithmetic."""
     if len(vec) != g.n:
         raise InvalidParameterError("vector length must equal vertex count")
-    return [
-        g.degree(v) * vec[v] - sum(vec[w] for w in g.adj[v]) for v in range(g.n)
-    ]
+    return [len(nbrs) * x - sum(map(vec.__getitem__, nbrs)) for x, nbrs in zip(vec, g.adj)]
 
 
 @dataclass(frozen=True)
@@ -197,9 +196,19 @@ def closed_form_spectrum(family: str, n: int) -> list[float]:
 
 
 def spectrum_float(g: Graph) -> list[float]:
-    """All Laplacian eigenvalues, ascending, from LAPACK's symmetric solver."""
-    rows = np.array(laplacian_rows(g), dtype=float)
-    return sorted(np.linalg.eigvalsh(rows).tolist())
+    """All Laplacian eigenvalues, ascending, from LAPACK's symmetric solver.
+
+    The dense float Laplacian is filled from index arrays: -1 at (v, w) for
+    every neighbour w of v (rows by np.repeat of the degrees, columns the
+    adjacency lists chained), then the degrees on the diagonal. It is the
+    same matrix as np.array(laplacian_rows(g), dtype=float).
+    """
+    deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=g.n)
+    cols = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp)
+    lap = np.zeros((g.n, g.n))
+    lap[np.repeat(np.arange(g.n), deg), cols] = -1.0
+    np.fill_diagonal(lap, deg)
+    return sorted(np.linalg.eigvalsh(lap).tolist())
 
 
 INTERLACING_SLACK = 1e-8  # float tolerance of check_interlacing's comparisons
