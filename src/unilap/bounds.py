@@ -198,13 +198,9 @@ def analyze(g: Graph) -> BoundReport:
     elif core.kind == "compass":
         cn, cr, crp, ct = core.params
         alpha = cr // 2 - crp
-        # swapping the two tails is an isomorphism, so the strengthened
-        # bound applies if either orientation meets its hypotheses
-        for t in (ct, cn - cr - ct):
-            strengthened = compass_bounds(CompassParams(cn, cr, crp, t))[1]
-            if strengthened is not None:
-                refined = strengthened
-                break
+        # compass_bounds' strengthened case at d = r' + t + s; a tail swap is an isomorphism
+        if cn % 3 == 0 and cr % 6 == 0 and alpha == 0 and 1 in (ct % 3, (cn - cr - ct) % 3):
+            refined = ceil_div(d, 3) + ceil_div(r, 6)
     k = max(main, refined) if refined is not None else main
 
     verdicts = {"main_bound": count01 >= main}

@@ -116,6 +116,7 @@ def _bracelets(n: int, r: int, alpha: _Alphabet) -> Iterator[list[int]]:
     An iterative FKM walk: depth t picks a[t] from the ranks >= a[t - p]
     that leave room for the open slots, where p[t] is the period of the
     prefix a[:t] (p stays when a[t] repeats a[t - p], else it becomes t + 1).
+    The last slot starts at a[1]: below, the reversal's rotation (a[0], a[r-1], ...) is smaller.
     """
     size, floor, by_size, capped = alpha.size, alpha.floor, alpha.by_size, alpha.capped
     a = [0] * r
@@ -143,12 +144,13 @@ def _bracelets(n: int, r: int, alpha: _Alphabet) -> Iterator[list[int]]:
             t -= 1
             continue
         fill = (r - t) * floor[a[0]]  # the least the open slots can hold
-        if left < fill:
+        low = a[t - p] if t < r - 1 else max(a[t - p], a[1])
+        if left < fill or t == r - 1 and by_size[left][-1] < low:
             t -= 1
             continue
         period[t], rem[t] = p, left
         lst = by_size[left] if t == r - 1 else capped[left - fill + floor[a[0]]]
-        cands[t], pos[t] = lst, bisect_left(lst, a[t - p])
+        cands[t], pos[t] = lst, bisect_left(lst, low)
 
 
 def _graph(n: int, r: int, seq: list[int], rows: list[tuple]) -> Graph:

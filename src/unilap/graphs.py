@@ -28,6 +28,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 from typing import TextIO
 
 from .errors import (
@@ -390,28 +391,35 @@ def bfs_distances(g: Graph, src: int) -> list[int]:
     return dist
 
 
-def _farthest_clockwise(h: list[int]) -> list[int]:
-    """max over 1 <= j <= len(h)//2 of h[(i + j) % len(h)] + j, for every i.
+def _cycle_reach(heights: list[int]) -> list[int]:
+    """far[i] = max over j != i of heights[j] + cdist(i, j) round a cycle of
+    r = len(heights) vertices; [0] when r = 1.
 
-    Writing a[J] = h[J % r] + J over the doubled cycle, the value at i is
-    max(a[i+1 .. i+k]) - i: a window of fixed width k sliding right, whose
-    maximum a deque of decreasing a-values yields in O(r) overall.
+    With k = r // 2, cdist(i, j) is k less the distance from i to the nearer
+    antipode of j (j + k, and j + k + 1 too when r is odd), so each tent
+    h_j + cdist(i, j) peaks at h_j + k there, and the envelope of all r
+    tents is a max-plus distance transform of the peaks: one pass each way
+    from the highest. It counts j = i too, so it errs only at an i with
+    h_i > h_j + cdist(i, j) for every j != i. Two such i, j would each top
+    the other by cdist(i, j) > 0, and such an i tops every other index's own
+    height too (h_i + cdist > h_j + 2 cdist), so no tie coexists with it.
+    It is the first highest index, whose far is recomputed in O(r).
     """
-    r = len(h)
-    k = r // 2
-    a = [h[j % r] + j for j in range(r + k)]
-    window: deque[int] = deque()
-    out = []
-    for j in range(1, r + k):
-        while window and a[window[-1]] <= a[j]:
-            window.pop()
-        window.append(j)
-        i = j - k
-        if i >= 0:
-            if window[0] <= i:
-                window.popleft()
-            out.append(a[window[0]] - i)
-    return out
+    r, k = len(heights), len(heights) // 2
+    m = heights.index(max(heights))
+    h = heights[m:] + heights[:m]  # h[x] = heights[m + x]
+    own = max(map(add, h[1:], [*range(1, k + 1), *range(r - 1 - k, 0, -1)]), default=0)
+    # peak[x] + k is the peak at m + k + x: h[x] + k, or with h[x - 1] too when r is odd
+    peak = list(map(max, h, h[-1:] + h[:-1])) if r % 2 else h
+    for order in (range(1, r), range(r - 1, 0, -1)):
+        run = peak[0]
+        for x in order:
+            run -= 1
+            peak[x] = run = peak[x] if peak[x] > run else run
+    s = r - (m + k) % r  # far[i] = peak[i - m - k] + k
+    far = list(map(k.__add__, peak[s:] + peak[:s]))
+    far[m] = own
+    return far
 
 
 def _fold_at_one(
@@ -430,9 +438,9 @@ def _fold_at_one(
     down[x] is the subtree's height and second[x] the runner-up over x's
     children of 1 + down[child]. The cycle then closes once for each: a
     paired cycle vertex cuts it into arcs folded as paths, an intact one
-    closes by linalg._cycle_inertia, and gamma is the least of three walks
-    up the cycle path c_0..c_{r-1}, G minus the edge c_{r-1}c_0: plain, c_0
-    in D dominating c_{r-1}, and c_{r-1} in D dominating c_0.
+    closes by linalg._cycle_inertia, and gamma by one walk up the cycle
+    path c_{r-1}..c_0 (G minus the edge c_{r-1}c_0) carrying three triples:
+    plain, c_0 in D dominating c_{r-1}, and c_{r-1} in D dominating c_0.
     """
     n = g.n
     cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
@@ -489,18 +497,20 @@ def _fold_at_one(
             else:
                 paired[u] += 1
 
-    def up_the_cycle(sa: int, sb: int, sc: int) -> tuple[int, int, int]:
-        for v in reversed(cycle[:-1]):
-            dom = sa if sa < sb else sb
-            low, via_child, via_v = dom if dom < sc else sc, b[v] + dom, c[v] + sa
-            sa, sb, sc = a[v] + low, via_child if via_child < via_v else via_v, c[v] + sb
-        return sa, sb, sc
-
+    # the triples plain (p), c_0 in D (f) and c_{r-1} in D (l), folded as above
     last = cycle[-1]
-    plain_a, plain_b, _ = up_the_cycle(a[last], b[last], c[last])
-    first_in_d = up_the_cycle(a[last], min(b[last], c[last]), inf)[0]
-    last_in_d = min(up_the_cycle(a[last], inf, inf))
-    return neg, zero, min(plain_a, plain_b, first_in_d, last_in_d), down, second
+    pa, pb, pc = a[last], b[last], c[last]
+    fa, fb, fc = pa, pb if pb < pc else pc, inf
+    la, lb, lc = pa, inf, inf
+    for v in reversed(cycle[:-1]):
+        av, bv, cv = a[v], b[v], c[v]
+        dom, via = pa if pa < pb else pb, cv + pa
+        pa, pb, pc = av + (dom if dom < pc else pc), via if via < bv + dom else bv + dom, cv + pb
+        dom, via = fa if fa < fb else fb, cv + fa
+        fa, fb, fc = av + (dom if dom < fc else fc), via if via < bv + dom else bv + dom, cv + fb
+        dom, via = la if la < lb else lb, cv + la
+        la, lb, lc = av + (dom if dom < lc else lc), via if via < bv + dom else bv + dom, cv + lb
+    return neg, zero, min(pa, pb, fa, la, lb, lc), down, second
 
 
 def _unicyclic_eccentricities(
@@ -514,18 +524,13 @@ def _unicyclic_eccentricities(
     far(c) is the farthest reach from cycle vertex c through the rest of the
     cycle (cycle distance plus the height there, over c' != c), and up[x] the
     farthest reach from x outside its subtree: up[c] = far(c), and for a
-    child x of p, 1 + max(up[p], the best reach from p through a sibling).
-    Every cycle vertex lies within r//2 of c one way round or the other, so
-    far(c) is the larger of a clockwise and a counter-clockwise window (both
-    empty on a tree, where up[root] = 0).
+    child x of p, 1 + max(up[p], the best reach from p through a sibling),
+    with far from _cycle_reach (0 on a tree).
     """
-    heights = [down[c] for c in cycle]
-    cw = _farthest_clockwise(heights)
-    ccw = _farthest_clockwise(heights[::-1])[::-1]
-    # comparisons, not max(): a builtin call per vertex was most of these loops' time
     up = [0] * len(parent)
-    for c, a, b in zip(cycle, cw, ccw):
-        up[c] = a if a > b else b
+    for c, far in zip(cycle, _cycle_reach([down[c] for c in cycle])):
+        up[c] = far
+    # comparisons, not max(): a builtin call per vertex was most of these loops' time
     for x in reversed(pendant):
         p = parent[x]
         sibling = second[p] if down[x] + 1 == down[p] else down[p]
@@ -552,52 +557,52 @@ def _unicyclic_diameter_and_path(
     leaf strip and the heights of _fold_at_one; a tree is rooted at the last
     vertex stripped.
 
-    Every vertex at distance d from a vertex of eccentricity d has
-    eccentricity d too, so the smallest pair (u, v) at distance d has u the
-    smallest vertex of eccentricity d and v the smallest vertex at distance
-    d from u. Both, and the path, come off the forest with no search.
-
-    Distances from u take one pass over the reversed strip: u's ancestors
-    lie on its climb to its cycle vertex, every other cycle vertex is the
-    shorter arc further on, and every other vertex is one past its parent,
-    since u is not below it. When one cycle vertex roots both u and v (as
-    on a tree, always), their only path runs through the vertex where the
-    two climbs meet. Otherwise every shortest path climbs from u, takes a
+    The smallest pair at distance d is u, the smallest vertex of
+    eccentricity d, and v, the first vertex of eccentricity d in label order
+    at distance d from u (every vertex that far from u has eccentricity d).
+    Each candidate's distance is memoised along its climb to a vertex
+    already known: u's ancestors lie on its climb, another cycle vertex is
+    the shorter arc further on, and every other vertex is one past its
+    parent, since u is not below it. When one cycle vertex roots u and v
+    (on a tree, always), their only path runs through the vertex where the
+    climbs meet. Otherwise every shortest path climbs from u, takes a
     shortest arc and descends to v; only an even cycle has two, and the
     smallest sequence takes the one whose first vertex is smaller.
     """
     cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
     r = len(cycle)
     ecc = _unicyclic_eccentricities(cycle, pendant, parent, down, second)
-    d = max(ecc)
-    u = ecc.index(d)
+    u = ecc.index(d := max(ecc))
     climb = [u]
     while parent[climb[-1]] != climb[-1]:
         climb.append(parent[climb[-1]])
-    k, home = len(climb) - 1, cycle.index(climb[-1])
-    dist = [-1] * len(parent)
-    for i, c in enumerate(cycle):
-        arc = abs(i - home)
-        dist[c] = k + min(arc, r - arc)
-    for i, x in enumerate(climb):
-        dist[x] = i
-    for x in reversed(pendant):
-        if dist[x] < 0:
-            dist[x] = dist[parent[x]] + 1
-    v = dist.index(d)
+    k, top = len(climb) - 1, climb[-1]
+    rank = dict(zip(climb, range(k + 1)))
+    dist = rank.copy()
+    at: dict[int, int] = {}  # cycle positions, once a climb meets another cycle vertex
+    v, back = u, [u]
+    while dist[v] != d:
+        v = ecc.index(d, v + 1)
+        back, x = [], v  # v's climb up to the first vertex of known distance
+        while x not in dist and parent[x] != x:
+            back.append(x)
+            x = parent[x]
+        if x not in dist:
+            at = at or dict(zip(cycle, range(r)))
+            dist[x] = k + min((at[x] - at[top]) % r, (at[top] - at[x]) % r)
+        for y in reversed(back):
+            dist[y] = dist[parent[y]] + 1
+        back.append(x)
 
-    rank = {x: i for i, x in enumerate(climb)}
-    back = [v]
     while back[-1] not in rank and parent[back[-1]] != back[-1]:
         back.append(parent[back[-1]])
     meet = back[-1]
     if meet in rank:
         return d, tuple(climb[: rank[meet]] + back[::-1])
-    ahead = (cycle.index(meet) - home) % r
-    forward = 2 * ahead < r or (2 * ahead == r and cycle[(home + 1) % r] < cycle[home - 1])
-    step = 1 if forward else -1
-    arc = [cycle[(home + step * j) % r] for j in range(1, min(ahead, r - ahead))]
-    return d, tuple(climb + arc + back[::-1])
+    ring = cycle[at[top] :] + cycle[: at[top]]  # from top, in cycle order
+    ahead = (at[meet] - at[top]) % r
+    backward = 2 * ahead > r or (2 * ahead == r and ring[-1] < ring[1])
+    return d, tuple(climb + (ring[:ahead:-1] if backward else ring[1:ahead]) + back[::-1])
 
 
 def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -606,10 +611,10 @@ def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
     Ties break to the lexicographically smallest endpoint pair (u, v) with
     u < v, then to the lexicographically smallest vertex sequence from u.
     A tree or a unicyclic g takes O(n) time and memory and no search:
-    eccentricities from the pendant-tree heights of the fold at 1 and
-    sliding windows round the cycle, then distances and the path read off
-    the leaf strip. Any other g takes one BFS per vertex, O(n m) time, and
-    O(n) memory.
+    eccentricities from the pendant-tree heights of the fold at 1 and two
+    passes round the cycle, then distances memoised along the climbs of the
+    candidates for the far end, and the path read off the leaf strip. Any
+    other g takes one BFS per vertex, O(n m) time, and O(n) memory.
     """
     forest = _connected_strip(g)
     if forest is not None:
@@ -674,37 +679,31 @@ def reduce_to_core(g: Graph) -> CoreClassification:
 def _reduce_to_core(g: Graph, forest: tuple, path: tuple[int, ...]) -> CoreClassification:
     """reduce_to_core given g's leaf strip and diametral path, in g's labels.
 
-    The core is induced on the cycle, the path and, when the path misses
-    the cycle, the tree walk joining them; that set is closed under parent,
-    so its other edges join each kept vertex to its parent. It is a cycle
-    when nothing hangs off the cycle, and a lollipop or a compass when one
-    or two cycle vertices root a path each (no vertex has two kept
-    children): the compass's tails are the path's ends off the cycle.
+    A path meeting the cycle runs tail, arc, tail, its first and last cycle
+    positions bounding the arc. No tail makes the core a cycle, one a
+    lollipop, two at distinct cycle vertices a compass, and two at one
+    vertex "other"; so does a path in one pendant tree, whose core adds the
+    walk from it up to the cycle.
     """
     _, parent, (cycle,) = forest
-    on_cycle = set(cycle)
-    keep = on_cycle.union(path)
-    # climbing from an end of the path meets only path vertices up to the
-    # cycle, unless the path lies in one pendant tree: then it passes the
-    # path's vertex nearest the cycle and goes on along the connector
-    x = path[0]
-    while parent[x] != x:
-        x = parent[x]
-        keep.add(x)
-    sizes = (len(keep), len(cycle))
-    hangs = [parent[v] for v in keep if v not in on_cycle]  # one per core edge off the cycle
-    branch = on_cycle.intersection(hangs)
-    if not hangs:
-        kind, params = "cycle", sizes[:1]
-    elif len(branch) > 2 or len(set(hangs)) < len(hangs):
-        kind, params = "other", ()
-    elif len(branch) == 1:
-        kind, params = "lollipop", sizes
+    r, end = len(cycle), len(path) - 1
+    kind, params = "other", ()
+    first = next((i for i, x in enumerate(path) if parent[x] == x), None)
+    if first is None:
+        off, x = set(path), parent[path[0]]
+        while parent[x] != x:
+            off.add(x)
+            x = parent[x]
     else:
-        ends = [i for i, v in enumerate(path) if v in on_cycle]
-        first, last = ends[0], ends[-1]
-        kind, params = "compass", sizes + (last - first, min(first, len(path) - 1 - last))
-    return CoreClassification(kind, params, tuple(sorted(keep)), path, g)
+        last = end - next(i for i, x in enumerate(reversed(path)) if parent[x] == x)
+        off = path[:first] + path[last + 1 :]
+        if not off:
+            kind, params = "cycle", (r,)
+        elif first == 0 or last == end:
+            kind, params = "lollipop", (r + len(off), r)
+        elif first < last:
+            kind, params = "compass", (r + len(off), r, last - first, min(first, end - last))
+    return CoreClassification(kind, params, tuple(sorted([*cycle, *off])), path, g)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonSymmetricError
+from .errors import InvalidParameterError, NonSymmetricError
 
 SparseRows = dict[int, dict[int, int | Fraction]]
 
@@ -62,9 +62,12 @@ class Inertia:
 
 
 def _exact(x: int | Fraction) -> int | Fraction:
-    """x as an int when it is integral, else as a Fraction."""
+    """x as an int when integral, else a Fraction; NaN and ±inf raise InvalidParameterError."""
     if x.__class__ is not int:
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (OverflowError, ValueError):
+            raise InvalidParameterError(f"need a finite rational number, got {x!r}") from None
         if x.denominator == 1:
             x = x.numerator
     return x

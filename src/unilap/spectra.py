@@ -167,7 +167,7 @@ def shifted_inertia(g: Graph, c: int | Fraction) -> Inertia:
 def count_interval(g: Graph, a: int | Fraction, b: int | Fraction) -> IntervalCount:
     """Exact number of Laplacian eigenvalues in the half-open interval [a, b),
     from one leaf strip of g folded at both ends."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = Fraction(_exact(a)), Fraction(_exact(b))
     if a >= b:
         raise InvalidIntervalError(f"need a < b, got [{a}, {b})")
     forest = _cycle_forest(g)

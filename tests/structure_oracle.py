@@ -6,8 +6,8 @@ lookups, every pendant tree is collected by its own BFS over sets, the
 eccentricities root the trees by a BFS of their own, tails are recognised
 by walking each tree, and the connector to the cycle comes from a
 multi-source BFS. unilap.graphs now reads all of these off one cycle-rooted
-forest, so the two share only the sliding window round the cycle and the
-final path walk.
+forest, so the two share only the final path walk; the sliding windows
+round the cycle come from cycle_walks, the code that read them before.
 
 path_from_eccentricities is how unilap.graphs took the diametral path from
 its eccentricities before it read distances and the path off the forest:
@@ -17,10 +17,10 @@ one BFS from u to find v and another, inside _walk_to, to walk back.
 from collections import deque
 from typing import NamedTuple
 
+from cycle_walks import _farthest_clockwise
 from unilap.errors import NotConnectedError, NotUnicyclicError
 from unilap.graphs import (
     Graph,
-    _farthest_clockwise,
     _walk_to,
     bfs_distances,
 )

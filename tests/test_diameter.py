@@ -2,7 +2,7 @@
 
 allpairs_diameter holds the earlier n^2-distance diameter_and_path; a tree
 or a unicyclic graph now reads the diameter off eccentricities from
-pendant-tree heights and sliding windows round the cycle (a tree's cycle is
+pendant-tree heights and two passes round the cycle (a tree's cycle is
 its root alone), and every other graph runs one BFS per source keeping O(n)
 memory. Both must choose the same diameter and the same diametral path
 everywhere, and the family closed forms must hold at sizes the all-pairs

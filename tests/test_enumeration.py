@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import bracelet_walk
 from conftest import graphs_isomorphic
 from necklace_oracle import oracle_unicyclic
 from unilap import enumeration
@@ -201,3 +202,16 @@ class TestAgainstDedupeOracle:
         for n in range(3, 12):
             for g in enumerate_unicyclic(n):
                 assert Graph(g.n, g.adj) == g
+
+
+class TestLastSlotFromTheSecond:
+    """The last slot starts at a[1]: the walk that started it at a[t - p]
+    emits the same least sequences, in the same order, at every girth."""
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_same_sequences_per_girth(self, n):
+        alpha = enumeration._alphabet(n - 2)
+        for r in range(3, n + 1):
+            got = [tuple(a) for a in enumeration._bracelets(n, r, alpha)]
+            want = [tuple(a) for a in bracelet_walk._bracelets(n, r, alpha)]
+            assert got == want, (n, r)

@@ -127,6 +127,35 @@ class TestMultiplicity:
         assert multiplicity(make_path(4), Fraction(1, 7)) == 0
 
 
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteShifts:
+    """NaN and the infinities are outside every shift's domain: they raise
+    InvalidParameterError, not OverflowError or Fraction's own ValueError."""
+
+    @pytest.mark.parametrize("x", _NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_count_interval_endpoints(self, x):
+        g = make_cycle(5)
+        for a, b in ((x, 1), (0, x)):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                count_interval(g, a, b)
+
+    @pytest.mark.parametrize("x", _NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_multiplicity_and_inertia(self, x):
+        g = make_lollipop(6, 3)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            multiplicity(g, x)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            spectra.shifted_inertia(g, x)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            laplacian(g).minus_scaled_identity(x)
+
+    def test_finite_floats_stay_exact(self):
+        assert count_interval(make_path(3), 0.5, 1.5).count == 1
+        assert multiplicity(make_path(3), 1.0) == 1
+
+
 class TestClosedForms:
     def test_path3(self):
         assert closed_form_spectrum("path", 3) == pytest.approx([0.0, 1.0, 3.0])
