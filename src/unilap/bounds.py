@@ -22,9 +22,9 @@ from .graphs import (
     CoreClassification,
     Graph,
     _connected_strip,
+    _far_ends,
     _fold_at_one,
     _reduce_to_core,
-    _unicyclic_diameter_and_path,
     _unicyclic_strip,
     diameter_and_path,
 )
@@ -182,13 +182,13 @@ class BoundReport:
 
 def analyze(g: Graph) -> BoundReport:
     """Measure g exactly and check every applicable inequality on g itself."""
-    # one leaf strip, folded once at 1, gives count01, mult1, gamma and the
-    # heights the diameter reads; the core reduction takes the diametral path
+    # one leaf strip, folded once at 1, gives count01, mult1, gamma and the heights
+    # the diameter's ends are read off; the core is classified from the ends
     forest = _unicyclic_strip(g)
     r = len(forest[2][0])
-    count01, mult1, gamma, down, second = _fold_at_one(g, *forest)
-    d, path = _unicyclic_diameter_and_path(*forest, down, second)
-    core = _reduce_to_core(g, forest, path)
+    count01, mult1, gamma, down, second, lo = _fold_at_one(g, *forest)
+    d, *ends = _far_ends(g, forest, down, second, lo)
+    core = _reduce_to_core(g, forest, down, ends)
 
     main = main_lower_bound(d, r)
     refined: int | None = None

@@ -296,19 +296,20 @@ class UnicyclicDecomposition:
         return len(self.cycle)
 
 
-def _cycle_forest(g: Graph) -> tuple[list[int], list[int], list[list[int]]] | None:
+def _cycle_forest(g: Graph, left: list[int] | None = None) -> tuple | None:
     """The leaf strip of g: (stripped, parent, cycles), or None when the
     2-core of g is not a set of disjoint cycles.
 
-    left[x] counts the neighbours of x not yet stripped and others[x] sums
-    them, so a leaf's parent is others[x]. stripped lists each vertex after
-    all of its children, and parent[x] is the one neighbour x had left when
-    stripped, or x itself at a tree component's root and on a cycle. Each
-    cycle is walked by others[v] - prev from its smallest vertex, stepping
-    first to the smaller neighbour (adjacency lists are sorted).
+    left[x] counts the neighbours of x not yet stripped (g's degrees, which
+    a caller may pass in) and others[x] sums them, so a leaf's parent is
+    others[x]. stripped lists each vertex after all of its children, and
+    parent[x] is the one neighbour x had left when stripped, or x itself at
+    a tree component's root and on a cycle. Each cycle is walked by
+    others[v] - prev from its smallest vertex, stepping first to the
+    smaller neighbour (adjacency lists are sorted).
     """
     adj = g.adj
-    left = list(map(len, adj))
+    left = list(map(len, adj)) if left is None else left
     others = list(map(sum, adj))
     parent = list(range(g.n))
     stripped = [v for v, k in enumerate(left) if k < 2]
@@ -340,9 +341,11 @@ def _cycle_forest(g: Graph) -> tuple[list[int], list[int], list[list[int]]] | No
 
 def _connected_strip(g: Graph) -> tuple | None:
     """The leaf strip of g when g is connected with at most one cycle, else
-    None. A component with at most one cycle has m - n + 1 of them, so on
-    k such components the strip leaves m - n + k cycles: k = 1 needs no search."""
-    forest = _cycle_forest(g) if (excess := g.m - g.n) <= 0 else None
+    None. A component with at most one cycle has m - n + 1 of them, so on k
+    such components the strip leaves m - n + k cycles: k = 1 needs no search.
+    One degree list gives m, and then the strip, only when m <= n."""
+    left = list(map(len, g.adj))
+    forest = _cycle_forest(g, left) if (excess := sum(left) // 2 - g.n) <= 0 else None
     return forest if forest and len(forest[2]) == excess + 1 else None
 
 
@@ -424,8 +427,8 @@ def _cycle_reach(heights: list[int]) -> list[int]:
 
 def _fold_at_one(
     g: Graph, stripped: list[int], parent: list[int], cycles: list[list[int]]
-) -> tuple[int, int, int, list[int], list[int]]:
-    """(count01, mult1, gamma, down, second) of a tree or a connected
+) -> tuple[int, int, int, list[int], list[int], list[int]]:
+    """(count01, mult1, gamma, down, second, lo) of a tree or a connected
     unicyclic g in one pass over its leaf strip; a tree's cycle is its root.
 
     Folding x into its parent u carries three things. num[x] / den[x] is
@@ -435,11 +438,12 @@ def _fold_at_one(
     a[x], b[x], c[x] are the smallest sets dominating the subtree with x in
     the set, with x out but dominated by a child, and dominating all but x
     with neither in the set (Cockayne, Goodman and Hedetniemi, IPL 1975).
-    down[x] is the subtree's height and second[x] the runner-up over x's
-    children of 1 + down[child]. The cycle then closes once for each: a
-    paired cycle vertex cuts it into arcs folded as paths, an intact one
-    closes by linalg._cycle_inertia, and gamma by one walk up the cycle
-    path c_{r-1}..c_0 (G minus the edge c_{r-1}c_0) carrying three triples:
+    down[x] is the subtree's height, second[x] the runner-up over x's
+    children of 1 + down[child], and lo[x] the least of the subtree's
+    deepest vertices, for _far_ends. The cycle then closes once for each: a paired cycle
+    vertex cuts it into arcs folded as paths, an intact one closes by
+    linalg._cycle_inertia, and gamma by one walk up the cycle path
+    c_{r-1}..c_0 (G minus the edge c_{r-1}c_0) carrying three triples:
     plain, c_0 in D dominating c_{r-1}, and c_{r-1} in D dominating c_0.
     """
     n = g.n
@@ -449,6 +453,7 @@ def _fold_at_one(
     paired = [0] * n  # zero children
     inf = n + 1  # above every set size, and so is any sum containing it
     a, b, c, down, second = [1] * n, [inf] * n, [0] * n, [0] * n, [0] * n
+    lo = list(range(n))
     neg = zero = 0
     # comparisons, not min() or max(): a builtin call per vertex was most of this loop's time
     for x in pendant:
@@ -470,9 +475,11 @@ def _fold_at_one(
         c[u] += bx
         h = down[x] + 1
         if h > down[u]:
-            down[u], second[u] = h, down[u]
-        elif h > second[u]:
+            down[u], second[u], lo[u] = h, down[u], lo[x]
+        elif h >= second[u]:
             second[u] = h
+            if h == down[u] and lo[x] < lo[u]:
+                lo[u] = lo[x]
 
     cut = next((i for i, v in enumerate(cycle) if paired[v]), None)
     if cut is None and cycles:
@@ -510,33 +517,7 @@ def _fold_at_one(
         fa, fb, fc = av + (dom if dom < fc else fc), via if via < bv + dom else bv + dom, cv + fb
         dom, via = la if la < lb else lb, cv + la
         la, lb, lc = av + (dom if dom < lc else lc), via if via < bv + dom else bv + dom, cv + lb
-    return neg, zero, min(pa, pb, fa, la, lb, lc), down, second
-
-
-def _unicyclic_eccentricities(
-    cycle: list[int], pendant: list[int], parent: list[int], down: list[int], second: list[int]
-) -> list[int]:
-    """Eccentricity of every vertex of a tree or a connected unicyclic
-    graph, in O(n), from the heights down and second of _fold_at_one.
-    pendant lists the vertices off the cycle, each after its children; a
-    tree's cycle is its root alone.
-
-    far(c) is the farthest reach from cycle vertex c through the rest of the
-    cycle (cycle distance plus the height there, over c' != c), and up[x] the
-    farthest reach from x outside its subtree: up[c] = far(c), and for a
-    child x of p, 1 + max(up[p], the best reach from p through a sibling),
-    with far from _cycle_reach (0 on a tree).
-    """
-    up = [0] * len(parent)
-    for c, far in zip(cycle, _cycle_reach([down[c] for c in cycle])):
-        up[c] = far
-    # comparisons, not max(): a builtin call per vertex was most of these loops' time
-    for x in reversed(pendant):
-        p = parent[x]
-        sibling = second[p] if down[x] + 1 == down[p] else down[p]
-        above = up[p]
-        up[x] = 1 + (above if above > sibling else sibling)
-    return [a if a > b else b for a, b in zip(down, up)]
+    return neg, zero, min(pa, pb, fa, la, lb, lc), down, second, lo
 
 
 def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:
@@ -550,59 +531,92 @@ def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _unicyclic_diameter_and_path(
-    stripped: list[int], parent: list[int], cycles: list[list[int]], down: list[int], second: list[int]
-) -> tuple[int, tuple[int, ...]]:
-    """diameter_and_path for a tree or a connected unicyclic graph, from its
-    leaf strip and the heights of _fold_at_one; a tree is rooted at the last
-    vertex stripped.
+def _where(xs: list[int], value: int) -> list[int]:
+    """The indices of value in xs, ascending, each found by list.index."""
+    found = [-1]
+    for _ in range(xs.count(value)):
+        found.append(xs.index(value, found[-1] + 1))
+    return found[1:]
 
-    The smallest pair at distance d is u, the smallest vertex of
-    eccentricity d, and v, the first vertex of eccentricity d in label order
-    at distance d from u (every vertex that far from u has eccentricity d).
-    Each candidate's distance is memoised along its climb to a vertex
-    already known: u's ancestors lie on its climb, another cycle vertex is
-    the shorter arc further on, and every other vertex is one past its
-    parent, since u is not below it. When one cycle vertex roots u and v
-    (on a tree, always), their only path runs through the vertex where the
-    climbs meet. Otherwise every shortest path climbs from u, takes a
-    shortest arc and descends to v; only an even cycle has two, and the
-    smallest sequence takes the one whose first vertex is smaller.
+
+def _far_ends(g: Graph, forest: tuple, down: list[int], second: list[int], lo: list[int]) -> tuple:
+    """(d, u, v, i, j) of a tree or a connected unicyclic graph from its
+    strip and fold, with no eccentricity pass: d is the diameter, (u, v) the
+    smallest pair d apart, and c_i, c_j the roots of their pendant trees.
+
+    Proof. A walk leaving the pendant tree T_i returns through c_i, so two
+    vertices of T_i lie in two branches of their apex w (w itself a branch
+    of depth 0), at most down[w] + second[w] apart, and vertices of T_i and
+    T_j, j != i, at most H_i + far_i apart (H_i = down[c_i], far from
+    _cycle_reach). Both bounds are attained, so d is the larger, and a pair
+    d apart ends at deepest vertices of two branches of an apex w with
+    down[w] + second[w] = d (or at w if second[w] = 0), or of T_i and T_j
+    with H_i + far_i = d = H_j + far_j. So u is the least lo[c_i] over those
+    i and lo[w] or lo of a branch reaching second[w] over those w. A vertex
+    d from u in T_i meets u's climb at an ancestor a, k up, whose other
+    branches reach at most d - k (an O(1) test on down and second): the
+    least is the least lo of one reaching d - k (a itself if k = d). One in
+    T_j needs depth(u) + far_i = d and H_j + cdist(i, j) = far_i, so c_j is
+    among the c_i above: the least is lo[c_j]. v is the least of these. A
+    tree's cycle is its root alone: far = [0] and i = j always.
     """
-    cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
-    r = len(cycle)
-    ecc = _unicyclic_eccentricities(cycle, pendant, parent, down, second)
-    u = ecc.index(d := max(ecc))
-    climb = [u]
+    stripped, parent, cycles = forest
+    cycle = cycles[0] if cycles else stripped[-1:]
+    heights = [down[c] for c in cycle]
+    far = _cycle_reach(heights)
+    reach, sums = list(map(add, heights, far)), list(map(add, down, second))
+    d, r = max(max(sums), max(reach)), len(cycle)
+
+    def least(a: int, t: int, skip: int) -> int:
+        """The least vertex t below a off the branch whose lo is skip; a at t = 0."""
+        ends = (lo[y] for y in g.adj[a] if parent[y] == a and down[y] == t - 1 and lo[y] != skip)
+        return min(ends) if t else a
+
+    tight, apexes = _where(reach, d), _where(sums, d)
+    u = min([lo[cycle[i]] for i in tight] + [min(lo[w], least(w, second[w], -1)) for w in apexes])
+    v, x, k, reach_below, skip = len(parent), u, 0, -1, -1
+    while True:  # u's climb: x is k up, and u's branch reaches reach_below below x
+        if (second[x] if down[x] == reach_below else down[x]) == d - k:
+            v = min(v, least(x, d - k, skip))
+        if parent[x] == x:
+            break
+        x, k, reach_below, skip = parent[x], k + 1, down[x] + 1, lo[x]
+    i = j = cycle.index(x)
+    if k + far[i] == d:
+        for y in tight:
+            arc = abs(y - i)
+            if y != i and heights[y] + min(arc, r - arc) == far[i] and lo[cycle[y]] < v:
+                v, j = lo[cycle[y]], y
+    return d, u, v, i, j
+
+
+def _diametral_path(parent: list[int], cycle: list[int], u: int, v: int, i: int, j: int) -> tuple:
+    """The smallest sequence from u to v, given (u, v, i, j) of _far_ends.
+    In one pendant tree (i == j) the only path runs through the meet of the
+    two climbs. Otherwise every shortest path climbs from u, takes a
+    shortest arc from c_i to c_j and descends to v; an even cycle may have
+    two, and the one whose first vertex is smaller is taken."""
+    climb, back = [u], [v]
     while parent[climb[-1]] != climb[-1]:
         climb.append(parent[climb[-1]])
-    k, top = len(climb) - 1, climb[-1]
-    rank = dict(zip(climb, range(k + 1)))
-    dist = rank.copy()
-    at: dict[int, int] = {}  # cycle positions, once a climb meets another cycle vertex
-    v, back = u, [u]
-    while dist[v] != d:
-        v = ecc.index(d, v + 1)
-        back, x = [], v  # v's climb up to the first vertex of known distance
-        while x not in dist and parent[x] != x:
-            back.append(x)
-            x = parent[x]
-        if x not in dist:
-            at = at or dict(zip(cycle, range(r)))
-            dist[x] = k + min((at[x] - at[top]) % r, (at[top] - at[x]) % r)
-        for y in reversed(back):
-            dist[y] = dist[parent[y]] + 1
-        back.append(x)
-
+    rank = dict(zip(climb, range(len(climb)))) if i == j else {}
     while back[-1] not in rank and parent[back[-1]] != back[-1]:
         back.append(parent[back[-1]])
-    meet = back[-1]
-    if meet in rank:
-        return d, tuple(climb[: rank[meet]] + back[::-1])
-    ring = cycle[at[top] :] + cycle[: at[top]]  # from top, in cycle order
-    ahead = (at[meet] - at[top]) % r
+    if i == j:
+        return tuple(climb[: rank[back[-1]]] + back[::-1])
+    r, ring = len(cycle), cycle[i:] + cycle[:i]  # ring from u's root, in cycle order
+    ahead = (j - i) % r
     backward = 2 * ahead > r or (2 * ahead == r and ring[-1] < ring[1])
-    return d, tuple(climb + (ring[:ahead:-1] if backward else ring[1:ahead]) + back[::-1])
+    return tuple(climb + (ring[:ahead:-1] if backward else ring[1:ahead]) + back[::-1])
+
+
+def _unicyclic_diameter_and_path(g: Graph, forest: tuple, *heights: list[int]) -> tuple:
+    """diameter_and_path for a tree or a connected unicyclic graph, given its
+    leaf strip and the heights of _fold_at_one: the ends from _far_ends,
+    then the path between them."""
+    stripped, parent, cycles = forest
+    d, *ends = _far_ends(g, forest, *heights)
+    return d, _diametral_path(parent, cycles[0] if cycles else stripped[-1:], *ends)
 
 
 def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -610,15 +624,14 @@ def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     Ties break to the lexicographically smallest endpoint pair (u, v) with
     u < v, then to the lexicographically smallest vertex sequence from u.
-    A tree or a unicyclic g takes O(n) time and memory and no search:
-    eccentricities from the pendant-tree heights of the fold at 1 and two
-    passes round the cycle, then distances memoised along the climbs of the
-    candidates for the far end, and the path read off the leaf strip. Any
-    other g takes one BFS per vertex, O(n m) time, and O(n) memory.
+    A tree or a unicyclic g takes O(n) time and memory and no search: the
+    ends read off the fold at 1 and the cycle's reach (_far_ends), then
+    the path read off the leaf strip. Any other g takes one BFS per vertex,
+    O(n m) time, and O(n) memory.
     """
     forest = _connected_strip(g)
     if forest is not None:
-        return _unicyclic_diameter_and_path(*forest, *_fold_at_one(g, *forest)[3:])
+        return _unicyclic_diameter_and_path(g, forest, *_fold_at_one(g, *forest)[3:])
     if not g.is_connected():
         raise NotConnectedError("diameter of a disconnected graph is undefined")
     # the first source of the largest eccentricity, and the smallest vertex
@@ -643,16 +656,30 @@ class CoreClassification:
     kind is one of "cycle", "lollipop", "compass", "other". params holds the
     reconstructed family parameters: (n,) for a cycle, (n, r) for a lollipop
     and (n, r, r_prime, t) for a compass with t <= s canonically (swapping
-    the two tails is a graph isomorphism). core_vertices and diametral_path
-    keep the labels of the input graph. core, built when first read, is
-    graph induced on core_vertices, reindexed in order, or graph itself.
+    the two tails is a graph isomorphism). graph is the input, diametral_path
+    and core_vertices (sorted) are in its labels, and core is graph induced
+    on core_vertices, reindexed in order, or graph itself; each of the three
+    is built when first read. Equality compares kind, params and graph.
     """
 
     kind: str
     params: tuple[int, ...]
-    core_vertices: tuple[int, ...]
-    diametral_path: tuple[int, ...]
     graph: Graph = field(repr=False)  # the input
+    _ends: tuple = field(repr=False, compare=False)  # (parent, cycle, u, v, i, j)
+
+    @cached_property
+    def diametral_path(self) -> tuple[int, ...]:
+        return _diametral_path(*self._ends)
+
+    @cached_property
+    def core_vertices(self) -> tuple[int, ...]:
+        parent, cycle, *ends = self._ends[:4]
+        keep = set(cycle)  # and both ends' climbs to it: the path and any connector
+        for x in ends:
+            while x not in keep:
+                keep.add(x)
+                x = parent[x]
+        return tuple(sorted(keep))
 
     @cached_property
     def core(self) -> Graph:
@@ -669,41 +696,35 @@ def reduce_to_core(g: Graph) -> CoreClassification:
     """Cycle plus diametral path plus (if needed) a shortest connector.
 
     Lower bounds certified on the core transfer to g because g is recovered
-    from the core by repeatedly attaching pendant vertices.
+    from the core by repeatedly attaching pendant vertices, and a leaf w at
+    v never lowers count01 = n_-(L - I): in L(g + w) - I the pair (w, v) is
+    a block [[0, -1], [-1, x]] of determinant -1, one negative and one
+    positive eigenvalue, whose Schur complement is M_v, L(g) - I without v
+    (Haynsworth), so count01(g + w) = 1 + n_-(M_v), which is count01(g) or
+    count01(g) + 1 by Cauchy interlacing.
     """
     forest = _unicyclic_strip(g)
-    _, path = _unicyclic_diameter_and_path(*forest, *_fold_at_one(g, *forest)[3:])
-    return _reduce_to_core(g, forest, path)
+    _, _, _, down, second, lo = _fold_at_one(g, *forest)
+    return _reduce_to_core(g, forest, down, _far_ends(g, forest, down, second, lo)[1:])
 
 
-def _reduce_to_core(g: Graph, forest: tuple, path: tuple[int, ...]) -> CoreClassification:
-    """reduce_to_core given g's leaf strip and diametral path, in g's labels.
-
-    A path meeting the cycle runs tail, arc, tail, its first and last cycle
-    positions bounding the arc. No tail makes the core a cycle, one a
-    lollipop, two at distinct cycle vertices a compass, and two at one
-    vertex "other"; so does a path in one pendant tree, whose core adds the
-    walk from it up to the cycle.
-    """
+def _reduce_to_core(g: Graph, forest: tuple, down: list[int], ends: tuple) -> CoreClassification:
+    """reduce_to_core in O(1) from g's strip, heights and (u, v, i, j) of
+    _far_ends. Ends in one pendant tree make the core "other". Otherwise the
+    path is a tail of H_i, an arc of cdist(i, j) >= 1 and a tail of H_j: no
+    tail makes a cycle, one a lollipop and two a compass."""
     _, parent, (cycle,) = forest
-    r, end = len(cycle), len(path) - 1
+    r, (i, j) = len(cycle), ends[2:]
     kind, params = "other", ()
-    first = next((i for i, x in enumerate(path) if parent[x] == x), None)
-    if first is None:
-        off, x = set(path), parent[path[0]]
-        while parent[x] != x:
-            off.add(x)
-            x = parent[x]
-    else:
-        last = end - next(i for i, x in enumerate(reversed(path)) if parent[x] == x)
-        off = path[:first] + path[last + 1 :]
-        if not off:
+    if i != j:
+        s, t, arc = down[cycle[i]], down[cycle[j]], abs(i - j)
+        if not (s or t):
             kind, params = "cycle", (r,)
-        elif first == 0 or last == end:
-            kind, params = "lollipop", (r + len(off), r)
-        elif first < last:
-            kind, params = "compass", (r + len(off), r, last - first, min(first, end - last))
-    return CoreClassification(kind, params, tuple(sorted([*cycle, *off])), path, g)
+        elif not (s and t):
+            kind, params = "lollipop", (r + s + t, r)
+        else:
+            kind, params = "compass", (r + s + t, r, min(arc, r - arc), min(s, t))
+    return CoreClassification(kind, params, g, (parent, cycle, *ends))
 
 
 # ---------------------------------------------------------------------------

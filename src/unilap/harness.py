@@ -271,8 +271,6 @@ def suite_witnesses(max_n: int = 60, seed: int = 0) -> VerifyReport:
 
 def suite_charpoly(max_n: int = 12, seed: int = 0) -> VerifyReport:
     """Polynomial identities against the determinant oracle, plus random joins."""
-    if max_n < 4:
-        raise InvalidParameterError(f"charpoly suite needs max_n >= 4, got {max_n}")
 
     def run():
         failures, checked = [], 0
@@ -389,8 +387,8 @@ def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> Verify
             # one fold of the leaf strip at 1 gives the count, gamma and the
             # heights the diameter reads
             forest = _connected_strip(g)
-            c, _, gamma, down, second = _fold_at_one(g, *forest)
-            d = _unicyclic_diameter_and_path(*forest, down, second)[0]
+            c, _, gamma, *heights = _fold_at_one(g, *forest)
+            d = _unicyclic_diameter_and_path(g, forest, *heights)[0]
             if not ceil_div(d + 1, 3) <= c <= gamma:
                 failures.append((i, n))
         return count, failures
@@ -399,8 +397,6 @@ def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> Verify
 
 
 def suite_inequalities(max_n: int = 30, seed: int = 0) -> VerifyReport:
-    if max_n < 3:
-        raise InvalidParameterError(f"inequalities suite needs max_n >= 3, got {max_n}")
     parts = [
         check_interlacing_random(max_n=max_n, seed=seed),
         check_pendant_monotone(seed=seed),
@@ -425,6 +421,9 @@ SUITES: dict[str, Callable[..., VerifyReport]] = {
     "exhaustive": suite_exhaustive,
     "inequalities": suite_inequalities,
 }
+# the smallest max_n at which each suite checks anything: below it a run would pass on nothing
+_LEAST_MAX_N = {"paths": 1, "cycles": 3, "lollipops": 3, "compasses": 5, "witnesses": 3,
+                "charpoly": 4, "exhaustive": 3, "inequalities": 3}
 
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> VerifyReport:
     """Run suite name at max_n, or at the suite's own default when max_n is None."""
@@ -434,8 +433,8 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> VerifyRepor
         )
     if max_n is None:
         return SUITES[name](seed=seed)
-    if max_n < 1:
-        raise InvalidParameterError(f"max_n must be at least 1, got {max_n}")
+    if max_n < (least := _LEAST_MAX_N[name]):
+        raise InvalidParameterError(f"{name} suite needs max_n >= {least}, got {max_n}")
     return SUITES[name](max_n=max_n, seed=seed)
 
 
@@ -487,8 +486,8 @@ def _measure(
     # g is a path or a connected unicyclic graph: one fold of its leaf strip
     # at 1 gives the count, gamma and the heights the O(n) diameter reads
     forest = _connected_strip(g)
-    count01, mult1, gamma, down, second = _fold_at_one(g, *forest)
-    measured = _unicyclic_diameter_and_path(*forest, down, second)[0]
+    count01, mult1, gamma, *heights = _fold_at_one(g, *forest)
+    measured = _unicyclic_diameter_and_path(g, forest, *heights)[0]
     if measured != d:
         raise InternalConsistencyError(
             f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"

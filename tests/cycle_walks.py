@@ -1,25 +1,40 @@
-"""The cycle and path walks of analyze before it closed the cycle once.
+"""The cycle and path walks of analyze before it read the ends off the fold.
 
 This is the earlier unilap code, unchanged. The fold at 1
 closed gamma by calling a nested walk up the cycle three times, once per
 (a, b, c) start; each cycle vertex's farthest reach round the cycle came
-from two deque windows, one each way (_farthest_clockwise); the diametral
-path took a distance from its first end to every vertex before looking
-for the second; and the core was classified from sets over the kept
-vertices, after re-walking the first end's climb. unilap.graphs now walks
-the cycle once for gamma, reaches round it by a max-plus transform of the
-antipodal peaks, memoises distances only along the climbs it tests, and
-reads the core off the path's first and last cycle positions, so these
-share only the leaf strip, _cycle_inertia and CoreClassification.
-analyze is bounds.analyze composed from these pieces, with its compass
-check through CompassParams.
+from two deque windows, one each way (_farthest_clockwise); the
+eccentricity of every vertex came from the pendant-tree heights and the
+reach (_unicyclic_eccentricities, here on graphs._cycle_reach, as it last
+ran in unilap.graphs); the diametral path took the smallest vertex of
+largest eccentricity and a distance from it to every vertex before looking
+for the second end; and the core was classified from sets over the kept
+vertices, after re-walking the first end's climb, into the eager
+CoreClassification below. unilap.graphs now walks the cycle once for gamma,
+reaches round it by a max-plus transform of the antipodal peaks, reads the
+diameter's two ends off the fold's heights and deepest labels, and
+classifies the core from the ends, building its path and vertices only
+when read, so these share only the leaf strip, _cycle_reach and
+_cycle_inertia. analyze is bounds.analyze composed from these pieces, with
+its compass check through CompassParams.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 from unilap.bounds import BoundReport, compass_bounds, main_lower_bound, refined_lollipop_bound
-from unilap.graphs import CompassParams, CoreClassification, Graph, _unicyclic_strip
+from unilap.graphs import CompassParams, Graph, _cycle_reach, _unicyclic_strip
 from unilap.linalg import _cycle_inertia
+
+
+@dataclass
+class CoreClassification:
+    """graphs.CoreClassification as it was, every field built at once."""
+
+    kind: str
+    params: tuple[int, ...]
+    core_vertices: tuple[int, ...]
+    diametral_path: tuple[int, ...]
 
 
 def _farthest_clockwise(h: list[int]) -> list[int]:
@@ -147,25 +162,19 @@ def _unicyclic_eccentricities(
     far(c) is the farthest reach from cycle vertex c through the rest of the
     cycle (cycle distance plus the height there, over c' != c), and up[x] the
     farthest reach from x outside its subtree: up[c] = far(c), and for a
-    child x of p, 1 + max(up[p], the best reach from p through a sibling).
-    Every cycle vertex lies within r//2 of c one way round or the other, so
-    far(c) is the larger of a clockwise and a counter-clockwise window (both
-    empty on a tree, where up[root] = 0).
+    child x of p, 1 + max(up[p], the best reach from p through a sibling),
+    with far from _cycle_reach (0 on a tree).
     """
-    heights = [down[c] for c in cycle]
-    cw = _farthest_clockwise(heights)
-    ccw = _farthest_clockwise(heights[::-1])[::-1]
-    # comparisons, not max(): a builtin call per vertex was most of these loops' time
     up = [0] * len(parent)
-    for c, a, b in zip(cycle, cw, ccw):
-        up[c] = a if a > b else b
+    for c, far in zip(cycle, _cycle_reach([down[c] for c in cycle])):
+        up[c] = far
+    # comparisons, not max(): a builtin call per vertex was most of these loops' time
     for x in reversed(pendant):
         p = parent[x]
         sibling = second[p] if down[x] + 1 == down[p] else down[p]
         above = up[p]
         up[x] = 1 + (above if above > sibling else sibling)
     return [a if a > b else b for a, b in zip(down, up)]
-
 
 
 def _unicyclic_diameter_and_path(
@@ -257,7 +266,7 @@ def _reduce_to_core(g: Graph, forest: tuple, path: tuple[int, ...]) -> CoreClass
         ends = [i for i, v in enumerate(path) if v in on_cycle]
         first, last = ends[0], ends[-1]
         kind, params = "compass", sizes + (last - first, min(first, len(path) - 1 - last))
-    return CoreClassification(kind, params, tuple(sorted(keep)), path, g)
+    return CoreClassification(kind, params, tuple(sorted(keep)), path)
 
 
 def analyze(g: Graph) -> BoundReport:

@@ -34,7 +34,8 @@ from unilap.harness import (
     random_unicyclic,
     sweep,
 )
-from unilap.spectra import count_interval
+from unilap.linalg import sparse_inertia
+from unilap.spectra import _shifted_rows, count_interval, shifted_inertia
 
 
 class TestCheckedDirection:
@@ -316,3 +317,33 @@ class TestInequalitySpotChecks:
             d, _ = diameter_and_path(g)
             c = count_interval(g, 0, 1).count
             assert ceil_div(d + 1, 3) <= c <= domination_number(g)
+
+
+def _with_leaf(g: Graph, v: int) -> Graph:
+    """g plus a new vertex g.n hanging from v."""
+    adj = list(g.adj) + [(v,)]
+    adj[v] += (g.n,)
+    return Graph(g.n + 1, tuple(adj))
+
+
+class TestPendantLeafLemma:
+    """reduce_to_core's lemma: a leaf w at v raises count01 = n_-(L - I) by
+    0 or 1, and to exactly 1 + n_-(M_v), M_v being L(g) - I without v's row
+    and column (the pair (w, v) gives one negative, its Schur complement is
+    M_v, and Cauchy interlacing bounds n_-(M_v))."""
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_a_leaf_at_every_vertex_of_every_class(self, n):
+        raised = 0
+        for g in enumerate_unicyclic(n):
+            before = shifted_inertia(g, 1).negatives
+            for v in range(n):
+                after = shifted_inertia(_with_leaf(g, v), 1).negatives
+                rows = _shifted_rows(g, 1)
+                del rows[v]
+                for w in g.adj[v]:
+                    del rows[w][v]
+                assert after == 1 + sparse_inertia(rows).negatives, (g.edges(), v)
+                assert after - before in (0, 1), (g.edges(), v)
+                raised += after - before
+        assert raised > 0 or n == 3  # a leaf on the triangle keeps count01 at 1

@@ -1,24 +1,32 @@
-"""analyze's one walk round the cycle against the walks it replaced.
+"""analyze's far ends and one walk round the cycle against the routes they replaced.
 
 cycle_walks holds the earlier code: gamma closed by three walks up the
-cycle, each cycle vertex's reach from two deque windows, a distance from u
-to every vertex, and the core classified from sets over the kept vertices.
-The fold, the diametral path, the core and every BoundReport field (the
-core's kind, params, core_vertices and diametral_path included) must match
-on every class with n <= 11, a relabelling of every class with n <= 9, 3000
-random graphs with n <= 150, every lollipop with n < 40 and every valid
-compass with n <= 24. graphs._cycle_reach is checked against brute force.
+cycle, each cycle vertex's reach from two deque windows, the eccentricity
+of every vertex, a distance from u to every vertex, and the core
+classified from sets over the kept vertices. The fold, the diameter's
+ends, the diametral path, the core and every BoundReport field (the
+core's kind, params, core_vertices and diametral_path read) must match on
+every class with n <= 11, a relabelling of every class with n <= 9, 3000
+random graphs with n <= 150, every lollipop with n < 40, every valid
+compass with n <= 24, spiders, suns, even cycles and random trees.
+Brute force checks the same on every class with n <= 9 and a relabelling
+of each: all-pairs BFS for the diameter, the least pair and the least
+shortest sequence by search. graphs._cycle_reach is checked against brute
+force too.
 """
 
+import dataclasses
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 import cycle_walks
-from conftest import spider
+import separate_folds
+from conftest import exhaustive_gamma, numpy_eigs, spider
 from unilap import graphs
-from unilap.bounds import analyze
+from unilap.bounds import analyze, main_lower_bound
 from unilap.enumeration import enumerate_unicyclic
 from unilap.graphs import (
     Graph,
@@ -87,23 +95,35 @@ def _relabelled(g: Graph, rng: random.Random) -> Graph:
     return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
 
 
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
 def _assert_same_walks(g: Graph) -> None:
-    """The fold and the diametral path of a tree or a unicyclic g."""
+    """The fold, the ends and the diametral path of a tree or a unicyclic g."""
     forest = graphs._connected_strip(g)
+    stripped, parent, cycles = forest
     folded = graphs._fold_at_one(g, *forest)
-    assert folded == cycle_walks._fold_at_one(g, *forest), g.edges()
-    got = graphs._unicyclic_diameter_and_path(*forest, *folded[3:])
-    assert got == cycle_walks._unicyclic_diameter_and_path(*forest, *folded[3:]), g.edges()
+    assert folded[:5] == cycle_walks._fold_at_one(g, *forest), g.edges()
+    d, u, v, i, j = graphs._far_ends(g, forest, *folded[3:])
+    cycle = cycles[0] if cycles else stripped[-1:]
+    got = d, graphs._diametral_path(parent, cycle, u, v, i, j)
+    assert got == cycle_walks._unicyclic_diameter_and_path(*forest, *folded[3:5]), g.edges()
+    assert (cycle[i], cycle[j]) == (_root(parent, u), _root(parent, v)), g.edges()
+
+
+def _report_fields(rep) -> tuple:
+    """Every BoundReport field, with the core's lazy ones read."""
+    core = rep.core
+    fields = tuple(getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "core")
+    return fields + (core.kind, core.params, core.core_vertices, core.diametral_path)
 
 
 def _assert_same_report(g: Graph) -> None:
     _assert_same_walks(g)
-    forest = graphs._unicyclic_strip(g)
-    _, path = diameter_and_path(g)
-    assert graphs._reduce_to_core(g, forest, path) == cycle_walks._reduce_to_core(
-        g, forest, path
-    ), g.edges()
-    assert analyze(g) == cycle_walks.analyze(g), g.edges()
+    assert _report_fields(analyze(g)) == _report_fields(cycle_walks.analyze(g)), g.edges()
 
 
 class TestAgainstTheEarlierWalks:
@@ -169,3 +189,81 @@ class TestLargeCycles:
     @pytest.mark.parametrize("r", [4, 10, 2000])
     def test_even_cycle_takes_the_arc_through_one(self, r):
         assert diameter_and_path(make_cycle(r)) == (r // 2, tuple(range(r // 2 + 1)))
+
+
+def _all_pairs(g: Graph) -> list[list[int]]:
+    rows = []
+    for src in range(g.n):
+        dist = [-1] * g.n
+        dist[src] = 0
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            for w in g.adj[x]:
+                if dist[w] < 0:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        rows.append(dist)
+    return rows
+
+
+def _brute_core_vertices(g: Graph, dist: list[list[int]], path: tuple[int, ...]) -> tuple:
+    """The cycle (what repeated leaf deletion leaves), the path, and the
+    shortest walk from the path to the cycle when the path misses it."""
+    alive = set(range(g.n))
+    while leaves := [x for x in alive if sum(w in alive for w in g.adj[x]) < 2]:
+        alive -= set(leaves)
+    to_cycle = [min(row[c] for c in alive) for row in dist]
+    near = min(path, key=lambda x: to_cycle[x])
+    connector = {x for x in range(g.n) if dist[near][x] + to_cycle[x] == to_cycle[near]}
+    return tuple(sorted(alive | set(path) | connector)), len(alive)
+
+
+def _assert_brute_force(g: Graph) -> None:
+    """Ends, path, core and the measured report fields against search."""
+    dist = _all_pairs(g)
+    d = max(map(max, dist))
+    u, v = min((a, b) for a in range(g.n) for b in range(a + 1, g.n) if dist[a][b] == d)
+
+    def shortest(x: int):
+        if x == v:
+            yield (v,)
+        for w in g.adj[x]:
+            if dist[w][v] == dist[x][v] - 1:
+                for rest in shortest(w):
+                    yield (x, *rest)
+
+    path = min(shortest(u))
+    assert diameter_and_path(g) == (d, path), g.edges()
+    forest = graphs._connected_strip(g)
+    assert graphs._far_ends(g, forest, *graphs._fold_at_one(g, *forest)[3:])[:3] == (d, u, v)
+    rep = analyze(g)
+    core_vertices, r = _brute_core_vertices(g, dist, path)
+    kind, params = separate_folds.classify_rebuilt(g, forest, path)[:2]
+    for core in (rep.core, reduce_to_core(g)):
+        assert (core.diametral_path, core.core_vertices) == (path, core_vertices), g.edges()
+        assert (core.kind, core.params) == (kind, params), g.edges()
+    eigs = numpy_eigs(g)
+    count01, mult1 = int(sum(eigs < 1 - 1e-9)), int(sum(abs(eigs - 1) < 1e-9))
+    want = (g.n, r, d, count01, mult1, exhaustive_gamma(g), main_lower_bound(d, r))
+    got = (rep.n, rep.girth, rep.diameter, rep.count01, rep.mult1, rep.gamma, rep.main_bound)
+    assert got == want, g.edges()
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_every_class_and_a_relabelling(self, n):
+        rng = random.Random(100 + n)
+        for g in enumerate_unicyclic(n):
+            _assert_brute_force(g)
+            _assert_brute_force(_relabelled(g, rng))
+
+    def test_suns_spiders_and_even_cycles(self):
+        rng = random.Random(6)
+        corpus = [make_cycle(r) for r in (4, 6, 8)] + [spider(3, 1, [3, 3]), spider(4, 1, [3, 3])]
+        for r in (3, 4):  # suns: a leaf r + i on every cycle vertex i
+            edges = [(i, (i + 1) % r) for i in range(r)] + [(i, r + i) for i in range(r)]
+            corpus.append(Graph.from_edges(2 * r, edges))
+        for g in corpus:
+            _assert_brute_force(g)
+            _assert_brute_force(_relabelled(g, rng))

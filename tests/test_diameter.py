@@ -1,10 +1,11 @@
 """The linear-time diameter against the all-pairs diameter it replaced.
 
 allpairs_diameter holds the earlier n^2-distance diameter_and_path; a tree
-or a unicyclic graph now reads the diameter off eccentricities from
-pendant-tree heights and two passes round the cycle (a tree's cycle is
-its root alone), and every other graph runs one BFS per source keeping O(n)
-memory. Both must choose the same diameter and the same diametral path
+or a unicyclic graph now reads the diameter's ends off the pendant-tree
+heights and deepest labels and the cycle's reach (a tree's cycle is its
+root alone), and every other graph runs one BFS per source keeping O(n)
+memory. The eccentricities the ends replaced, in cycle_walks, are checked
+against BFS too. Both must choose the same diameter and the same diametral path
 everywhere, and the family closed forms must hold at sizes the all-pairs
 table could not reach.
 """
@@ -14,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+import cycle_walks
 import separate_folds
 from allpairs_diameter import diameter_and_path as allpairs_diameter_and_path
 from conftest import spider, tree_from_code
@@ -55,8 +57,8 @@ def _forest_args(g: Graph) -> tuple[list[int], list[int], list[int]]:
 
 
 def _assert_eccentricities(g: Graph) -> None:
-    heights = graphs._fold_at_one(g, *graphs._connected_strip(g))[3:]
-    ecc = graphs._unicyclic_eccentricities(*_forest_args(g), *heights)
+    heights = graphs._fold_at_one(g, *graphs._connected_strip(g))[3:5]
+    ecc = cycle_walks._unicyclic_eccentricities(*_forest_args(g), *heights)
     assert ecc == [max(bfs_distances(g, v)) for v in range(g.n)], g.edges()
 
 
@@ -359,19 +361,21 @@ class TestStructureOncePerAnalyze:
         ids=["compass", "lollipop", "random"],
     )
     def test_decompose_and_diameter_run_once(self, monkeypatch, g):
-        """One leaf strip and one forest diameter, and no decomposition."""
+        """One leaf strip and one read of the diameter's ends, no path and
+        no decomposition."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("analyze built a UnicyclicDecomposition")
 
         strips = _count_calls(monkeypatch, ["_cycle_forest"])
-        diameters = _count_calls(
-            monkeypatch, ["diameter_and_path", "_unicyclic_diameter_and_path"]
+        ends = _count_calls(monkeypatch, ["_far_ends"])
+        paths = _count_calls(
+            monkeypatch, ["diameter_and_path", "_unicyclic_diameter_and_path", "_diametral_path"]
         )
         monkeypatch.setattr(graphs, "UnicyclicDecomposition", forbidden)
         bounds.analyze(g)
         assert strips == [g]
-        assert len(diameters) == 1
+        assert len(ends) == 1 and paths == []
 
 
 class TestSingleConnectivityPass:

@@ -1,17 +1,20 @@
 """The one fold at 1 against the separate walks of the strip it replaced.
 
 graphs._fold_at_one carries the pivot of L - I, the domination states and
-the pendant-tree heights through one pass over the leaf strip, then closes
-the cycle once for each. separate_folds holds the earlier code: the
-inertia from spectra._forest_inertia at p = q = 1 (still the kernel at every
-other shift), gamma from a fold of its own, and the heights from a loop of
-their own. The core reduction now classifies in the input's labels and
-builds the core only when .core is read; structure_oracle builds it at once
-by BFS, and separate_folds rebuilds it from parent edges and classifies it
+the pendant-tree heights and deepest labels through one pass over the leaf
+strip, then closes the cycle once for each. separate_folds holds the
+earlier code: the inertia from spectra._forest_inertia at p = q = 1 (still
+the kernel at every other shift), gamma from a fold of its own, and the
+heights from a loop of their own; the deepest labels are checked against
+every vertex's climb. The core reduction now classifies from the
+diameter's ends and builds the diametral path, the core vertices and the
+core only when each is read; structure_oracle builds them at once by BFS,
+and separate_folds rebuilds the core from parent edges and classifies it
 from its degrees.
 """
 
 import random
+from functools import cached_property
 
 import pytest
 
@@ -24,6 +27,7 @@ from unilap.enumeration import enumerate_unicyclic
 from unilap.graphs import (
     CompassParams,
     Graph,
+    diameter_and_path,
     make_compass,
     make_cycle,
     make_lollipop,
@@ -58,12 +62,26 @@ def _spiders() -> list[Graph]:
 def _assert_fold(g: Graph) -> None:
     forest = graphs._connected_strip(g)
     stripped, parent, cycles = forest
-    neg, zero, gamma, down, second = graphs._fold_at_one(g, *forest)
+    neg, zero, gamma, down, second, lo = graphs._fold_at_one(g, *forest)
     at_one = spectra._forest_inertia(g, *forest, 1, 1)
     assert (neg, zero) == (at_one.negatives, at_one.zeros), g.edges()
     assert gamma == separate_folds.forest_gamma(*forest), g.edges()
     pendant = stripped if cycles else stripped[:-1]
     assert (down, second) == separate_folds.heights(pendant, parent), g.edges()
+    assert lo == _deepest_labels(parent), g.edges()
+
+
+def _deepest_labels(parent: list[int]) -> list[int]:
+    """The least of each vertex's deepest descendants, from every vertex's
+    climb: (depth below the ancestor, label) is kept at its largest depth
+    and there at its smallest label."""
+    best = [(0, -x) for x in range(len(parent))]
+    for y in range(len(parent)):
+        x, k = y, 0
+        while parent[x] != x:
+            x, k = parent[x], k + 1
+            best[x] = max(best[x], (k, -y))
+    return [-label for _, label in best]
 
 
 class TestFoldAgainstSeparateWalks:
@@ -172,3 +190,33 @@ class TestAnalyzeBuildsNoGraph:
         assert built == []
         core = rep.core.core
         assert built == ["_trusted"] and core.n == len(rep.core.core_vertices)
+
+
+class TestLazyPathAndCoreVertices:
+    @pytest.mark.parametrize(
+        "g",
+        [make_cycle(8), make_lollipop(20, 7), spider(5, 2, [6, 5, 1])]
+        + [random_unicyclic(random.Random(s), 40) for s in range(3)],
+    )
+    def test_built_only_when_read(self, monkeypatch, g):
+        """analyze classifies the core from the diameter's ends: it builds
+        no path tuple and no core vertex tuple, and each is built once, when
+        first read."""
+        built = []
+        for name in ("diametral_path", "core_vertices"):
+            build = vars(graphs.CoreClassification)[name].func
+
+            def counted(core, _name=name, _build=build):
+                built.append(_name)
+                return _build(core)
+
+            prop = cached_property(counted)
+            prop.__set_name__(graphs.CoreClassification, name)
+            monkeypatch.setattr(graphs.CoreClassification, name, prop)
+        core = analyze(g).core
+        assert built == []
+        path = core.diametral_path
+        assert built == ["diametral_path"] and core.diametral_path is path
+        assert path == diameter_and_path(g)[1]
+        assert core.core_vertices is core.core_vertices
+        assert built == ["diametral_path", "core_vertices"]

@@ -115,9 +115,9 @@ class TestSuites:
         calls = []
         strip = graphs._cycle_forest
 
-        def counted(g):
+        def counted(g, *left):
             calls.append(g.n)
-            return strip(g)
+            return strip(g, *left)
 
         for module in (graphs, spectra, charpoly):
             monkeypatch.setattr(module, "_cycle_forest", counted)
@@ -137,8 +137,8 @@ class TestSuites:
             c = count_interval(g, 0, 1).count
             gamma = domination_number(g)
             forest = graphs._connected_strip(g)
-            count01, _, strip_gamma, down, second = graphs._fold_at_one(g, *forest)
-            measured = graphs._unicyclic_diameter_and_path(*forest, down, second)[0]
+            count01, _, strip_gamma, *heights = graphs._fold_at_one(g, *forest)
+            measured = graphs._unicyclic_diameter_and_path(g, forest, *heights)[0]
             assert (measured, count01, strip_gamma) == (d, c, gamma)
             assert separate_folds.count01_mult1_gamma(g, forest)[::2] == (c, gamma)
             assert max(max(bfs_distances(g, v)) for v in range(g.n)) == d
@@ -158,7 +158,7 @@ class TestSuites:
     def test_max_n_one_is_honoured(self):
         assert run_suite("paths", max_n=1).checked == 1
 
-    @pytest.mark.parametrize("max_n,checked", [(1, 0), (2, 0), (3, 1), (8, 6)])
+    @pytest.mark.parametrize("max_n,checked", [(3, 1), (8, 6)])
     def test_cycles_count_the_cases_run(self, max_n, checked):
         assert run_suite("cycles", max_n=max_n).checked == checked
 
@@ -180,6 +180,18 @@ class TestSuites:
     def test_inequalities_rejects_max_n_below_three(self, max_n):
         with pytest.raises(InvalidParameterError, match="max_n >= 3"):
             run_suite("inequalities", max_n=max_n)
+
+    @pytest.mark.parametrize(
+        "suite,least",
+        [("cycles", 3), ("lollipops", 3), ("compasses", 5), ("witnesses", 3), ("exhaustive", 3)],
+    )
+    def test_rejects_a_max_n_that_checks_nothing(self, capsys, suite, least):
+        """Below least the suite would report checked=0 as ok; at least it checks."""
+        for max_n in {1, least - 1}:
+            assert main(["verify", "--suite", suite, "--max-n", str(max_n)]) == 2
+            captured = capsys.readouterr()
+            assert f"max_n >= {least}, got {max_n}" in captured.err and captured.out == ""
+        assert run_suite(suite, max_n=least).checked > 0
 
     def test_omitted_max_n_takes_the_suites_own_default(self):
         assert run_suite("paths").checked == 120
@@ -290,9 +302,9 @@ class TestSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("a sweep row searched or decomposed")
 
-        def counted(stripped, parent, cycles, down, second):
-            calls.append(len(parent))
-            return original(stripped, parent, cycles, down, second)
+        def counted(g, forest, *heights):
+            calls.append(g.n)
+            return original(g, forest, *heights)
 
         def counted_fold(g, *forest):
             folds.append(g.n)

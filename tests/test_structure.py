@@ -1,9 +1,10 @@
 """The shared cycle-rooted forest against the structure code it replaced.
 
-One leaf strip (stripped, parent, cycle) is read by the eccentricities,
+One leaf strip (stripped, parent, cycle) is read by the diameter's ends,
 the diametral path, the connector to the cycle and the core's
 classification; unicyclic_decompose builds its public view from the same
-strip. structure_oracle holds the earlier code, which built that rooting
+strip, and so do the eccentricities of cycle_walks, the route the ends
+replaced. structure_oracle holds the earlier code, which built that rooting
 three times over and found the path by two BFS; both must give the same
 cycle, trees, eccentricities, diametral path and core classification on
 every input.
@@ -13,6 +14,7 @@ import random
 
 import pytest
 
+import cycle_walks
 import separate_folds
 import structure_oracle as oracle
 from conftest import spider
@@ -50,10 +52,10 @@ def _assert_same_structure(g: Graph) -> None:
     assert dec.trees == trees, g.edges()
     stripped, parent, (strip_cycle,) = graphs._unicyclic_strip(g)
     assert tuple(strip_cycle) == cycle and parent == dec.parent, g.edges()
-    down, second = graphs._fold_at_one(g, stripped, parent, [strip_cycle])[3:]
-    ecc = graphs._unicyclic_eccentricities(strip_cycle, stripped, parent, down, second)
+    heights = graphs._fold_at_one(g, stripped, parent, [strip_cycle])[3:]
+    ecc = cycle_walks._unicyclic_eccentricities(strip_cycle, stripped, parent, *heights[:2])
     assert ecc == oracle.eccentricities(g, cycle)
-    got = graphs._unicyclic_diameter_and_path(stripped, parent, [strip_cycle], down, second)
+    got = graphs._unicyclic_diameter_and_path(g, (stripped, parent, [strip_cycle]), *heights)
     assert got == oracle.path_from_eccentricities(g, ecc), g.edges()
     assert diameter_and_path(g) == oracle.diameter_and_path(g), g.edges()
     got, want = reduce_to_core(g), oracle.reduce_to_core(g)
