@@ -9,7 +9,7 @@ raises InternalConsistencyError rather than returning garbage.
 charpoly_det computes det(xI - L) by a wholly independent route and exists
 to cross-examine the recurrences; it shares no code with them and runs no
 IntPolynomial arithmetic. When every component has at most one cycle, it
-runs spectra._forest_inertia's elimination on the leaf strip
+runs the elimination of linalg._fold_pivots on the leaf strip
 (graphs._cycle_forest) over the integers at x = 2^b and reads the
 coefficients off the signed base-2^b digits; on paths, cycles and
 lollipops that beats the Z[x] fold it replaced at every n measured, and on
@@ -238,7 +238,7 @@ def _forest_charpoly(diag: list[int], forest: tuple) -> IntPolynomial:
     semidefinite: a Laplacian or a principal submatrix of one.
 
     The polynomial is read off one integer (Kronecker substitution).
-    spectra._forest_inertia's fold runs on M - XI over the integers at the
+    linalg._fold_pivots' elimination runs on M - XI over the integers at the
     single point X = 2^b: num[v] starts at diag[v] - X and den[v] at 1, and
     folding x into its parent u sets num[u] to num[u] num[x] - den[x] den[u]
     and den[u] to den[u] num[x]. num[x] is then det(M - XI) on x's s-vertex
@@ -247,7 +247,7 @@ def _forest_charpoly(diag: list[int], forest: tuple) -> IntPolynomial:
     it is a shift and a subtraction, and one with den = 1 is skipped. A tree
     component's determinant is its root's num. On a cycle the pivots of the
     pendant trees multiply to the product of the cycle's dens, and the
-    continuant of spectra._cycle_inertia at q = 1 is that product times the
+    continuant of linalg._cycle_inertia at q = 1 is that product times the
     determinant of the cycle's Schur complement, so its closing value is
     the component's determinant. Evaluation is a ring map, so the result is
     p(X) for p = det(xI - M), and p's coefficients are its base-2^b digits

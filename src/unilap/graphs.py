@@ -37,7 +37,7 @@ from .errors import (
     NotConnectedError,
     NotUnicyclicError,
 )
-from .linalg import _cycle_inertia
+from .linalg import _close_cycle
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,8 @@ class Graph:
         return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise InvalidParameterError(f"vertex {v} out of range for n={self.n}")
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -123,18 +125,7 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def is_connected(self) -> bool:
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.n
+        return -1 not in bfs_distances(self, 0)
 
     def with_edge_removed(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -174,7 +165,7 @@ def join_with_edge(g1: Graph, u: int, g2: Graph, v: int) -> Graph:
 
 
 def pendant_vertices(g: Graph) -> list[int]:
-    return [v for v in range(g.n) if g.degree(v) == 1]
+    return [v for v, nbrs in enumerate(g.adj) if len(nbrs) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +423,22 @@ def _fold_at_one(
     unicyclic g in one pass over its leaf strip; a tree's cycle is its root.
 
     Folding x into its parent u carries three things. num[x] / den[x] is
-    the pivot of L - I on x's subtree (Jacobs and Trevisan, LAA 2011, as in
-    spectra._forest_inertia at p = q = 1): a zero pivot pairs with u, giving
-    one negative and one positive, and each further zero child is a zero.
+    the pivot of L - I on x's subtree (Jacobs and Trevisan, LAA 2011): the
+    step of linalg._fold_pivots at qq = 1, written into this loop so that
+    one pass also carries the rest. A zero pivot pairs with u, giving one
+    negative and one positive, and each further zero child is a zero.
     a[x], b[x], c[x] are the smallest sets dominating the subtree with x in
     the set, with x out but dominated by a child, and dominating all but x
     with neither in the set (Cockayne, Goodman and Hedetniemi, IPL 1975).
     down[x] is the subtree's height, second[x] the runner-up over x's
     children of 1 + down[child], and lo[x] the least of the subtree's
-    deepest vertices, for _far_ends. The cycle then closes once for each: a paired cycle
-    vertex cuts it into arcs folded as paths, an intact one closes by
-    linalg._cycle_inertia, and gamma by one walk up the cycle path
-    c_{r-1}..c_0 (G minus the edge c_{r-1}c_0) carrying three triples:
-    plain, c_0 in D dominating c_{r-1}, and c_{r-1} in D dominating c_0.
+    deepest vertices, for _far_ends. The cycle then closes once for each.
+    The pivots close by linalg._close_cycle, as in spectra._forest_inertia:
+    a paired cycle vertex cuts the cycle into arcs folded as paths, an
+    intact one closes by _cycle_inertia, and a tree's root settles alone.
+    gamma closes by one walk up the cycle path c_{r-1}..c_0 (G minus the
+    edge c_{r-1}c_0) carrying three triples: plain, c_0 in D dominating
+    c_{r-1}, and c_{r-1} in D dominating c_0.
     """
     n = g.n
     cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
@@ -481,28 +475,8 @@ def _fold_at_one(
             if h == down[u] and lo[x] < lo[u]:
                 lo[u] = lo[x]
 
-    cut = next((i for i, v in enumerate(cycle) if paired[v]), None)
-    if cut is None and cycles:
-        # a pivot keeps its value when num and den both change sign
-        nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]
-        closed = _cycle_inertia(nums, [abs(den[v]) for v in cycle], 1)
-        neg, zero = neg + closed.negatives, zero + closed.zeros
-    else:
-        # from just after the first cut round to it, each vertex folds into
-        # the next; the last is a cut, which settles alone, or a tree's root
-        path = cycle[cut + 1 :] + cycle[: cut + 1] if cycles else cycle
-        for x, u in zip(path, path[1:] + path[-1:]):
-            if paired[x]:
-                neg, zero = neg + 1, zero + paired[x] - 1
-            elif num[x]:
-                t, s = num[x], den[x]
-                neg += (t > 0) is not (s > 0)
-                num[u] = num[u] * t - s * den[u]
-                den[u] *= t
-            elif u == x:
-                zero += 1
-            else:
-                paired[u] += 1
+    closed_neg, closed_zero, _ = _close_cycle(cycle, num, den, paired, 1)
+    neg, zero = neg + closed_neg, zero + closed_zero
 
     # the triples plain (p), c_0 in D (f) and c_{r-1} in D (l), folded as above
     last = cycle[-1]
@@ -610,15 +584,6 @@ def _diametral_path(parent: list[int], cycle: list[int], u: int, v: int, i: int,
     return tuple(climb + (ring[:ahead:-1] if backward else ring[1:ahead]) + back[::-1])
 
 
-def _unicyclic_diameter_and_path(g: Graph, forest: tuple, *heights: list[int]) -> tuple:
-    """diameter_and_path for a tree or a connected unicyclic graph, given its
-    leaf strip and the heights of _fold_at_one: the ends from _far_ends,
-    then the path between them."""
-    stripped, parent, cycles = forest
-    d, *ends = _far_ends(g, forest, *heights)
-    return d, _diametral_path(parent, cycles[0] if cycles else stripped[-1:], *ends)
-
-
 def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact diameter and one diametral path, deterministically chosen.
 
@@ -631,7 +596,9 @@ def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
     """
     forest = _connected_strip(g)
     if forest is not None:
-        return _unicyclic_diameter_and_path(g, forest, *_fold_at_one(g, *forest)[3:])
+        stripped, parent, cycles = forest
+        d, *ends = _far_ends(g, forest, *_fold_at_one(g, *forest)[3:])
+        return d, _diametral_path(parent, cycles[0] if cycles else stripped[-1:], *ends)
     if not g.is_connected():
         raise NotConnectedError("diameter of a disconnected graph is undefined")
     # the first source of the largest eccentricity, and the smallest vertex

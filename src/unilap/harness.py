@@ -30,8 +30,8 @@ from .graphs import (
     CompassParams,
     Graph,
     _connected_strip,
+    _far_ends,
     _fold_at_one,
-    _unicyclic_diameter_and_path,
     join_with_edge,
     make_compass,
     make_cycle,
@@ -388,7 +388,7 @@ def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> Verify
             # heights the diameter reads
             forest = _connected_strip(g)
             c, _, gamma, *heights = _fold_at_one(g, *forest)
-            d = _unicyclic_diameter_and_path(g, forest, *heights)[0]
+            d = _far_ends(g, forest, *heights)[0]
             if not ceil_div(d + 1, 3) <= c <= gamma:
                 failures.append((i, n))
         return count, failures
@@ -487,7 +487,7 @@ def _measure(
     # at 1 gives the count, gamma and the heights the O(n) diameter reads
     forest = _connected_strip(g)
     count01, mult1, gamma, *heights = _fold_at_one(g, *forest)
-    measured = _unicyclic_diameter_and_path(g, forest, *heights)[0]
+    measured = _far_ends(g, forest, *heights)[0]
     if measured != d:
         raise InternalConsistencyError(
             f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"

@@ -35,8 +35,14 @@ ExactMatrix is the public matrix type and holds the same sparse rows: its
 constructor takes dense rows and drops the zeros, spectra.laplacian builds
 one straight from the graph, and inertia(ExactMatrix) checks symmetry and
 eliminates a per-row copy, so it costs O(n + m) on a graph Laplacian.
-_cycle_inertia, which reads no graph, closes an intact cycle for both folds
-of the leaf strip: spectra's at every shift and graphs._fold_at_one at 1.
+
+The fold of the leaf strip shares its pivot step and its cycle closer
+between spectra._forest_inertia (every shift) and graphs._fold_at_one (at
+1, carrying gamma and the heights too); they live here because graphs
+cannot import spectra. None of the three reads a graph. _fold_pivots folds
+each vertex of an order into its target, _close_cycle settles what a
+cycle holds once its pendant trees have folded in, folding a cut cycle as
+a path by _fold_pivots, and _cycle_inertia closes an intact one.
 """
 
 import heapq
@@ -296,3 +302,73 @@ def _cycle_inertia(nums: list[int], dens: list[int], q: int) -> Inertia:
     if (t > 0) is not (f_prev > 0):
         neg += 1
     return Inertia(neg, 1, r - neg - 1)
+
+
+def _fold_pivots(
+    order: Sequence[int],
+    to: Sequence[int] | dict[int, int],
+    num: list[int],
+    den: list[int],
+    zero_children: list[int],
+    qq: int,
+) -> tuple[int, int, int]:
+    """Fold each x of order into to[x], a root when that is x itself, and
+    count the pivots (negatives, zeros, positives) it settles.
+
+    x carries its pivot as num[x] / den[x] (every den nonzero) and
+    zero_children[x], its count of children with pivot 0; qq is the square
+    of the off-diagonal entry. A zero child pairs with its parent, one
+    negative and one positive eigenvalue, and every further zero child is a
+    zero; the paired parent leaves its own parent alone. Folding a nonzero
+    pivot into u is num[u] * num[x] - qq den[x] den[u] over den[u] * num[x],
+    with no division (Jacobs and Trevisan, LAA 2011). A zero root is a zero.
+    """
+    neg = zero = pos = 0
+    for x in order:
+        u = to[x]
+        a = num[x]
+        if zero_children[x]:
+            neg += 1
+            pos += 1
+            zero += zero_children[x] - 1
+        elif not a:
+            if u == x:
+                zero += 1
+            else:
+                zero_children[u] += 1
+        else:
+            b = den[x]
+            if (a > 0) is (b > 0):
+                pos += 1
+            else:
+                neg += 1
+            if u != x:
+                num[u] = num[u] * a - qq * b * den[u]
+                den[u] *= a
+    return neg, zero, pos
+
+
+def _close_cycle(
+    cycle: list[int], num: list[int], den: list[int], zero_children: list[int], q: int
+) -> tuple[int, int, int]:
+    """(negatives, zeros, positives) of the pivots left on cycle once every
+    pendant tree has folded into it, with off-diagonal -q round the cycle.
+
+    A paired cycle vertex cuts the cycle (Braga, Rodrigues and Trevisan): from
+    just after the first cut round to it, each vertex folds into the next
+    by _fold_pivots, and every cut settles alone. An intact cycle closes by
+    _cycle_inertia. A one-vertex cycle, a tree's root, settles alone.
+    """
+    # a loop, not next() over a generator: that cost about 0.4 us per tiny graph
+    for cut, v in enumerate(cycle):
+        if zero_children[v]:
+            break
+    else:
+        if len(cycle) > 1:
+            # a pivot keeps its value when num and den both change sign
+            nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]
+            closed = _cycle_inertia(nums, [abs(den[v]) for v in cycle], q)
+            return closed.negatives, closed.zeros, closed.positives
+        cut = 0  # a tree's root
+    path = cycle[cut + 1 :] + cycle[: cut + 1]
+    return _fold_pivots(path, dict(zip(path, path[1:] + path[-1:])), num, den, zero_children, q * q)

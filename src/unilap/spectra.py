@@ -10,12 +10,13 @@ no gcd ever runs, the cost is linear in n at an integer shift, and a
 rational shift adds only the cost of multiplying O(n)-bit ints. It also
 beats the heap kernel at c = 1, so it serves every such graph; analyze and
 the sweeps take count01 from graphs._fold_at_one instead, the same fold at
-1 carrying gamma and the heights. Any other graph goes to
-linalg.sparse_inertia, fed sparse rows of L - cI assembled straight from
-the adjacency lists. L is positive semidefinite, so the term at a <= 0 is
-zero and needs no elimination. laplacian(g) wraps the sparse rows at c = 0
-in an ExactMatrix. The floating-point spectrum
-(LAPACK's symmetric eigvalsh through numpy) exists only as an independent
+1 carrying gamma and the heights. Both folds take their pivot step and
+their cycle closer from linalg (_fold_pivots, _close_cycle). Any other
+graph goes to linalg.sparse_inertia, fed sparse rows of L - cI assembled
+straight from the adjacency lists. L is positive semidefinite, so the term
+at a <= 0 is zero and needs no elimination. laplacian(g) wraps the sparse
+rows at c = 0 in an ExactMatrix. The floating-point spectrum (LAPACK's
+symmetric eigvalsh through numpy) exists only as an independent
 cross-check, for the interlacing chain; eigenvalue 1 occurs with high
 multiplicity in the families studied here, so float counting at that
 boundary is never authoritative and never consulted.
@@ -35,15 +36,23 @@ from .errors import (
     InvalidParameterError,
 )
 from .graphs import Graph, _cycle_forest
-from .linalg import ExactMatrix, Inertia, SparseRows, _cycle_inertia, _exact, sparse_inertia
+from .linalg import (
+    ExactMatrix,
+    Inertia,
+    SparseRows,
+    _close_cycle,
+    _exact,
+    _fold_pivots,
+    sparse_inertia,
+)
 
 
 def laplacian_rows(g: Graph) -> list[list[int]]:
     """Degree diagonal minus adjacency, as plain integers."""
     rows = [[0] * g.n for _ in range(g.n)]
-    for v in range(g.n):
-        rows[v][v] = g.degree(v)
-        for w in g.adj[v]:
+    for v, nbrs in enumerate(g.adj):
+        rows[v][v] = len(nbrs)
+        for w in nbrs:
             rows[v][w] = -1
     return rows
 
@@ -85,66 +94,21 @@ def _forest_inertia(
     """Inertia of M = qL(g) - pI (q > 0) in Python ints, from the leaf strip
     (stripped, parent, cycles) of graphs._cycle_forest.
 
-    The strip is folded leaf to root (Jacobs and Trevisan, LAA 2011). A
+    Three steps: every vertex starts with its diagonal entry as its pivot,
+    linalg._fold_pivots folds the strip leaf to root into parent (Jacobs
+    and Trevisan, LAA 2011), and linalg._close_cycle settles each cycle,
+    cut by its paired vertices or closed whole by _cycle_inertia (Braga,
+    Rodrigues and Trevisan extend the method to unicyclic graphs). A
     vertex x carries its pivot as num[x] / den[x]: num[x] is the
     determinant of the block of M on x's subtree and den[x] the product of
-    its attached children's nums, so folding x into its parent u is
-    num[u] * num[x] - q^2 den[x] den[u] over den[u] * num[x], with no
-    division. A child with pivot 0 pairs with its parent (one negative, one
-    positive eigenvalue), every further zero child is a zero eigenvalue,
-    and the paired parent leaves its own parent alone. An intact cycle is
-    closed by _cycle_inertia (Braga, Rodrigues and Trevisan extend the
-    method to unicyclic graphs). A cycle vertex paired this way cuts its
-    cycle; each arc between cuts folds as a path into the cut after it,
-    which is a root. Every num and den is a minor of M, so each has O(n)
-    bits, and the cost is linear in n at an integer shift.
+    its attached children's nums. Every num and den is a minor of M, so
+    each has O(n) bits, and the cost is linear in n at an integer shift.
     """
-    qq = q * q
     num = [q * len(nbrs) - p for nbrs in g.adj]
     den = [1] * g.n
     zero_children = [0] * g.n
-
-    def fold(order: Sequence[int], parent: Sequence[int] | dict) -> tuple[int, int, int]:
-        """Fold each x of order into parent[x], a root when that is x itself,
-        and count the pivots (negatives, zeros, positives) it settles."""
-        neg = zero = pos = 0
-        for x in order:
-            u = parent[x]
-            a = num[x]
-            if zero_children[x]:
-                neg += 1
-                pos += 1
-                zero += zero_children[x] - 1
-            elif not a:
-                if u == x:
-                    zero += 1
-                else:
-                    zero_children[u] += 1
-            else:
-                b = den[x]
-                if (a > 0) is (b > 0):
-                    pos += 1
-                else:
-                    neg += 1
-                if u != x:
-                    num[u] = num[u] * a - qq * b * den[u]
-                    den[u] *= a
-        return neg, zero, pos
-
-    counts = [fold(stripped, parent)]
-    for cycle in cycles:
-        cuts = [i for i, v in enumerate(cycle) if zero_children[v]]
-        if cuts:
-            # the path runs round the cycle from just after the first cut
-            # to it; every cut on it is a root
-            path = cycle[cuts[0] + 1 :] + cycle[: cuts[0] + 1]
-            to = {x: x if zero_children[x] else y for x, y in zip(path, path[1:] + path[:1])}
-            counts.append(fold(path, to))
-            continue
-        # a pivot keeps its value when num and den both change sign
-        nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]
-        closed = _cycle_inertia(nums, [abs(den[v]) for v in cycle], q)
-        counts.append((closed.negatives, closed.zeros, closed.positives))
+    counts = [_fold_pivots(stripped, parent, num, den, zero_children, q * q)]
+    counts += [_close_cycle(cycle, num, den, zero_children, q) for cycle in cycles]
     return Inertia(*map(sum, zip(*counts)))
 
 

@@ -6,13 +6,13 @@ it strips leaves from its own stack while it folds their pivots, tests the
 2-core itself, pushes the neighbours of a paired cycle vertex back on the
 stack so that an opened cycle is stripped like a tree, and walks each
 intact cycle on its own. unilap.spectra now folds the strip of
-graphs._cycle_forest in a separate pass and cuts an opened cycle into
-arcs, so the two share only _cycle_inertia, which closes an intact cycle.
+graphs._cycle_forest in a separate pass (linalg._fold_pivots) and cuts an
+opened cycle into arcs (linalg._close_cycle), so the two share only
+linalg._cycle_inertia, which closes an intact cycle.
 """
 
 from unilap.graphs import Graph
-from unilap.linalg import Inertia
-from unilap.spectra import _cycle_inertia
+from unilap.linalg import Inertia, _cycle_inertia
 
 
 def fused_inertia(g: Graph, p: int, q: int) -> Inertia | None:

@@ -8,7 +8,9 @@ the core as a Graph and classified it from that graph's degrees
 (graphs._classify). unilap.graphs now carries the pivot at 1, the gamma
 states and the heights in one pass and classifies the core in the input's
 labels, so these share only the leaf strip, spectra._forest_inertia and
-the eccentricities' use of the heights.
+the eccentricities' use of the heights. _fold_at_one and _forest_inertia
+both close the cycle by linalg._close_cycle, so a fault there shows in
+both; the independent oracles (the dense and heap kernels) catch it.
 """
 
 from unilap.graphs import Graph

@@ -369,9 +369,7 @@ class TestStructureOncePerAnalyze:
 
         strips = _count_calls(monkeypatch, ["_cycle_forest"])
         ends = _count_calls(monkeypatch, ["_far_ends"])
-        paths = _count_calls(
-            monkeypatch, ["diameter_and_path", "_unicyclic_diameter_and_path", "_diametral_path"]
-        )
+        paths = _count_calls(monkeypatch, ["diameter_and_path", "_diametral_path"])
         monkeypatch.setattr(graphs, "UnicyclicDecomposition", forbidden)
         bounds.analyze(g)
         assert strips == [g]

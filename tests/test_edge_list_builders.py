@@ -120,6 +120,14 @@ class TestVertexIdsOutOfRange:
         with pytest.raises(InvalidParameterError):
             g.with_edge_added(u, v)
 
+    @pytest.mark.parametrize("v", [-1, -5, 5, 6])
+    def test_degree(self, v):
+        """degree(-1) once read vertex n - 1, and degree(n) leaked IndexError."""
+        g = make_lollipop(5, 3)
+        with pytest.raises(InvalidParameterError):
+            g.degree(v)
+        assert [g.degree(x) for x in range(5)] == [2, 2, 3, 2, 1]
+
     def test_interlacing_rejects_a_wrapped_edge(self):
         with pytest.raises(InvalidParameterError):
             check_interlacing(make_path(5), (-1, 3))

@@ -138,7 +138,7 @@ class TestSuites:
             gamma = domination_number(g)
             forest = graphs._connected_strip(g)
             count01, _, strip_gamma, *heights = graphs._fold_at_one(g, *forest)
-            measured = graphs._unicyclic_diameter_and_path(g, forest, *heights)[0]
+            measured = graphs._far_ends(g, forest, *heights)[0]
             assert (measured, count01, strip_gamma) == (d, c, gamma)
             assert separate_folds.count01_mult1_gamma(g, forest)[::2] == (c, gamma)
             assert max(max(bfs_distances(g, v)) for v in range(g.n)) == d
@@ -293,14 +293,14 @@ class TestSweep:
         "family,n_hi", [("lollipop", 12), ("compass", 12), ("path", 12), ("cycle", 12)]
     )
     def test_one_diameter_per_row_below_cap(self, monkeypatch, family, n_hi):
-        """Every row, a path's included, takes one forest diameter off its
-        leaf strip, from the heights of one fold at 1, and no row searches
-        or builds a decomposition."""
+        """Every row, a path's included, reads one forest diameter off the
+        ends of its leaf strip, from the heights of one fold at 1, and no
+        row searches, builds a diametral path or builds a decomposition."""
         calls, folds = [], []
-        original, fold = graphs._unicyclic_diameter_and_path, graphs._fold_at_one
+        original, fold = graphs._far_ends, graphs._fold_at_one
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a sweep row searched or decomposed")
+            raise AssertionError("a sweep row searched, built a path or decomposed")
 
         def counted(g, forest, *heights):
             calls.append(g.n)
@@ -315,8 +315,9 @@ class TestSweep:
             # through that name would still fail
             monkeypatch.setattr(module, "diameter_and_path", forbidden, raising=False)
         monkeypatch.setattr(graphs, "bfs_distances", forbidden)
+        monkeypatch.setattr(graphs, "_diametral_path", forbidden)
         monkeypatch.setattr(graphs, "UnicyclicDecomposition", forbidden)
-        monkeypatch.setattr(harness, "_unicyclic_diameter_and_path", counted)
+        monkeypatch.setattr(harness, "_far_ends", counted)
         monkeypatch.setattr(harness, "_fold_at_one", counted_fold)
         rows = list(sweep(family, 4, n_hi))
         assert len(rows) > n_hi - 4

@@ -393,19 +393,23 @@ class TestKernelSplit:
 
 
 def _kernel_code():
-    """The code objects of the leaf-to-root kernel: _forest_inertia, the
-    code nested in it (its fold among them) and _cycle_inertia."""
+    """The code objects of the leaf-to-root kernel: _forest_inertia and its
+    comprehensions, the pivot fold and cycle closer it calls in linalg, and
+    _cycle_inertia; and the fold's own code object. _forest_inertia nests
+    no function of its own."""
     outer = spectra._forest_inertia.__code__
     nested = {c for c in outer.co_consts if isinstance(c, types.CodeType)}
-    folds = [c for c in nested if c.co_name == "fold"]
-    assert len(folds) == 1, nested
-    return nested | {outer, spectra._cycle_inertia.__code__}, folds[0]
+    assert all(c.co_name.startswith("<") for c in nested), nested
+    fold = linalg._fold_pivots.__code__
+    kernel = {outer, fold, linalg._close_cycle.__code__, linalg._cycle_inertia.__code__}
+    return nested | kernel, fold
 
 
 def _widest_int_formed(g, c):
     """Largest bit length of any int the leaf-to-root kernel holds in a local
     variable while counting L(g) - cI, read at every line it runs, and of
-    every int in its lists when it returns."""
+    every int in its lists when it returns; and how many times the trace
+    entered the pivot fold."""
     kernel, fold = _kernel_code()
     seen = {"folds": 0, "bits": 0}
 
@@ -434,7 +438,7 @@ def _widest_int_formed(g, c):
     # the fold is where every num and den is formed: a trace that never
     # entered it would pass on any kernel
     assert seen["folds"] > 0, seen
-    return seen["bits"]
+    return seen["bits"], seen["folds"]
 
 
 class TestLeafToRootBitGrowth:
@@ -450,8 +454,18 @@ class TestLeafToRootBitGrowth:
         for n in (30, 100, 300):
             g = make(n)
             bits, _ = _hadamard_bits(g, c)
-            widest = _widest_int_formed(g, c)
+            widest, _ = _widest_int_formed(g, c)
             assert widest <= math.floor(bits) + 1, (n, widest, bits)
+
+    @pytest.mark.parametrize("r", [30, 100, 300])
+    def test_sun_at_one_folds_its_cut_cycle(self, r):
+        """At 1 every cycle vertex of a sun is paired, so the closer folds
+        the cut cycle as a path: the trace enters the pivot fold once for
+        the strip and once more from the closer."""
+        g = _sun(r)
+        bits, _ = _hadamard_bits(g, 1)
+        widest, folds = _widest_int_formed(g, 1)
+        assert folds == 2 and widest <= math.floor(bits) + 1, (r, folds, widest, bits)
 
 
 def _cosines_below(values, c):

@@ -55,7 +55,8 @@ def _assert_same_structure(g: Graph) -> None:
     heights = graphs._fold_at_one(g, stripped, parent, [strip_cycle])[3:]
     ecc = cycle_walks._unicyclic_eccentricities(strip_cycle, stripped, parent, *heights[:2])
     assert ecc == oracle.eccentricities(g, cycle)
-    got = graphs._unicyclic_diameter_and_path(g, (stripped, parent, [strip_cycle]), *heights)
+    d, *ends = graphs._far_ends(g, (stripped, parent, [strip_cycle]), *heights)
+    got = d, graphs._diametral_path(parent, strip_cycle, *ends)
     assert got == oracle.path_from_eccentricities(g, ecc), g.edges()
     assert diameter_and_path(g) == oracle.diameter_and_path(g), g.edges()
     got, want = reduce_to_core(g), oracle.reduce_to_core(g)

@@ -1,6 +1,6 @@
 """The Z[x] leaf-strip fold that integer evaluation replaced, kept as a test oracle.
 
-This is the earlier unilap.charpoly._forest_charpoly: spectra._forest_inertia's
+This is the earlier unilap.charpoly._forest_charpoly: linalg._fold_pivots'
 leaf-to-root elimination run on M - xI over Z[x] with IntPolynomial
 arithmetic, for M with diagonal diag and -1 on the edges of the leaf strip
 (graphs._cycle_forest). It evaluates at no point and unpacks no digits, so
@@ -20,7 +20,7 @@ def forest_charpoly(diag: list[int], forest: tuple) -> IntPolynomial:
     parent u sets num[u] to num[u] num[x] - den[x] den[u] and den[u] to
     den[u] num[x]. A tree component's determinant is its root's num; a
     cycle's is the closing value of the continuant of
-    spectra._cycle_inertia at q = 1.
+    linalg._cycle_inertia at q = 1.
     """
     stripped, parent, cycles = forest
     one = IntPolynomial.constant(1)
