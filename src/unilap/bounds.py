@@ -6,10 +6,11 @@ girth r is
     count[0,1) >= ceil(d/3) + ceil(r/6) - 1,
 
 sandwiched from above by the domination number gamma. gamma is exact: a
-linear tree DP on trees and unicyclic graphs, in the one fold of the leaf
-strip at 1 that also gives the count, and branch and bound on any other
-graph. Refinements exist for lollipop cores (r not divisible by 6 improves
-the bound by one in the diameter term) and for a narrow compass case.
+linear tree DP on every component with at most one cycle, in the fold of
+the leaf strip at 1 that also gives the count, and branch and bound on a
+graph with two cycles in one component. Refinements exist for lollipop
+cores (r not divisible by 6 improves the bound by one in the diameter
+term) and for a narrow compass case.
 analyze() measures everything on the input graph itself and never trusts
 the core reduction as the sole certificate.
 """
@@ -21,9 +22,11 @@ from .graphs import (
     CompassParams,
     CoreClassification,
     Graph,
-    _connected_strip,
+    _close,
+    _cycle_forest,
     _far_ends,
     _fold_at_one,
+    _pendant_pass,
     _reduce_to_core,
     _unicyclic_strip,
     diameter_and_path,
@@ -97,20 +100,22 @@ def _greedy_dominating_size(closed: list[int], full: int) -> int:
 def domination_number(g: Graph) -> int:
     """Exact domination number.
 
-    A tree or a connected unicyclic graph, told apart from any other graph
-    by its leaf strip with no connectivity search, takes the linear DP of
-    graphs._fold_at_one at any n. Any other graph takes branch and bound
+    A graph whose components each have at most one cycle, told apart by its
+    leaf strip with no connectivity search, takes the linear DP at any n:
+    graphs._pendant_pass, then graphs._close on each cycle and each tree's
+    root. A graph with two cycles in one component takes branch and bound
     over closed neighbourhoods, which is exponential and so raises
     SizeCapExceededError when n exceeds GAMMA_CAP_DEFAULT.
     """
-    forest = _connected_strip(g)
+    forest = _cycle_forest(g)
     if forest is not None:
-        return _fold_at_one(g, *forest)[2]
+        stripped, parent, cycles = forest
+        slots = _pendant_pass(g, [x for x in stripped if parent[x] != x], parent)[2:8]
+        roots = [[x] for x in stripped if parent[x] == x]  # each closes as a one-vertex cycle
+        return sum(_close(cycle, *slots, g.n + 1)[2] for cycle in cycles + roots)
     if g.n > GAMMA_CAP_DEFAULT:
         raise SizeCapExceededError(f"branch and bound refuses n={g.n} > {GAMMA_CAP_DEFAULT}")
-    if not g.is_connected():
-        return _branch_and_bound_gamma(g, None)
-    return _branch_and_bound_gamma(g, diameter_and_path(g)[0])
+    return _branch_and_bound_gamma(g, diameter_and_path(g)[0] if g.is_connected() else None)
 
 
 def _branch_and_bound_gamma(g: Graph, d: int | None) -> int:

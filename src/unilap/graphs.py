@@ -416,32 +416,21 @@ def _cycle_reach(heights: list[int]) -> list[int]:
     return far
 
 
-def _fold_at_one(
-    g: Graph, stripped: list[int], parent: list[int], cycles: list[list[int]]
-) -> tuple[int, int, int, list[int], list[int], list[int]]:
-    """(count01, mult1, gamma, down, second, lo) of a tree or a connected
-    unicyclic g in one pass over its leaf strip; a tree's cycle is its root.
+def _pendant_pass(g: Graph, order: list[int], parent: list[int]) -> tuple:
+    """One pass folding each x of order into parent[x], children first:
+    (neg, zero) settled, then num, den, paired, a, b, c (a cycle vertex's
+    slot state, for _close) and down, second, lo (for _far_ends).
 
-    Folding x into its parent u carries three things. num[x] / den[x] is
-    the pivot of L - I on x's subtree (Jacobs and Trevisan, LAA 2011): the
-    step of linalg._fold_pivots at qq = 1, written into this loop so that
-    one pass also carries the rest. A zero pivot pairs with u, giving one
-    negative and one positive, and each further zero child is a zero.
-    a[x], b[x], c[x] are the smallest sets dominating the subtree with x in
-    the set, with x out but dominated by a child, and dominating all but x
-    with neither in the set (Cockayne, Goodman and Hedetniemi, IPL 1975).
-    down[x] is the subtree's height, second[x] the runner-up over x's
-    children of 1 + down[child], and lo[x] the least of the subtree's
-    deepest vertices, for _far_ends. The cycle then closes once for each.
-    The pivots close by linalg._close_cycle, as in spectra._forest_inertia:
-    a paired cycle vertex cuts the cycle into arcs folded as paths, an
-    intact one closes by _cycle_inertia, and a tree's root settles alone.
-    gamma closes by one walk up the cycle path c_{r-1}..c_0 (G minus the
-    edge c_{r-1}c_0) carrying three triples: plain, c_0 in D dominating
-    c_{r-1}, and c_{r-1} in D dominating c_0.
+    num[x] / den[x] is the pivot of L - I on x's subtree, and paired[x]
+    its zero children, folded by the step of linalg._fold_pivots at qq = 1
+    (Jacobs and Trevisan, LAA 2011), inlined. a[x], b[x], c[x] are the
+    smallest sets dominating the subtree with x in the set, with x out but
+    dominated by a child, and dominating all but x with neither in the set
+    (Cockayne, Goodman and Hedetniemi, IPL 1975). down[x] is the subtree's
+    height, second[x] the runner-up over x's children of 1 + down[child],
+    and lo[x] the least of the subtree's deepest vertices.
     """
     n = g.n
-    cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
     num = [len(nbrs) - 1 for nbrs in g.adj]
     den = [1] * n
     paired = [0] * n  # zero children
@@ -450,7 +439,7 @@ def _fold_at_one(
     lo = list(range(n))
     neg = zero = 0
     # comparisons, not min() or max(): a builtin call per vertex was most of this loop's time
-    for x in pendant:
+    for x in order:
         u = parent[x]
         if paired[x]:
             neg, zero = neg + 1, zero + paired[x] - 1
@@ -474,11 +463,19 @@ def _fold_at_one(
             second[u] = h
             if h == down[u] and lo[x] < lo[u]:
                 lo[u] = lo[x]
+    return neg, zero, num, den, paired, a, b, c, down, second, lo
 
-    closed_neg, closed_zero, _ = _close_cycle(cycle, num, den, paired, 1)
-    neg, zero = neg + closed_neg, zero + closed_zero
 
-    # the triples plain (p), c_0 in D (f) and c_{r-1} in D (l), folded as above
+def _close(
+    cycle: list[int], num: list, den: list, paired: list, a: list, b: list, c: list, inf: int
+) -> tuple[int, int, int]:
+    """(neg, zero, gamma) settled on a cycle from the slot states at its
+    indices (vertex ids, or positions 0..r-1), with no graph: the pivots by
+    linalg._close_cycle, gamma by one walk up c_{r-1}..c_0 (the cycle less
+    the edge c_{r-1}c_0) with three triples: plain, c_0 in D and c_{r-1} in
+    D, each dominating the other end. A tree's root is a one-vertex cycle."""
+    neg, zero, _ = _close_cycle(cycle, num, den, paired, 1)
+    # the triples plain (p), c_0 in D (f) and c_{r-1} in D (l), folded as in _pendant_pass
     last = cycle[-1]
     pa, pb, pc = a[last], b[last], c[last]
     fa, fb, fc = pa, pb if pb < pc else pc, inf
@@ -491,7 +488,16 @@ def _fold_at_one(
         fa, fb, fc = av + (dom if dom < fc else fc), via if via < bv + dom else bv + dom, cv + fb
         dom, via = la if la < lb else lb, cv + la
         la, lb, lc = av + (dom if dom < lc else lc), via if via < bv + dom else bv + dom, cv + lb
-    return neg, zero, min(pa, pb, fa, la, lb, lc), down, second, lo
+    return neg, zero, min(pa, pb, fa, la, lb, lc)
+
+
+def _fold_at_one(g: Graph, stripped: list[int], parent: list[int], cycles: list) -> tuple:
+    """(count01, mult1, gamma, down, second, lo) of a tree or a connected unicyclic
+    g: _pendant_pass over its leaf strip, then _close on its cycle (a tree's root)."""
+    cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
+    neg, zero, num, den, paired, a, b, c, down, second, lo = _pendant_pass(g, pendant, parent)
+    closed_neg, closed_zero, gamma = _close(cycle, num, den, paired, a, b, c, g.n + 1)
+    return neg + closed_neg, zero + closed_zero, gamma, down, second, lo
 
 
 def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:

@@ -172,16 +172,13 @@ def suite_lollipops(max_n: int = 40, seed: int = 0) -> VerifyReport:
 
 
 def compass_params_for_n(n: int) -> Iterator[CompassParams]:
-    """All valid parameter tuples for one n, lexicographic in (r, r', t)."""
+    """All valid parameter tuples for one n, lexicographic in (r, r', t); the
+    ranges meet every condition of CompassParams.validate but the last."""
     for r in range(3, n - 1):
         for r_prime in range(1, r // 2 + 1):
             for t in range(1, n - r):
-                p = CompassParams(n, r, r_prime, t)
-                try:
-                    p.validate()
-                except InvalidParameterError:
-                    continue
-                yield p
+                if r_prime + min(t, n - r - t) >= r // 2:
+                    yield CompassParams(n, r, r_prime, t)
 
 
 def valid_compass_params(max_n: int) -> Iterator[CompassParams]:

@@ -143,6 +143,24 @@ class TestDominationDP:
             if n <= 11:
                 assert gamma == exhaustive_gamma(g), (i, g.edges())
 
+    def test_random_unions_of_trees_and_unicyclic_graphs(self):
+        """Components of every kind, a single vertex included: the DP closes
+        each cycle and each tree's root, and gamma adds up over them."""
+        rng = random.Random(23)
+        for i in range(200):
+            sizes = [rng.randrange(1, 8) for _ in range(rng.randrange(2, 4))]
+            parts = [
+                random_unicyclic(rng, k) if k > 2 and i % 2 else random_tree(rng, k) for k in sizes
+            ]
+            g = parts[0]
+            for part in parts[1:]:
+                g = disjoint_union(g, part)
+            gamma = domination_number(g)
+            assert gamma == sum(map(domination_number, parts)), g.edges()
+            assert gamma == bounds._branch_and_bound_gamma(g, None), g.edges()
+            if g.n <= 11:
+                assert gamma == exhaustive_gamma(g), g.edges()
+
     @pytest.mark.parametrize("family,n_hi", [("lollipop", 32), ("compass", 16)])
     def test_sweep_families(self, family, n_hi):
         """The sweep's lollipops and compasses, through sweep and directly."""
@@ -167,7 +185,7 @@ class TestDominationDP:
 
 
 class TestBranchAndBoundSplit:
-    """Branch and bound runs exactly on graphs that are neither trees nor unicyclic."""
+    """Branch and bound runs exactly on graphs with two cycles in one component."""
 
     def test_never_reached_on_trees_and_unicyclic_graphs(self, monkeypatch):
         def refuse(g, d):
@@ -211,19 +229,27 @@ class TestBranchAndBoundSplit:
         ],
         ids=["two-triangles", "edge-and-triangle", "two-paths", "square-and-vertex"],
     )
-    def test_reached_on_disconnected_graphs_with_at_most_one_cycle_each(self, monkeypatch, g):
-        """A strip that leaves the wrong number of cycles for a connected
-        graph sends g to branch and bound, as an is_connected check did."""
-        calls = []
-        original = bounds._branch_and_bound_gamma
+    def test_not_reached_on_disconnected_graphs_with_at_most_one_cycle_each(self, monkeypatch, g):
+        """Every component with at most one cycle closes by the linear DP,
+        connected or not: a pendant pass over the strip, then one close per
+        cycle and per tree root."""
+        def refuse(h, d):
+            raise AssertionError(f"branch and bound reached on {h.edges()}")
 
-        def counted(h, d):
-            calls.append((h, d))
-            return original(h, d)
-
-        monkeypatch.setattr(bounds, "_branch_and_bound_gamma", counted)
+        monkeypatch.setattr(bounds, "_branch_and_bound_gamma", refuse)
         assert domination_number(g) == exhaustive_gamma(g)
-        assert calls == [(g, None)]
+
+    def test_disconnected_graph_above_the_cap(self, monkeypatch):
+        """40 vertices, past branch and bound's cap of 32: P_20 needs 7, and
+        the lollipop on 20 vertices with a pentagon needs 7."""
+        def refuse(h, d):
+            raise AssertionError(f"branch and bound reached on {h.edges()}")
+
+        monkeypatch.setattr(bounds, "_branch_and_bound_gamma", refuse)
+        g = disjoint_union(make_path(20), make_lollipop(20, 5))
+        assert g.n > bounds.GAMMA_CAP_DEFAULT
+        assert domination_number(g) == 14
+        assert domination_number(make_path(20)) == domination_number(make_lollipop(20, 5)) == 7
 
     @pytest.mark.parametrize(
         "g",

@@ -2,7 +2,9 @@
 
 graphs._fold_at_one carries the pivot of L - I, the domination states and
 the pendant-tree heights and deepest labels through one pass over the leaf
-strip, then closes the cycle once for each. separate_folds holds the
+strip (_pendant_pass), then closes the cycle once for each (_close, which
+reads no graph: TestGraphFreeClose closes every class with n <= 12 from
+per-rank slot states alone). separate_folds holds the
 earlier code: the inertia from spectra._forest_inertia at p = q = 1 (still
 the kernel at every other shift), gamma from a fold of its own, and the
 heights from a loop of their own; the deepest labels are checked against
@@ -15,13 +17,14 @@ from its degrees.
 
 import random
 from functools import cached_property
+from operator import add
 
 import pytest
 
 import separate_folds
 import structure_oracle
 from conftest import spider
-from unilap import graphs, spectra
+from unilap import enumeration, graphs, spectra
 from unilap.bounds import analyze
 from unilap.enumeration import enumerate_unicyclic
 from unilap.graphs import (
@@ -220,3 +223,60 @@ class TestLazyPathAndCoreVertices:
         assert path == diameter_and_path(g)[1]
         assert core.core_vertices is core.core_vertices
         assert built == ["diametral_path", "core_vertices"]
+
+
+def _rank_slot(rows: tuple) -> tuple:
+    """The slot state of one rank, from one _pendant_pass over its tree hung
+    at its root on a triangle, so that the root's pivot counts its two cycle
+    edges: (neg, zero, num, den, paired, a, b, c, height, diameter). A set
+    size at or above the triangle graph's n + 1 means no such set: None."""
+    s = len(rows)
+    tree = [(parent, k) for k, (parent, _) in enumerate(rows) if k]
+    h = Graph.from_edges(s + 2, [(0, s), (0, s + 1), (s, s + 1)] + tree)
+    stripped, parent, _ = graphs._cycle_forest(h)
+    neg, zero, num, den, paired, a, b, c, down, second, _ = graphs._pendant_pass(
+        h, stripped, parent
+    )
+    sets = [x if x < s + 3 else None for x in (a[0], b[0], c[0])]
+    return neg, zero, num[0], den[0], paired[0], *sets, down[0], max(map(add, down, second))
+
+
+def _close_class(n: int, slots: list[tuple]) -> tuple[int, int, int, int]:
+    """(count01, mult1, gamma, d) of the class whose cycle carries slots in
+    order, closed at positions 0..r-1 with no graph."""
+    neg, zero, num, den, paired, *sets, heights, diameters = map(list, zip(*slots))
+    inf = n + 1
+    a, b, c = ([inf if x is None else x for x in col] for col in sets)
+    cycle = list(range(len(slots)))
+    closed_neg, closed_zero, gamma = graphs._close(cycle, num, den, paired, a, b, c, inf)
+    d = max(max(diameters), max(map(add, heights, graphs._cycle_reach(heights))))
+    return sum(neg) + closed_neg, sum(zero) + closed_zero, gamma, d
+
+
+class TestGraphFreeClose:
+    def test_every_class_to_twelve_from_rank_slots(self, monkeypatch):
+        """Each rank of the tree alphabet is folded once; each class with
+        n <= 12 then closes from its rank sequence's slot states by _close
+        and _cycle_reach alone, with no Graph built, and gives analyze's
+        count01, mult1, gamma and diameter."""
+        alpha = enumeration._alphabet(10)
+        slots = {x: _rank_slot(alpha.rows[x]) for x in alpha.capped[10]}
+
+        def forbidden(*args):
+            raise AssertionError("a Graph was built while closing from slots")
+
+        closed = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Graph, "_trusted", staticmethod(forbidden))
+            patch.setattr(Graph, "__post_init__", forbidden)
+            for n in range(3, 13):
+                for r in range(3, n + 1):
+                    for seq in enumeration._bracelets(n, r, alpha):
+                        closed.append(_close_class(n, [slots[x] for x in seq]))
+        want = []
+        for n in range(3, 13):
+            for g in enumerate_unicyclic(n):
+                rep = analyze(g)
+                want.append((rep.count01, rep.mult1, rep.gamma, rep.diameter))
+        assert len(closed) == len(want) == 7872
+        assert closed == want
