@@ -24,8 +24,8 @@ from .graphs import (
     Graph,
     _close,
     _cycle_forest,
+    _cycle_gamma,
     _far_ends,
-    _fold_at_one,
     _pendant_pass,
     _reduce_to_core,
     _unicyclic_strip,
@@ -102,17 +102,18 @@ def domination_number(g: Graph) -> int:
 
     A graph whose components each have at most one cycle, told apart by its
     leaf strip with no connectivity search, takes the linear DP at any n:
-    graphs._pendant_pass, then graphs._close on each cycle and each tree's
-    root. A graph with two cycles in one component takes branch and bound
-    over closed neighbourhoods, which is exponential and so raises
-    SizeCapExceededError when n exceeds GAMMA_CAP_DEFAULT.
+    graphs._pendant_pass, then graphs._cycle_gamma on each cycle and each
+    tree's root, which closes no pivot. A graph with two cycles in one
+    component takes branch and bound over closed neighbourhoods, which is
+    exponential and so raises SizeCapExceededError when n exceeds
+    GAMMA_CAP_DEFAULT.
     """
     forest = _cycle_forest(g)
     if forest is not None:
         stripped, parent, cycles = forest
-        slots = _pendant_pass(g, [x for x in stripped if parent[x] != x], parent)[2:8]
+        a, b, c = _pendant_pass(g, [x for x in stripped if parent[x] != x], parent)[5:8]
         roots = [[x] for x in stripped if parent[x] == x]  # each closes as a one-vertex cycle
-        return sum(_close(cycle, *slots, g.n + 1)[2] for cycle in cycles + roots)
+        return sum(_cycle_gamma(cycle, a, b, c, g.n + 1) for cycle in cycles + roots)
     if g.n > GAMMA_CAP_DEFAULT:
         raise SizeCapExceededError(f"branch and bound refuses n={g.n} > {GAMMA_CAP_DEFAULT}")
     return _branch_and_bound_gamma(g, diameter_and_path(g)[0] if g.is_connected() else None)
@@ -187,13 +188,17 @@ class BoundReport:
 
 def analyze(g: Graph) -> BoundReport:
     """Measure g exactly and check every applicable inequality on g itself."""
-    # one leaf strip, folded once at 1, gives count01, mult1, gamma and the heights
-    # the diameter's ends are read off; the core is classified from the ends
+    # one leaf strip, folded once at 1 (graphs._fold_at_one's pendant pass and closer,
+    # called straight), gives count01, mult1, gamma and the heights the diameter's ends
+    # are read off; the core is classified from the ends
     forest = _unicyclic_strip(g)
-    r = len(forest[2][0])
-    count01, mult1, gamma, down, second, lo = _fold_at_one(g, *forest)
-    d, *ends = _far_ends(g, forest, down, second, lo)
-    core = _reduce_to_core(g, forest, down, ends)
+    stripped, parent, (cycle,) = forest
+    r = len(cycle)
+    neg, zero, num, den, paired, a, b, c, down, second, lo = _pendant_pass(g, stripped, parent)
+    cneg, czero, gamma = _close(cycle, num, den, paired, a, b, c, g.n + 1)
+    count01, mult1 = neg + cneg, zero + czero
+    ends = _far_ends(g, forest, down, second, lo)
+    d, core = ends[0], _reduce_to_core(g, forest, down, ends[1:])
 
     main = main_lower_bound(d, r)
     refined: int | None = None

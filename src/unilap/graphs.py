@@ -320,7 +320,10 @@ def _cycle_forest(g: Graph, left: list[int] | None = None) -> tuple | None:
         start = left.index(2, start)  # the smallest vertex not yet walked
         left[start] = 0
         cycle = [start]
-        prev, v = start, next(w for w in adj[start] if left[w])
+        for v in adj[start]:  # a loop, not next() over a generator: that cost about 0.4 us
+            if left[v]:
+                break
+        prev = start
         while v != start:
             left[v] = 0
             cycle.append(v)
@@ -393,26 +396,52 @@ def _cycle_reach(heights: list[int]) -> list[int]:
     antipode of j (j + k, and j + k + 1 too when r is odd), so each tent
     h_j + cdist(i, j) peaks at h_j + k there, and the envelope of all r
     tents is a max-plus distance transform of the peaks: one pass each way
-    from the highest. It counts j = i too, so it errs only at an i with
-    h_i > h_j + cdist(i, j) for every j != i. Two such i, j would each top
-    the other by cdist(i, j) > 0, and such an i tops every other index's own
-    height too (h_i + cdist > h_j + 2 cdist), so no tie coexists with it.
-    It is the first highest index, whose far is recomputed in O(r).
+    round the cycle from s = m + k (mod r), where the first highest index m
+    peaks, so no chain of steps needs to pass s. Positions are read modulo r
+    through Python's negative indices, with no rotated copy: the forward
+    pass runs j from m + 1 - r to m - 1 (m + 1 round to m - 1), takes the
+    peak at j + k from heights[j] (and heights[j - 1] when r is odd) and
+    writes far[j + s - m], as s - m is k or k - r; the backward pass runs
+    from s - 1 down to s + 1 - r. The transform counts j = i too, so it
+    errs only at an i with h_i > h_j + cdist(i, j) for every j != i. Two
+    such i, j would each top the other by cdist(i, j) > 0, and such an i
+    tops every other index's own height too (h_i + cdist > h_j + 2 cdist),
+    so no tie coexists with it: it is m. The transform gives far[m] as
+    max(h_m, the true far[m]), so only when it reads h_m is far[m]
+    recomputed, in O(r).
     """
     r, k = len(heights), len(heights) // 2
-    m = heights.index(max(heights))
-    h = heights[m:] + heights[:m]  # h[x] = heights[m + x]
-    own = max(map(add, h[1:], [*range(1, k + 1), *range(r - 1 - k, 0, -1)]), default=0)
-    # peak[x] + k is the peak at m + k + x: h[x] + k, or with h[x - 1] too when r is odd
-    peak = list(map(max, h, h[-1:] + h[:-1])) if r % 2 else h
-    for order in (range(1, r), range(r - 1, 0, -1)):
-        run = peak[0]
-        for x in order:
-            run -= 1
-            peak[x] = run = peak[x] if peak[x] > run else run
-    s = r - (m + k) % r  # far[i] = peak[i - m - k] + k
-    far = list(map(k.__add__, peak[s:] + peak[:s]))
-    far[m] = own
+    top = max(heights)
+    m = heights.index(top)
+    s = (m + k) % r
+    far = [top + k] * r
+    odd, shift, run = r % 2, s - m, top + k
+    for j in range(m + 1 - r, m):
+        x, y = heights[j], heights[j - odd]
+        run -= 1
+        x = (x if x > y else y) + k
+        if x > run:
+            run = x
+        far[j + shift] = run
+    run = top + k
+    for p in range(s - 1, s - r, -1):
+        run -= 1
+        x = far[p]
+        if x > run:
+            run = x
+        else:
+            far[p] = run
+    if far[m] == top:
+        own = 0  # max over j != m of heights[j] + cdist(m, j), each way round
+        for x in range(1, k + 1):
+            y = heights[m + x - r] + x
+            if y > own:
+                own = y
+        for x in range(1, r - k):
+            y = heights[m - x] + x
+            if y > own:
+                own = y
+        far[m] = own
     return far
 
 
@@ -471,16 +500,23 @@ def _close(
 ) -> tuple[int, int, int]:
     """(neg, zero, gamma) settled on a cycle from the slot states at its
     indices (vertex ids, or positions 0..r-1), with no graph: the pivots by
-    linalg._close_cycle, gamma by one walk up c_{r-1}..c_0 (the cycle less
-    the edge c_{r-1}c_0) with three triples: plain, c_0 in D and c_{r-1} in
-    D, each dominating the other end. A tree's root is a one-vertex cycle."""
+    linalg._close_cycle, gamma by _cycle_gamma. A tree's root is a one-vertex
+    cycle."""
     neg, zero, _ = _close_cycle(cycle, num, den, paired, 1)
+    return neg, zero, _cycle_gamma(cycle, a, b, c, inf)
+
+
+def _cycle_gamma(cycle: list[int], a: list, b: list, c: list, inf: int) -> int:
+    """gamma settled on a cycle from the domination states at its indices,
+    with no graph and no pivot: one walk up c_{r-1}..c_0 (the cycle less the
+    edge c_{r-1}c_0) with three triples: plain, c_0 in D and c_{r-1} in D,
+    each dominating the other end. A tree's root is a one-vertex cycle."""
     # the triples plain (p), c_0 in D (f) and c_{r-1} in D (l), folded as in _pendant_pass
     last = cycle[-1]
     pa, pb, pc = a[last], b[last], c[last]
     fa, fb, fc = pa, pb if pb < pc else pc, inf
     la, lb, lc = pa, inf, inf
-    for v in reversed(cycle[:-1]):
+    for v in cycle[-2::-1]:
         av, bv, cv = a[v], b[v], c[v]
         dom, via = pa if pa < pb else pb, cv + pa
         pa, pb, pc = av + (dom if dom < pc else pc), via if via < bv + dom else bv + dom, cv + pb
@@ -488,7 +524,7 @@ def _close(
         fa, fb, fc = av + (dom if dom < fc else fc), via if via < bv + dom else bv + dom, cv + fb
         dom, via = la if la < lb else lb, cv + la
         la, lb, lc = av + (dom if dom < lc else lc), via if via < bv + dom else bv + dom, cv + lb
-    return neg, zero, min(pa, pb, fa, la, lb, lc)
+    return min(pa, pb, fa, la, lb, lc)
 
 
 def _fold_at_one(g: Graph, stripped: list[int], parent: list[int], cycles: list) -> tuple:
@@ -498,6 +534,14 @@ def _fold_at_one(g: Graph, stripped: list[int], parent: list[int], cycles: list)
     neg, zero, num, den, paired, a, b, c, down, second, lo = _pendant_pass(g, pendant, parent)
     closed_neg, closed_zero, gamma = _close(cycle, num, den, paired, a, b, c, g.n + 1)
     return neg + closed_neg, zero + closed_zero, gamma, down, second, lo
+
+
+def _heights(g: Graph, forest: tuple) -> tuple:
+    """(down, second, lo) of _pendant_pass over the leaf strip of a tree or a
+    connected unicyclic g, for _far_ends alone: the cycle (a tree's root, left
+    out of the order as in _fold_at_one) is not closed."""
+    stripped, parent, cycles = forest
+    return _pendant_pass(g, stripped if cycles else stripped[:-1], parent)[8:]
 
 
 def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:
@@ -513,10 +557,11 @@ def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:
 
 def _where(xs: list[int], value: int) -> list[int]:
     """The indices of value in xs, ascending, each found by list.index."""
-    found = [-1]
+    found, i = [], -1
     for _ in range(xs.count(value)):
-        found.append(xs.index(value, found[-1] + 1))
-    return found[1:]
+        i = xs.index(value, i + 1)
+        found.append(i)
+    return found
 
 
 def _far_ends(g: Graph, forest: tuple, down: list[int], second: list[int], lo: list[int]) -> tuple:
@@ -526,43 +571,66 @@ def _far_ends(g: Graph, forest: tuple, down: list[int], second: list[int], lo: l
 
     Proof. A walk leaving the pendant tree T_i returns through c_i, so two
     vertices of T_i lie in two branches of their apex w (w itself a branch
-    of depth 0), at most down[w] + second[w] apart, and vertices of T_i and
-    T_j, j != i, at most H_i + far_i apart (H_i = down[c_i], far from
-    _cycle_reach). Both bounds are attained, so d is the larger, and a pair
-    d apart ends at deepest vertices of two branches of an apex w with
-    down[w] + second[w] = d (or at w if second[w] = 0), or of T_i and T_j
-    with H_i + far_i = d = H_j + far_j. So u is the least lo[c_i] over those
-    i and lo[w] or lo of a branch reaching second[w] over those w. A vertex
-    d from u in T_i meets u's climb at an ancestor a, k up, whose other
-    branches reach at most d - k (an O(1) test on down and second): the
-    least is the least lo of one reaching d - k (a itself if k = d). One in
-    T_j needs depth(u) + far_i = d and H_j + cdist(i, j) = far_i, so c_j is
-    among the c_i above: the least is lo[c_j]. v is the least of these. A
-    tree's cycle is its root alone: far = [0] and i = j always.
+    of depth 0), at most down[w] + second[w] <= 2 H_i apart, and vertices
+    of T_i and T_j, j != i, at most H_i + far_i apart (H_i = down[c_i], far
+    from _cycle_reach). Both bounds are attained, so d is the larger. No
+    apex reaches the cycle's best when 2 max H_i falls short of it, so the
+    apex sums are read only otherwise, and listed only when one reaches d.
+    A pair d apart ends at deepest vertices of two branches of an apex w
+    with down[w] + second[w] = d (or at w if second[w] = 0), or of T_i and
+    T_j with H_i + far_i = d = H_j + far_j. So u is the least lo[c_i] over
+    those i and, over those w, lo[w] and the least lo of a child of w
+    reaching second[w] - 1 (w itself if second[w] = 0). A vertex d from u
+    in T_i meets u's climb at an ancestor a, k up, whose other branches
+    reach at most d - k (an O(1) test on down and second): the least is
+    the least lo of a child of a off u's branch reaching d - k - 1, found
+    by one scan of a's neighbours (a itself if k = d). One in T_j needs
+    depth(u) + far_i = d and H_j + cdist(i, j) = far_i, so c_j is among
+    the c_i above: the least is lo[c_j]. v is the least of these. A tree's
+    cycle is its root alone: far = [0] and i = j always.
     """
     stripped, parent, cycles = forest
     cycle = cycles[0] if cycles else stripped[-1:]
     heights = [down[c] for c in cycle]
     far = _cycle_reach(heights)
-    reach, sums = list(map(add, heights, far)), list(map(add, down, second))
-    d, r = max(max(sums), max(reach)), len(cycle)
-
-    def least(a: int, t: int, skip: int) -> int:
-        """The least vertex t below a off the branch whose lo is skip; a at t = 0."""
-        ends = (lo[y] for y in g.adj[a] if parent[y] == a and down[y] == t - 1 and lo[y] != skip)
-        return min(ends) if t else a
-
-    tight, apexes = _where(reach, d), _where(sums, d)
-    u = min([lo[cycle[i]] for i in tight] + [min(lo[w], least(w, second[w], -1)) for w in apexes])
-    v, x, k, reach_below, skip = len(parent), u, 0, -1, -1
-    while True:  # u's climb: x is k up, and u's branch reaches reach_below below x
-        if (second[x] if down[x] == reach_below else down[x]) == d - k:
-            v = min(v, least(x, d - k, skip))
+    reach = list(map(add, heights, far))
+    d = max(reach)
+    u = len(parent)
+    if 2 * max(heights) >= d:
+        best = max(map(add, down, second))
+        if best >= d:
+            d = best
+            # an apex w pairs lo[w] with w itself or a deepest vertex of its second branch
+            for w in _where(list(map(add, down, second)), d):
+                t = second[w]
+                if lo[w] < u:
+                    u = lo[w]
+                if not t:
+                    u = w if w < u else u
+                else:
+                    for y in g.adj[w]:
+                        if parent[y] == w and down[y] == t - 1 and lo[y] < u:
+                            u = lo[y]
+    tight = _where(reach, d)
+    for i in tight:
+        if lo[cycle[i]] < u:
+            u = lo[cycle[i]]
+    v, x, k, below, skip = len(parent), u, 0, -1, -1
+    while True:  # u's climb: x is k up, and u's branch reaches below below x
+        t = d - k
+        if (second[x] if down[x] == below else down[x]) == t:
+            if not t:
+                v = x if x < v else v
+            else:
+                for y in g.adj[x]:
+                    if parent[y] == x and down[y] == t - 1 and lo[y] != skip and lo[y] < v:
+                        v = lo[y]
         if parent[x] == x:
             break
-        x, k, reach_below, skip = parent[x], k + 1, down[x] + 1, lo[x]
+        x, k, below, skip = parent[x], k + 1, down[x] + 1, lo[x]
     i = j = cycle.index(x)
     if k + far[i] == d:
+        r = len(cycle)
         for y in tight:
             arc = abs(y - i)
             if y != i and heights[y] + min(arc, r - arc) == far[i] and lo[cycle[y]] < v:
@@ -603,7 +671,7 @@ def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
     forest = _connected_strip(g)
     if forest is not None:
         stripped, parent, cycles = forest
-        d, *ends = _far_ends(g, forest, *_fold_at_one(g, *forest)[3:])
+        d, *ends = _far_ends(g, forest, *_heights(g, forest))
         return d, _diametral_path(parent, cycles[0] if cycles else stripped[-1:], *ends)
     if not g.is_connected():
         raise NotConnectedError("diameter of a disconnected graph is undefined")
@@ -677,7 +745,7 @@ def reduce_to_core(g: Graph) -> CoreClassification:
     count01(g) + 1 by Cauchy interlacing.
     """
     forest = _unicyclic_strip(g)
-    _, _, _, down, second, lo = _fold_at_one(g, *forest)
+    down, second, lo = _heights(g, forest)
     return _reduce_to_core(g, forest, down, _far_ends(g, forest, down, second, lo)[1:])
 
 

@@ -42,8 +42,8 @@ closing gamma too); they live here because graphs cannot import spectra.
 None of the three reads a graph, only states at indices (vertex ids, or
 positions on one cycle). _fold_pivots folds each vertex of an order into
 its target, _close_cycle settles a cycle once its pendant trees have
-folded in, folding a cut cycle as a path by _fold_pivots, and
-_cycle_inertia closes an intact one.
+folded in, folding a cut cycle as a path by the same step with each
+target read off the path, and _cycle_inertia closes an intact one.
 """
 
 import heapq
@@ -254,9 +254,10 @@ def inertia(m: ExactMatrix) -> Inertia:
     return sparse_inertia({i: dict(row) for i, row in m.rows.items()})
 
 
-def _cycle_inertia(nums: list[int], dens: list[int], q: int) -> Inertia:
-    """Inertia of the periodic tridiagonal matrix with diagonal nums[k] / dens[k]
-    (every dens[k] > 0) and off-diagonal -q, r = len(nums) >= 3.
+def _cycle_inertia(nums: list[int], dens: list[int], q: int) -> tuple[int, int, int]:
+    """(negatives, zeros, positives) of the periodic tridiagonal matrix with
+    diagonal nums[k] / dens[k] (every dens[k] > 0) and off-diagonal -q,
+    r = len(nums) >= 3.
 
     F_k = f_k * dens[0] * ... * dens[k-1] scales the leading minors f_k, so
     F_{k+1} = nums[k] F_k - q^2 dens[k] dens[k-1] F_{k-1} stays in ints with
@@ -291,23 +292,23 @@ def _cycle_inertia(nums: list[int], dens: list[int], q: int) -> Inertia:
             neg += 1
             positive = not positive
         if not full:
-            return Inertia(neg, 1, r - neg - 1)
+            return neg, 1, r - neg - 1
         if (full > 0) is not positive:
             neg += 1
-        return Inertia(neg, 0, r - neg)
+        return neg, 0, r - neg
     if full:
-        return Inertia(neg + 1, 0, r - neg - 1)
+        return neg + 1, 0, r - neg - 1
     t = nums[r - 1] * f_prev - e * w_prev
     if not t:
-        return Inertia(neg, 2, r - neg - 2)
+        return neg, 2, r - neg - 2
     if (t > 0) is not (f_prev > 0):
         neg += 1
-    return Inertia(neg, 1, r - neg - 1)
+    return neg, 1, r - neg - 1
 
 
 def _fold_pivots(
     order: Sequence[int],
-    to: Sequence[int] | dict[int, int],
+    to: Sequence[int],
     num: list[int],
     den: list[int],
     zero_children: list[int],
@@ -356,9 +357,11 @@ def _close_cycle(
     pendant tree has folded into it, with off-diagonal -q round the cycle.
 
     A paired cycle vertex cuts the cycle (Braga, Rodrigues and Trevisan): from
-    just after the first cut round to it, each vertex folds into the next
-    by _fold_pivots, and every cut settles alone. An intact cycle closes by
-    _cycle_inertia. A one-vertex cycle, a tree's root, settles alone.
+    just after the first cut round to it, each vertex folds into the next by
+    the step of _fold_pivots, inlined with each target read off zip so that
+    no table of successors is built, and every cut settles alone. An intact
+    cycle closes by _cycle_inertia. A one-vertex cycle, a tree's root,
+    settles alone.
     """
     # a loop, not next() over a generator: that cost about 0.4 us per tiny graph
     for cut, v in enumerate(cycle):
@@ -368,8 +371,29 @@ def _close_cycle(
         if len(cycle) > 1:
             # a pivot keeps its value when num and den both change sign
             nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]
-            closed = _cycle_inertia(nums, [abs(den[v]) for v in cycle], q)
-            return closed.negatives, closed.zeros, closed.positives
+            return _cycle_inertia(nums, [abs(den[v]) for v in cycle], q)
         cut = 0  # a tree's root
+    neg = zero = pos = 0
+    qq = q * q
     path = cycle[cut + 1 :] + cycle[: cut + 1]
-    return _fold_pivots(path, dict(zip(path, path[1:] + path[-1:])), num, den, zero_children, q * q)
+    for x, u in zip(path, path[1:] + path[-1:]):
+        a = num[x]
+        if zero_children[x]:
+            neg += 1
+            pos += 1
+            zero += zero_children[x] - 1
+        elif not a:
+            if u == x:
+                zero += 1
+            else:
+                zero_children[u] += 1
+        else:
+            b = den[x]
+            if (a > 0) is (b > 0):
+                pos += 1
+            else:
+                neg += 1
+            if u != x:
+                num[u] = num[u] * a - qq * b * den[u]
+                den[u] *= a
+    return neg, zero, pos

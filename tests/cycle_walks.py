@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from unilap.bounds import BoundReport, compass_bounds, main_lower_bound, refined_lollipop_bound
 from unilap.graphs import CompassParams, Graph, _cycle_reach, _unicyclic_strip
-from unilap.linalg import _cycle_inertia
+from unilap.linalg import Inertia, _cycle_inertia
 
 
 @dataclass
@@ -118,7 +118,7 @@ def _fold_at_one(
     if cut is None and cycles:
         # a pivot keeps its value when num and den both change sign
         nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]
-        closed = _cycle_inertia(nums, [abs(den[v]) for v in cycle], 1)
+        closed = Inertia(*_cycle_inertia(nums, [abs(den[v]) for v in cycle], 1))
         neg, zero = neg + closed.negatives, zero + closed.zeros
     else:
         # from just after the first cut round to it, each vertex folds into

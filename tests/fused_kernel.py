@@ -103,7 +103,7 @@ def fused_inertia(g: Graph, p: int, q: int) -> Inertia | None:
             prev, v = v, others[v] - prev
         # a pivot keeps its value when num and den both change sign
         nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]
-        counts = _cycle_inertia(nums, [abs(den[v]) for v in cycle], q)
+        counts = Inertia(*_cycle_inertia(nums, [abs(den[v]) for v in cycle], q))
         neg += counts.negatives
         zero += counts.zeros
         pos += counts.positives

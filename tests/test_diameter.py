@@ -376,6 +376,42 @@ class TestStructureOncePerAnalyze:
         assert len(ends) == 1 and paths == []
 
 
+class TestOnlyTheFoldTheAnswerReads:
+    """Each entry point runs only the part of the fold at 1 that its answer
+    reads: the diameter and the core read the heights alone, gamma reads
+    the domination states alone, and analyze reaches round its cycle once."""
+
+    UNICYCLIC = [
+        make_cycle(3),
+        make_lollipop(20, 7),
+        make_compass(CompassParams(14, 8, 4, 3)),
+        spider(5, 2, [6, 5]),
+        random_unicyclic(random.Random(5), 30),
+    ]
+    IDS = ["triangle", "lollipop", "compass", "spider", "random"]
+
+    @pytest.mark.parametrize("g", UNICYCLIC, ids=IDS)
+    def test_diameter_and_core_close_no_cycle(self, monkeypatch, g):
+        closes = _count_calls(monkeypatch, ["_close"])
+        diameter_and_path(g)
+        reduce_to_core(g)
+        diameter_and_path(random_tree(random.Random(g.n), g.n))
+        assert closes == []
+
+    @pytest.mark.parametrize("g", UNICYCLIC, ids=IDS)
+    def test_domination_closes_no_pivot(self, monkeypatch, g):
+        closes = _count_calls(monkeypatch, ["_close_cycle"])
+        bounds.domination_number(g)
+        bounds.domination_number(disjoint_union(g, make_path(7)))
+        assert closes == []
+
+    @pytest.mark.parametrize("g", UNICYCLIC, ids=IDS)
+    def test_analyze_reaches_round_the_cycle_once(self, monkeypatch, g):
+        reaches = _count_calls(monkeypatch, ["_cycle_reach"])
+        bounds.analyze(g)
+        assert len(reaches) == 1
+
+
 class TestSingleConnectivityPass:
     """On a unicyclic input the leaf strip is the one connectivity pass: no
     search runs anywhere on the structure or analyze path."""

@@ -13,6 +13,7 @@ lollipop closed forms at sizes the dense kernel could not reach in
 reasonable time.
 """
 
+import collections
 import itertools
 import math
 import sys
@@ -409,9 +410,10 @@ def _widest_int_formed(g, c):
     """Largest bit length of any int the leaf-to-root kernel holds in a local
     variable while counting L(g) - cI, read at every line it runs, and of
     every int in its lists when it returns; and how many times the trace
-    entered the pivot fold."""
+    entered each kernel function, by name."""
     kernel, fold = _kernel_code()
     seen = {"folds": 0, "bits": 0}
+    entered = collections.Counter()
 
     def scan(frame, event, arg):
         bits = seen["bits"]
@@ -426,6 +428,7 @@ def _widest_int_formed(g, c):
     def enter(frame, event, arg):
         if frame.f_code in kernel:
             seen["folds"] += frame.f_code is fold
+            entered[frame.f_code.co_name] += 1
             return scan
         return None
 
@@ -438,7 +441,7 @@ def _widest_int_formed(g, c):
     # the fold is where every num and den is formed: a trace that never
     # entered it would pass on any kernel
     assert seen["folds"] > 0, seen
-    return seen["bits"], seen["folds"]
+    return seen["bits"], entered
 
 
 class TestLeafToRootBitGrowth:
@@ -460,12 +463,13 @@ class TestLeafToRootBitGrowth:
     @pytest.mark.parametrize("r", [30, 100, 300])
     def test_sun_at_one_folds_its_cut_cycle(self, r):
         """At 1 every cycle vertex of a sun is paired, so the closer folds
-        the cut cycle as a path: the trace enters the pivot fold once for
-        the strip and once more from the closer."""
+        the cut cycle as a path: the trace enters the pivot fold once, for
+        the strip, and the closer once, which never reaches _cycle_inertia."""
         g = _sun(r)
         bits, _ = _hadamard_bits(g, 1)
-        widest, folds = _widest_int_formed(g, 1)
-        assert folds == 2 and widest <= math.floor(bits) + 1, (r, folds, widest, bits)
+        widest, entered = _widest_int_formed(g, 1)
+        assert entered["_fold_pivots"] == entered["_close_cycle"] == 1, (r, entered)
+        assert entered["_cycle_inertia"] == 0 and widest <= math.floor(bits) + 1, (r, widest, bits)
 
 
 def _cosines_below(values, c):
