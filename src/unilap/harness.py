@@ -534,18 +534,18 @@ def sweep(family: str, n_lo: int, n_hi: int) -> Iterator[SweepRow]:
     return _sweep_rows(family, n_lo, n_hi)
 
 
+# the least n at which each family has a member
+_SWEEP_MIN_N = {"path": 1, "cycle": 3, "lollipop": 4, "compass": 5}
+
+
 def _sweep_rows(family: str, n_lo: int, n_hi: int) -> Iterator[SweepRow]:
-    for n in range(n_lo, n_hi + 1):
+    for n in range(max(n_lo, _SWEEP_MIN_N[family]), n_hi + 1):
         if family == "path":
-            if n < 1:
-                continue
             yield _measure(
                 "path", make_path(n), r=None, r_prime=None, t=None, d=n - 1,
                 main_bound=None, refined_bound=None,
             )
         elif family == "cycle":
-            if n < 3:
-                continue
             yield _measure(
                 "cycle", make_cycle(n), r=n, r_prime=None, t=None, d=n // 2,
                 main_bound=main_lower_bound(n // 2, n), refined_bound=None,

@@ -4,7 +4,8 @@ This is the earlier unilap.charpoly_det_matrix route: exact
 determinants of xI - M at the integer samples 0..n by Bareiss's
 fraction-free elimination on Python ints, then interpolation from integer
 forward differences with one exact division by n! per coefficient. It
-shares no code with the Berkowitz recursion it checks.
+shares no code with either route it checks: the Berkowitz recursion of
+charpoly_det_matrix and the leaf-strip fold at x = 2^b of charpoly_det.
 """
 
 from collections.abc import Sequence

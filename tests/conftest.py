@@ -1,10 +1,35 @@
 """Shared fixtures and independent oracles for the test suite.
 
-Oracles here deliberately avoid the code paths they check: float spectra
-come from numpy's LAPACK wrapper (which the exact kernel never touches;
-tests of spectrum_float, itself LAPACK, use the Jacobi solver in jacobi.py),
-domination numbers from exhaustive subset search, and isomorphism tests from
-raw permutation search.
+Every oracle here and in the oracle modules beside it shares no code with
+the route it checks; tests/mutants.py holds the mutant table that shows
+the suite still catches a fault on each route.
+
+- numpy_eigs: float spectra from numpy's LAPACK wrapper, which no exact
+  kernel touches; used only away from the boundary (count01, mult1).
+- exhaustive_gamma: domination numbers by subset search, independent of
+  the tree DP and of branch and bound.
+- graphs_isomorphic: raw permutation search, independent of the necklace
+  enumeration.
+- dense_kernel: the full-scan Fraction elimination over its own dense
+  matrix, read from laplacian_rows; independent of sparse_inertia's heap
+  and of the leaf-strip fold.
+- allpairs_diameter: the n^2-distance diameter and path; independent of
+  the diameter's ends read off the fold.
+- structure_oracle: the decomposition, eccentricities, path and core by
+  BFS and deque windows, and the core rebuilt and classified from its
+  degrees; independent of the leaf strip's reads, _cycle_reach and
+  _far_ends.
+- bareiss_det: determinants by Bareiss sampling and integer
+  interpolation; independent of the Berkowitz recursion and the leaf-strip
+  fold at x = 2^b.
+- necklace_oracle: every tree assignment, then dedupe; independent of the
+  necklace walk and the class builder, sharing only rooted_trees.
+- jacobi: cyclic Jacobi rotations; independent of LAPACK, for the tests
+  of spectrum_float, itself LAPACK.
+
+The closed forms (the path, cycle and lollipop counts and polynomials,
+Kirchhoff's coefficient, gamma of paths and cycles) are checked in the
+test modules themselves.
 """
 
 import itertools

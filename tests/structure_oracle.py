@@ -3,27 +3,57 @@
 This is the earlier unilap.graphs structure code, unchanged apart from
 names: the cycle is found by leaf stripping with a removed list and set
 lookups, every pendant tree is collected by its own BFS over sets, the
-eccentricities root the trees by a BFS of their own, tails are recognised
-by walking each tree, and the connector to the cycle comes from a
-multi-source BFS. unilap.graphs now reads all of these off one cycle-rooted
-forest, so the two share only the final path walk; the sliding windows
-round the cycle come from cycle_walks, the code that read them before.
+eccentricities root the trees by a BFS of their own and reach round the
+cycle by two deque windows (_farthest_clockwise), tails are recognised by
+walking each tree, and the connector to the cycle comes from a
+multi-source BFS. path_from_eccentricities takes the diametral path from
+the eccentricities by two BFS: one from u to find v and another, inside
+_walk_to, to walk back. classify_by_degrees and classify_rebuilt are how
+the core was classified before it was read off the diameter's ends: the
+core rebuilt by Graph.from_edges from its cycle and parent edges, then
+classified from its own degrees.
 
-path_from_eccentricities is how unilap.graphs took the diametral path from
-its eccentricities before it read distances and the path off the forest:
-one BFS from u to find v and another, inside _walk_to, to walk back.
+Independence: unilap.graphs reads all of this off one cycle-rooted leaf
+strip, the fold's heights and deepest labels, and the max-plus reach of
+_cycle_reach, none of which runs here; classify_rebuilt is only handed
+the strip's parent list, which decompose's own trees check. On a tree or
+a unicyclic graph unilap.graphs runs neither bfs_distances nor _walk_to,
+the only code this module imports from it besides Graph.
 """
 
 from collections import deque
 from typing import NamedTuple
 
-from cycle_walks import _farthest_clockwise
 from unilap.errors import NotConnectedError, NotUnicyclicError
 from unilap.graphs import (
     Graph,
     _walk_to,
     bfs_distances,
 )
+
+
+def _farthest_clockwise(h: list[int]) -> list[int]:
+    """max over 1 <= j <= len(h)//2 of h[(i + j) % len(h)] + j, for every i.
+
+    Writing a[J] = h[J % r] + J over the doubled cycle, the value at i is
+    max(a[i+1 .. i+k]) - i: a window of fixed width k sliding right, whose
+    maximum a deque of decreasing a-values yields in O(r) overall.
+    """
+    r = len(h)
+    k = r // 2
+    a = [h[j % r] + j for j in range(r + k)]
+    window: deque[int] = deque()
+    out = []
+    for j in range(1, r + k):
+        while window and a[window[-1]] <= a[j]:
+            window.pop()
+        window.append(j)
+        i = j - k
+        if i >= 0:
+            if window[0] <= i:
+                window.popleft()
+            out.append(a[window[0]] - i)
+    return out
 
 
 def decompose(g: Graph) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
@@ -215,3 +245,44 @@ def reduce_to_core(g: Graph) -> EagerCore:
     }
     kind, params = classify(core, core_cycle, core_trees)
     return EagerCore(kind, params, core, tuple(verts), path)
+
+
+def classify_by_degrees(
+    core: Graph, cycle: list[int], path: tuple[int, ...]
+) -> tuple[str, tuple[int, ...]]:
+    """Kind and parameters of a unicyclic core from its degrees, its cycle
+    and its diametral path, in the core's labels."""
+    branch = [v for v, nbrs in enumerate(core.adj) if len(nbrs) > 2]
+    if not branch:
+        return "cycle", (core.n,)
+    on_cycle = set(cycle)
+    if len(branch) > 2 or any(len(core.adj[v]) > 3 or v not in on_cycle for v in branch):
+        return "other", ()
+    if len(branch) == 1:
+        return "lollipop", (core.n, len(cycle))
+    ends = [i for i, v in enumerate(path) if v in on_cycle]
+    first, last = ends[0], ends[-1]
+    return "compass", (core.n, len(cycle), last - first, min(first, len(path) - 1 - last))
+
+
+def classify_rebuilt(
+    g: Graph, forest: tuple, path: tuple[int, ...]
+) -> tuple[str, tuple[int, ...], Graph, tuple[int, ...]]:
+    """(kind, params, core, core_vertices): the core rebuilt from its cycle
+    and parent edges by Graph.from_edges, then classified from its degrees."""
+    _, parent, (cycle,) = forest
+    keep = set(path).union(cycle)
+    x = path[0]
+    while parent[x] != x:
+        x = parent[x]
+        keep.add(x)
+    if len(keep) == g.n:
+        return (*classify_by_degrees(g, cycle, path), g, tuple(range(g.n)))
+    verts = sorted(keep)
+    relabel = {v: i for i, v in enumerate(verts)}
+    core_cycle = [relabel[c] for c in cycle]
+    edges = [(i, relabel[parent[v]]) for i, v in enumerate(verts) if parent[v] != v]
+    edges += zip(core_cycle, core_cycle[1:] + core_cycle[:1])
+    core = Graph.from_edges(len(verts), edges)
+    kind, params = classify_by_degrees(core, core_cycle, tuple(relabel[v] for v in path))
+    return kind, params, core, tuple(verts)

@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bareiss_det
-import fraction_det
-import zx_fold
 from conftest import forests_upto, one_cycle_unions, tree_from_code
 from unilap import charpoly
 from unilap.charpoly import (
@@ -246,12 +244,11 @@ class TestGlobalShape:
                 assert below + above == g.n
 
 
-def _against_both_oracles(rows):
+def _against_bareiss(rows):
     """charpoly_det_matrix(rows), checked against the Bareiss-sampling route
-    it replaced and the Fraction-elimination route before that."""
+    it replaced."""
     got = charpoly_det_matrix(rows)
     assert got == bareiss_det.charpoly_det_matrix(rows), rows
-    assert got == fraction_det.charpoly_det_matrix(rows), rows
     return got
 
 
@@ -273,39 +270,37 @@ def _interior_minor_rows(k):
     return [row[1 : k + 1] for row in laplacian_rows(make_path(k + 2))[1 : k + 1]]
 
 
-class TestBareissAgainstFractionOracle:
+class TestAgainstBareiss:
     """charpoly_det and the Berkowitz recursion of charpoly_det_matrix against
-    the two test oracles: the Bareiss-sampling route (tests/bareiss_det.py)
-    and the Fraction-elimination route (tests/fraction_det.py)."""
+    the Bareiss-sampling route (tests/bareiss_det.py)."""
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_every_unicyclic_class(self, n):
         for g in enumerate_unicyclic(n):
-            got = charpoly_det(g)
-            assert got == bareiss_det.charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
+            assert charpoly_det(g) == bareiss_det.charpoly_det(g), g.edges()
 
     def test_random_connected_graphs(self):
         rng = random.Random(11)
         for _ in range(50):
             g = random_connected_graph(rng, rng.randrange(1, 15), rng.randrange(0, 4))
-            assert charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
+            assert charpoly_det(g) == bareiss_det.charpoly_det(g), g.edges()
 
     def test_random_connected_graphs_and_a_minor_of_each(self):
         rng = random.Random(16)
         for _ in range(300):
             g = random_connected_graph(rng, rng.randrange(1, 15), rng.randrange(0, 4))
-            _against_both_oracles(laplacian_rows(g))
-            _against_both_oracles(laplacian_minor(g, rng.randrange(g.n)))
+            _against_bareiss(laplacian_rows(g))
+            _against_bareiss(laplacian_minor(g, rng.randrange(g.n)))
 
     def test_random_integer_matrices(self):
         rng = random.Random(17)
         for _ in range(100):
             n = rng.randrange(0, 8)
-            _against_both_oracles([[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)])
+            _against_bareiss([[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)])
 
     def test_every_matrix_of_the_identity_suite(self, monkeypatch):
         """Every minor and every graph polynomial that the identity suite
-        takes from the determinant oracle, against the Fraction route: the
+        takes from the determinant oracle, against the Bareiss route: the
         edge-join minors through charpoly_det_matrix, the end and interior
         path minors through the leaf-strip fold."""
         seen, seen_minors, seen_graphs = {}, {}, {}
@@ -331,34 +326,34 @@ class TestBareissAgainstFractionOracle:
         assert all(not bad for bad in verify_charpoly_identities(12).values())
         assert () in seen  # the minor of the one-vertex path
         for rows, poly_ in seen.items():
-            assert poly_ == _against_both_oracles(rows), rows
+            assert poly_ == _against_bareiss(rows), rows
         want = {(k, (k - 1,)) for k in range(1, 12)} | {(k, (0, k - 1)) for k in range(1, 11)}
         assert seen_minors.keys() == want
         for (k, raised), poly_ in seen_minors.items():
             rows = _trimmed_path_rows(k, raised)
             assert rows == (_end_minor_rows(k) if len(raised) == 1 else _interior_minor_rows(k))
-            assert poly_ == _against_both_oracles(rows), (k, raised)
+            assert poly_ == _against_bareiss(rows), (k, raised)
         assert {make_path(k) for k in range(1, 14)} <= seen_graphs.keys()
         assert {make_cycle(k) for k in range(3, 13)} <= seen_graphs.keys()
         assert make_lollipop(12, 11) in seen_graphs
         for g, poly_ in seen_graphs.items():
-            assert poly_ == fraction_det.charpoly_det(g), g.edges()
+            assert poly_ == bareiss_det.charpoly_det(g), g.edges()
 
     def test_empty_and_one_by_one(self):
-        assert _against_both_oracles([]) == poly(1)
-        assert _against_both_oracles([[5]]) == poly(-5, 1)
-        assert _against_both_oracles([[-3]]) == poly(3, 1)
+        assert _against_bareiss([]) == poly(1)
+        assert _against_bareiss([[5]]) == poly(-5, 1)
+        assert _against_bareiss([[-3]]) == poly(3, 1)
         assert bareiss_det._det_bareiss([]) == 1 and bareiss_det._det_bareiss([[7]]) == 7
 
     def test_zero_leading_entry_swaps_rows(self):
         # at x0 = 1 the sample [[0, -2], [-2, 0]] has a zero pivot and det -4
         rows = [[1, 2], [2, 1]]
-        assert _against_both_oracles(rows) == poly(-3, -2, 1)
+        assert _against_bareiss(rows) == poly(-3, -2, 1)
         # the star's centre has degree 3, so the sample at 3 swaps, and 3 is
         # not an eigenvalue, so the swapped determinant is nonzero
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert charpoly_det(star) == poly(0, -4, 9, -6, 1)
-        assert charpoly_det(star) == fraction_det.charpoly_det(star)
+        assert charpoly_det(star) == bareiss_det.charpoly_det(star)
         det = bareiss_det._det_bareiss([[0, 1, 1, 1], [1, 2, 0, 0], [1, 0, 2, 0], [1, 0, 0, 2]])
         assert type(det) is int and det == -12
         assert bareiss_det._det_bareiss([[0, 1], [1, 0]]) == -1
@@ -381,7 +376,7 @@ def _random_cycle_forest(rng, n):
 
 def _small_one_cycle_graphs():
     """Every forest and every union of two one-cycle components on at most
-    9 vertices, K1 and K2 (unicyclic classes: TestBareissAgainstFractionOracle)."""
+    9 vertices, K1 and K2 (unicyclic classes: TestAgainstBareiss)."""
     return list(forests_upto(9)) + list(one_cycle_unions(9)) + [make_path(1), make_path(2)]
 
 
@@ -391,23 +386,17 @@ def _random_one_cycle_graphs():
 
 
 class TestLeafStripFold:
-    """charpoly_det's fold over the leaf strip against the Z[x] fold and the
-    Bareiss oracle, and against the Fraction route on the graphs small
-    enough for its n + 1 Fraction eliminations."""
+    """charpoly_det's fold over the leaf strip against the Bareiss oracle on
+    the small graphs and against the Berkowitz recursion, which shares no
+    code with the fold, on the random ones."""
 
-    def test_small_graphs_against_bareiss_and_fraction(self):
+    def test_small_graphs_against_bareiss(self):
         for g in _small_one_cycle_graphs():
-            got = charpoly_det(g)
-            assert got == bareiss_det.charpoly_det(g) == zx_fold.charpoly_det(g), g.edges()
-            if g.n <= 7:
-                assert got == fraction_det.charpoly_det(g), g.edges()
+            assert charpoly_det(g) == bareiss_det.charpoly_det(g), g.edges()
 
-    def test_random_graphs_against_bareiss_and_fraction(self):
+    def test_random_graphs_against_berkowitz(self):
         for g in _random_one_cycle_graphs():
-            got = charpoly_det(g)
-            assert got == bareiss_det.charpoly_det(g) == zx_fold.charpoly_det(g), g.edges()
-            if g.n <= 10:
-                assert got == fraction_det.charpoly_det(g), g.edges()
+            assert charpoly_det(g) == charpoly_det_matrix(laplacian_rows(g)), g.edges()
 
     def test_closed_forms_at_scale(self):
         assert charpoly_det(make_lollipop(150, 50)) == phi_lollipop(150, 50)
@@ -441,7 +430,7 @@ class TestLeafStripFold:
         k4 = _complete(4)
         for g in (theta, triangles, k4):
             calls.clear()
-            assert charpoly_det(g) == fraction_det.charpoly_det(g), g.edges()
+            assert charpoly_det(g) == bareiss_det.charpoly_det(g), g.edges()
             assert calls == [laplacian_rows(g)]
 
 
@@ -479,14 +468,24 @@ def _fold_corpus():
     return graphs
 
 
+def _core_size(g):
+    """The number of vertices left once leaves are deleted until none is left."""
+    left, gone = [len(nbrs) for nbrs in g.adj], set()
+    stack = [v for v, k in enumerate(left) if k < 2]
+    while stack:
+        v = stack.pop()
+        gone.add(v)
+        for w in g.adj[v]:
+            left[w] -= 1
+            if left[w] == 1:
+                stack.append(w)
+    return g.n - len(gone)
+
+
 class TestIntegerFold:
     """The leaf-strip fold at x = 2^b, read back from the digits, against
-    the Z[x] fold it replaced (tests/zx_fold.py), the Berkowitz recursion
-    and the recurrences, plus both steps of the digit-width bound."""
-
-    def test_matches_the_zx_fold(self):
-        for g in _fold_corpus():
-            assert charpoly_det(g) == zx_fold.charpoly_det(g), g.edges()
+    the Berkowitz recursion, the recurrences and the closed forms of the
+    outer coefficients, plus both steps of the digit-width bound."""
 
     def test_matches_berkowitz_below_n_17(self):
         for g in _fold_corpus():
@@ -507,6 +506,22 @@ class TestIntegerFold:
             assert all((-1) ** (g.n - k) * c >= 0 for k, c in enumerate(p.coeffs)), g.edges()
             assert abs(p.eval(-1)) == sum(map(abs, p.coeffs))
             assert abs(p.eval(-1)) <= math.prod(len(nbrs) + 1 for nbrs in g.adj), g.edges()
+
+    def test_outer_coefficients_are_the_closed_forms(self):
+        """On every graph of the corpus, the random ones up to n = 149 among
+        them: det(xI - L) is monic with c_(n-1) = -trace L = -2m, c_(n-2) the
+        sum of the principal 2x2 minors, c_0 = 0 and, by the matrix-tree
+        theorem, c_1 = (-1)^(n-1) n tau, where a connected graph with at most
+        one cycle has tau = its cycle's length (what leaf deletion leaves),
+        or 1 on a tree, and a disconnected one has tau = 0."""
+        for g in _fold_corpus():
+            c, degrees = charpoly_det(g).coeffs, [len(nbrs) for nbrs in g.adj]
+            m = sum(degrees) // 2
+            assert len(c) == g.n + 1 and (c[-1], c[0]) == (1, 0), g.edges()
+            if g.n > 1:
+                assert (c[-2], c[-3]) == (-2 * m, 2 * m * m - m - sum(d * d for d in degrees) // 2)
+            tau = (_core_size(g) or 1) if g.is_connected() else 0
+            assert c[1] == (-1) ** (g.n - 1) * g.n * tau, g.edges()
 
     def test_trimmed_path_minors(self):
         """The identity suite's path minors: diagonals raised at one or both

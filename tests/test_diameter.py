@@ -4,8 +4,7 @@ allpairs_diameter holds the earlier n^2-distance diameter_and_path; a tree
 or a unicyclic graph now reads the diameter's ends off the pendant-tree
 heights and deepest labels and the cycle's reach (a tree's cycle is its
 root alone), and every other graph runs one BFS per source keeping O(n)
-memory. The eccentricities the ends replaced, in cycle_walks, are checked
-against BFS too. Both must choose the same diameter and the same diametral path
+memory. Both must choose the same diameter and the same diametral path
 everywhere, and the family closed forms must hold at sizes the all-pairs
 table could not reach.
 """
@@ -15,8 +14,7 @@ import tracemalloc
 
 import pytest
 
-import cycle_walks
-import separate_folds
+import structure_oracle
 from allpairs_diameter import diameter_and_path as allpairs_diameter_and_path
 from conftest import spider, tree_from_code
 from unilap import bounds, graphs, spectra
@@ -25,7 +23,6 @@ from unilap.errors import NotConnectedError
 from unilap.graphs import (
     CompassParams,
     Graph,
-    bfs_distances,
     diameter_and_path,
     disjoint_union,
     make_compass,
@@ -46,20 +43,6 @@ def _relabelled(g: Graph, rng: random.Random) -> Graph:
 
 def _assert_same_diameter(g: Graph) -> None:
     assert diameter_and_path(g) == allpairs_diameter_and_path(g), g.edges()
-
-
-def _forest_args(g: Graph) -> tuple[list[int], list[int], list[int]]:
-    """(cycle, pendant strip, parent) of a tree or a connected unicyclic g;
-    a tree's cycle is its root alone, the last vertex stripped."""
-    stripped, parent, cycles = graphs._connected_strip(g)
-    cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
-    return cycle, pendant, parent
-
-
-def _assert_eccentricities(g: Graph) -> None:
-    heights = graphs._fold_at_one(g, *graphs._connected_strip(g))[3:5]
-    ecc = cycle_walks._unicyclic_eccentricities(*_forest_args(g), *heights)
-    assert ecc == [max(bfs_distances(g, v)) for v in range(g.n)], g.edges()
 
 
 class TestDifferential:
@@ -238,31 +221,6 @@ class TestForestPathBranches:
             assert u not in _climb(dec, v) and v not in _climb(dec, u), g.edges()
 
 
-class TestEccentricities:
-    @pytest.mark.parametrize("n", range(3, 10))
-    def test_every_unicyclic_class(self, n):
-        for g in enumerate_unicyclic(n):
-            _assert_eccentricities(g)
-
-    def test_random_unicyclic(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            _assert_eccentricities(random_unicyclic(rng, rng.randrange(3, 61)))
-
-    def test_families(self):
-        for n in range(3, 15):
-            _assert_eccentricities(make_cycle(n))
-            for r in range(3, n):
-                _assert_eccentricities(make_lollipop(n, r))
-
-    def test_trees_rooted_as_a_one_vertex_cycle(self):
-        rng = random.Random(6)
-        corpus = [make_path(n) for n in range(1, 12)]
-        corpus += [random_tree(rng, rng.randrange(1, 61)) for _ in range(200)]
-        for g in corpus:
-            _assert_eccentricities(g)
-
-
 class TestClosedFormsAtScale:
     @pytest.mark.parametrize("n", [960, 5000])
     def test_cycle(self, n):
@@ -329,7 +287,7 @@ class TestCoreDecomposition:
             core = reduce_to_core(g)
             _, _, (cycle,) = graphs._unicyclic_strip(core.core)
             path = tuple(core.core_vertices.index(v) for v in core.diametral_path)
-            fresh = separate_folds.classify(core.core, cycle, path)
+            fresh = structure_oracle.classify_by_degrees(core.core, cycle, path)
             assert (core.kind, core.params) == fresh, g.edges()
 
 

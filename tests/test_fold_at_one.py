@@ -1,18 +1,17 @@
-"""The one fold at 1 against the separate walks of the strip it replaced.
+"""The one fold at 1 against the heap kernel, every vertex's climb and the structure oracle.
 
 graphs._fold_at_one carries the pivot of L - I, the domination states and
 the pendant-tree heights and deepest labels through one pass over the leaf
 strip (_pendant_pass), then closes the cycle once for each (_close, which
 reads no graph: TestGraphFreeClose closes every class with n <= 12 from
-per-rank slot states alone). separate_folds holds the
-earlier code: the inertia from spectra._forest_inertia at p = q = 1 (still
-the kernel at every other shift), gamma from a fold of its own, and the
-heights from a loop of their own; the deepest labels are checked against
-every vertex's climb. The core reduction now classifies from the
+per-rank slot states alone). count01 and mult1 are checked against
+linalg.sparse_inertia on the rows of L - I, which eliminates by a heap
+over rows and shares no step with the strip; the heights and deepest
+labels against every vertex's climb; gamma against subset search and
+branch and bound in test_bounds. The core reduction classifies from the
 diameter's ends and builds the diametral path, the core vertices and the
-core only when each is read; structure_oracle builds them at once by BFS,
-and separate_folds rebuilds the core from parent edges and classifies it
-from its degrees.
+core only when each is read; structure_oracle rebuilds the core from
+parent edges and classifies it from its degrees.
 """
 
 import random
@@ -21,10 +20,9 @@ from operator import add
 
 import pytest
 
-import separate_folds
 import structure_oracle
 from conftest import spider
-from unilap import enumeration, graphs, spectra
+from unilap import enumeration, graphs, linalg, spectra
 from unilap.bounds import analyze
 from unilap.enumeration import enumerate_unicyclic
 from unilap.graphs import (
@@ -64,30 +62,33 @@ def _spiders() -> list[Graph]:
 
 def _assert_fold(g: Graph) -> None:
     forest = graphs._connected_strip(g)
-    stripped, parent, cycles = forest
-    neg, zero, gamma, down, second, lo = graphs._fold_at_one(g, *forest)
-    at_one = spectra._forest_inertia(g, *forest, 1, 1)
+    neg, zero, _, down, second, lo = graphs._fold_at_one(g, *forest)
+    at_one = linalg.sparse_inertia(spectra._shifted_rows(g, 1))
     assert (neg, zero) == (at_one.negatives, at_one.zeros), g.edges()
-    assert gamma == separate_folds.forest_gamma(*forest), g.edges()
-    pendant = stripped if cycles else stripped[:-1]
-    assert (down, second) == separate_folds.heights(pendant, parent), g.edges()
-    assert lo == _deepest_labels(parent), g.edges()
+    assert (down, second, lo) == _climbs(forest[1]), g.edges()
 
 
-def _deepest_labels(parent: list[int]) -> list[int]:
-    """The least of each vertex's deepest descendants, from every vertex's
-    climb: (depth below the ancestor, label) is kept at its largest depth
-    and there at its smallest label."""
-    best = [(0, -x) for x in range(len(parent))]
-    for y in range(len(parent)):
+def _climbs(parent: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(down, second, lo) from every vertex's climb: (depth below the
+    ancestor, label) is kept at its largest depth and there at its smallest
+    label, and second[x] is the runner-up over x's children y of
+    1 + down[y] (0 with fewer than two children)."""
+    n = len(parent)
+    best = [(0, -x) for x in range(n)]
+    for y in range(n):
         x, k = y, 0
         while parent[x] != x:
             x, k = parent[x], k + 1
             best[x] = max(best[x], (k, -y))
-    return [-label for _, label in best]
+    down = [k for k, _ in best]
+    reach: list[list[int]] = [[0, 0] for _ in range(n)]
+    for y, x in enumerate(parent):
+        if x != y:
+            reach[x].append(down[y] + 1)
+    return down, [sorted(heights)[-2] for heights in reach], [-label for _, label in best]
 
 
-class TestFoldAgainstSeparateWalks:
+class TestFoldAgainstTheHeapKernelAndClimbs:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_every_unicyclic_class_and_a_relabelling(self, n):
         rng = random.Random(n)
@@ -133,26 +134,17 @@ class TestFoldAgainstSeparateWalks:
         for g in _spiders():
             _assert_fold(g)
 
-    @pytest.mark.parametrize("n", range(3, 10))
-    def test_analyze_reads_the_fold(self, n):
-        """analyze's count01, mult1 and gamma are the separate walks' values."""
-        for g in enumerate_unicyclic(n):
-            rep = analyze(g)
-            want = separate_folds.count01_mult1_gamma(g, graphs._connected_strip(g))
-            assert (rep.count01, rep.mult1, rep.gamma) == want, g.edges()
-
 
 def _assert_core(g: Graph) -> None:
-    got, want = reduce_to_core(g), structure_oracle.reduce_to_core(g)
-    assert (got.kind, got.params) == (want.kind, want.params), g.edges()
-    assert got.core_vertices == want.core_vertices, g.edges()
-    assert got.diametral_path == want.diametral_path, g.edges()
+    """The lazy core against the core rebuilt from parent edges and
+    classified from its degrees; test_structure checks the same cores, the
+    path among them, against the BFS-built ones of structure_oracle."""
+    got = reduce_to_core(g)
     core = got.core
-    assert (core.n, core.edges()) == (want.core.n, want.core.edges()), g.edges()
     assert got.core is core  # built once
     assert (core is g) == (len(got.core_vertices) == g.n)
     forest = graphs._connected_strip(g)
-    rebuilt = separate_folds.classify_rebuilt(g, forest, got.diametral_path)
+    rebuilt = structure_oracle.classify_rebuilt(g, forest, got.diametral_path)
     assert rebuilt[:2] == (got.kind, got.params) and rebuilt[3] == got.core_vertices, g.edges()
     assert rebuilt[2].edges() == core.edges(), g.edges()
 

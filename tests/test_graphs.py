@@ -26,7 +26,9 @@ from unilap.graphs import (
     unicyclic_decompose,
     write_edge_list,
 )
-from unilap.harness import random_unicyclic
+from unilap.enumeration import enumerate_unicyclic
+from unilap.harness import random_unicyclic, valid_compass_params
+from unilap.spectra import check_interlacing
 import random
 
 
@@ -134,6 +136,55 @@ class TestGenerators:
                     frontier.append(w)
         assert comp == set(range(p.t))
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (make_path, (0,)),
+            (make_path, (-3,)),
+            (make_cycle, (2,)),
+            (make_cycle, (-1,)),
+            (make_lollipop, (5, 2)),
+            (make_lollipop, (5, 6)),
+            (make_lollipop, (2, 3)),
+            (make_compass, (CompassParams(6, 5, 1, 1),)),   # r > n - 2
+            (make_compass, (CompassParams(8, 4, 0, 2),)),   # r' < 1
+            (make_compass, (CompassParams(8, 4, 3, 2),)),   # r' > r/2
+            (make_compass, (CompassParams(8, 4, 1, 0),)),   # first tail empty
+            (make_compass, (CompassParams(8, 4, 1, 4),)),   # second tail empty
+            (make_compass, (CompassParams(12, 8, 1, 2),)),  # tails too short
+        ],
+    )
+    def test_bad_parameters_raise(self, build, args):
+        with pytest.raises(InvalidParameterError):
+            build(*args)
+
+    def test_every_small_member_has_the_documented_edges(self):
+        """The generators write sorted adjacency through Graph._trusted, which
+        skips the __post_init__ check: every path and cycle with n <= 60,
+        lollipop with n <= 40 and valid compass with n <= 24 passes it and
+        has the edges of its labelling. A path runs 0..n-1; a lollipop
+        adds the chord (0, r-1); a compass moves the path edge (t-1, t) to
+        the attachment (t-1, t+r'-1) and closes its cycle by (t, t+r-1)."""
+
+        def check(g, n, edges):
+            assert Graph(g.n, g.adj) == g and g.n == n, (n, edges)
+            assert set(g.edges()) == edges, (n, edges)
+
+        for n in range(1, 61):
+            check(make_path(n), n, {(i, i + 1) for i in range(n - 1)})
+        for n in range(3, 61):
+            check(make_cycle(n), n, {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)})
+        for n in range(3, 41):
+            for r in range(3, n + 1):
+                check(make_lollipop(n, r), n, {(i, i + 1) for i in range(n - 1)} | {(0, r - 1)})
+        count = 0
+        for p in valid_compass_params(24):
+            t = p.t
+            moved = {(t - 1, t + p.r_prime - 1), (t, t + p.r - 1)}
+            check(make_compass(p), p.n, {(i, i + 1) for i in range(p.n - 1) if i != t - 1} | moved)
+            count += 1
+        assert count == 3930
+
 
 class TestGraphValue:
     def test_from_edges_validates(self):
@@ -184,6 +235,18 @@ class TestGraphValue:
         with pytest.raises(EdgeNotPresentError):
             g.with_edge_removed(0, 2)
 
+    def test_edge_removal_on_every_edge(self, corpus):
+        """with_edge_removed rewrites only the two tuples the edge touches:
+        from either end, the result passes the full check and keeps every
+        other edge."""
+        cases = list(corpus) + [g for n in range(3, 8) for g in enumerate_unicyclic(n)]
+        for g in cases:
+            for u, v in g.edges():
+                want = [e for e in g.edges() if e != (u, v)]
+                for a, b in ((u, v), (v, u)):
+                    h = g.with_edge_removed(a, b)
+                    assert Graph(h.n, h.adj) == h and h.edges() == want, (g.edges(), a, b)
+
     def test_without_vertex_reindexes(self):
         g = make_path(4).without_vertex(3)
         assert g.edges() == make_path(3).edges()
@@ -200,6 +263,39 @@ class TestGraphValue:
     def test_pendant_vertices(self):
         assert pendant_vertices(make_path(4)) == [0, 3]
         assert pendant_vertices(make_cycle(5)) == []
+
+
+class TestVertexIdsOutOfRange:
+    """Ids outside 0..n-1 once wrapped (-1 named vertex n - 1) or leaked an
+    IndexError; an edge removal written through _trusted would then leave
+    asymmetric adjacency."""
+
+    @pytest.mark.parametrize("u, v", [(-1, 3), (3, -1), (7, 3), (3, 5), (5, 5)])
+    def test_edge_queries_and_edits(self, u, v):
+        g = make_path(5)
+        with pytest.raises(InvalidParameterError):
+            g.has_edge(u, v)
+        with pytest.raises(InvalidParameterError):
+            g.with_edge_removed(u, v)
+        with pytest.raises(InvalidParameterError):
+            g.with_edge_added(u, v)
+
+    @pytest.mark.parametrize("v", [-1, -5, 5, 6])
+    def test_degree(self, v):
+        """degree(-1) once read vertex n - 1, and degree(n) leaked IndexError."""
+        g = make_lollipop(5, 3)
+        with pytest.raises(InvalidParameterError):
+            g.degree(v)
+        assert [g.degree(x) for x in range(5)] == [2, 2, 3, 2, 1]
+
+    def test_interlacing_rejects_a_wrapped_edge(self):
+        with pytest.raises(InvalidParameterError):
+            check_interlacing(make_path(5), (-1, 3))
+
+    @pytest.mark.parametrize("u, v", [(0, -1), (-1, 0), (3, 0), (0, 2)])
+    def test_join_checks_each_end_against_its_own_graph(self, u, v):
+        with pytest.raises(InvalidParameterError):
+            join_with_edge(make_path(3), u, make_path(2), v)
 
 
 class TestDecomposition:

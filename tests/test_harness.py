@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import separate_folds
 from unilap.bounds import ceil_div, domination_number
 from unilap import bounds, charpoly, graphs, harness, spectra
 from unilap.cli import main
@@ -126,8 +125,8 @@ class TestSuites:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tree_chain_matches_the_public_route(self, seed):
-        # the same corpus, each tree measured by one fold of one strip, by
-        # three separate public calls and by the separate walks it replaced
+        # the same corpus, each tree measured by one fold of one strip and
+        # by three separate public calls, its diameter also by BFS
         rng = random.Random(seed)
         want = []
         for i in range(100):
@@ -140,7 +139,6 @@ class TestSuites:
             count01, _, strip_gamma, *heights = graphs._fold_at_one(g, *forest)
             measured = graphs._far_ends(g, forest, *heights)[0]
             assert (measured, count01, strip_gamma) == (d, c, gamma)
-            assert separate_folds.count01_mult1_gamma(g, forest)[::2] == (c, gamma)
             assert max(max(bfs_distances(g, v)) for v in range(g.n)) == d
             if not ceil_div(d + 1, 3) <= c <= gamma:
                 want.append((i, n))
@@ -263,6 +261,23 @@ class TestSweep:
         # at call time, before the first row is asked for
         with pytest.raises(InvalidParameterError):
             sweep("wheel", 3, 5)
+
+    @pytest.mark.parametrize(
+        "family, least", [("path", 1), ("cycle", 3), ("lollipop", 4), ("compass", 5)]
+    )
+    def test_start_far_below_the_least_member(self, family, least):
+        """The loop starts at the family's least n: a start of -10^12 once
+        stepped through every n below it, about a minute per 10^9."""
+        want = list(sweep(family, least, least + 2))
+        assert want and list(sweep(family, -(10**12), least + 2)) == want
+        for lo in range(least - 4, least + 1):
+            got, expected = io.StringIO(), io.StringIO()
+            write_csv(sweep(family, lo, least + 3), got)
+            write_csv(sweep(family, least, least + 3), expected)
+            assert got.getvalue() == expected.getvalue()
+        assert list(sweep(family, -5, least - 1)) == []
+        with pytest.raises(InvalidParameterError):
+            sweep(family, least + 1, least)
 
     def test_compass_param_order_lexicographic(self):
         params = [(p.r, p.r_prime, p.t) for p in compass_params_for_n(12)]

@@ -6,11 +6,9 @@ sparse_inertia, picks pivots from a heap over rows of L - cI assembled from
 the adjacency lists; laplacian() and inertia() reach it. shifted_inertia
 counts a graph whose components each have at most one cycle by the
 fraction-free leaf-to-root kernel instead, and any other graph by
-sparse_inertia. fused_kernel holds the earlier leaf-to-root kernel, which
-stripped leaves from its own stack as it folded them. All must give the
-same Inertia everywhere, and the counts must match the path, cycle and
-lollipop closed forms at sizes the dense kernel could not reach in
-reasonable time.
+sparse_inertia. All must give the same Inertia everywhere, and the
+counts must match the path, cycle and lollipop closed forms at sizes the
+dense kernel could not reach in reasonable time.
 """
 
 import collections
@@ -28,7 +26,6 @@ from hypothesis import strategies as st
 import dense_kernel
 from conftest import forests_upto, one_cycle_unions, tree_from_code
 from dense_kernel import dense_inertia
-from fused_kernel import fused_inertia
 from unilap import linalg, spectra
 from unilap.bounds import ceil_div, lollipop_exact_count
 from unilap.enumeration import enumerate_unicyclic, rooted_trees
@@ -63,11 +60,6 @@ def _dense_shifted(g, c):
     return dense_kernel.ExactMatrix(laplacian_rows(g)).minus_scaled_identity(c)
 
 
-def _fused(g, c):
-    c = Fraction(c)
-    return fused_inertia(g, c.numerator, c.denominator)
-
-
 def _typed_entries(rows):
     """Every stored entry with its type: a Fraction 2 and an int 2 differ."""
     return {(i, j): (type(x), x) for i, row in rows.items() for j, x in row.items()}
@@ -86,7 +78,6 @@ def _assert_kernels_agree(g):
         assert _typed_entries(shifted.rows) == _typed_entries(expected_rows), (g.edges(), c)
         expected = dense_inertia(dense)
         assert shifted_inertia(g, c) == expected, (g.edges(), c)
-        assert _fused(g, c) == expected, (g.edges(), c)
         assert inertia(shifted) == expected, (g.edges(), c)
 
 
@@ -284,7 +275,6 @@ def _assert_leaf_to_root_agrees(g, shifts=SHIFTS):
         got = shifted_inertia(g, c)
         assert got == _heap_inertia(g, c), (g.edges(), c)
         assert got == dense_inertia(_dense_shifted(g, c)), (g.edges(), c)
-        assert got == _fused(g, c), (g.edges(), c)
 
 
 class TestLeafToRootDifferential:
@@ -342,15 +332,14 @@ class TestArcBranch:
     """A cycle vertex paired with a zero child cuts its cycle, and the arcs
     between cuts fold as paths. At c = 1 every leaf has pivot 0, so each
     cycle vertex that carries a leaf is paired. shifted_inertia must match
-    the fused kernel it replaced (tests/fused_kernel.py), which strips the
-    arcs from its own stack, and the heap kernel."""
+    the heap kernel, which eliminates by a heap over the rows of L - I."""
 
     def test_suns_at_one(self):
         """Every cycle vertex of a sun is paired, so every arc is empty."""
         for r in range(3, 31):
             g = _sun(r)
             got = shifted_inertia(g, 1)
-            assert got == _fused(g, 1) == _heap_inertia(g, 1), r
+            assert got == _heap_inertia(g, 1), r
             assert got == linalg.Inertia(r, 0, r), r
 
     def test_two_leaves_at_one(self):
@@ -361,7 +350,7 @@ class TestArcBranch:
             for i, j in itertools.combinations(range(r), 2):
                 g = _two_leaves(r, i, j)
                 got = shifted_inertia(g, 1)
-                assert got == _fused(g, 1) == _heap_inertia(g, 1), (r, i, j)
+                assert got == _heap_inertia(g, 1), (r, i, j)
 
 
 class TestKernelSplit:

