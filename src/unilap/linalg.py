@@ -44,6 +44,8 @@ positions on one cycle). _fold_pivots folds each vertex of an order into
 its target, _close_cycle settles a cycle once its pendant trees have
 folded in, folding a cut cycle as a path by the same step with each
 target read off the path, and _cycle_inertia closes an intact one.
+spectra._negatives_between inlines the pivot step once for each end of an
+interval, so that one walk of the strip folds both.
 """
 
 import heapq
@@ -68,13 +70,18 @@ class Inertia:
         return self.negatives + self.zeros + self.positives
 
 
+def _fraction(x: int | Fraction) -> Fraction:
+    """x as a Fraction; NaN and ±inf raise InvalidParameterError."""
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        raise InvalidParameterError(f"need a finite rational number, got {x!r}") from None
+
+
 def _exact(x: int | Fraction) -> int | Fraction:
     """x as an int when integral, else a Fraction; NaN and ±inf raise InvalidParameterError."""
     if x.__class__ is not int:
-        try:
-            x = Fraction(x)
-        except (OverflowError, ValueError):
-            raise InvalidParameterError(f"need a finite rational number, got {x!r}") from None
+        x = _fraction(x)
         if x.denominator == 1:
             x = x.numerator
     return x

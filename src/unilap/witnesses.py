@@ -22,12 +22,13 @@ from .graphs import CompassParams, Graph, make_compass, make_cycle, make_lollipo
 from .spectra import laplacian_apply
 
 
-def _pattern_a(i: int) -> int:
-    return (1, 1, 0, -1, -1, 0)[i % 6]  # index shifted: value for 1-based i
+_PATTERN_A = (1, 0, -1, -1, 0, 1)  # one period, i = 1..6
+_PATTERN_B = (1, 1, 0, -1, -1, 0)
 
 
-def _pattern_b(i: int) -> int:
-    return (0, 1, 1, 0, -1, -1)[i % 6]
+def _repeat(period: tuple[int, ...], n: int) -> list[int]:
+    """The first n entries of period repeated, as a list."""
+    return list((period * (n // len(period) + 1))[:n])
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,7 @@ def path_one_vector(n: int) -> WitnessVector:
     """Pattern A along a path with 3 | n."""
     if n <= 0 or n % 3 != 0:
         raise InvalidParameterError(f"need positive n divisible by 3, got {n}")
-    vec = [_pattern_a(i) for i in range(1, n + 1)]
-    return _certified(make_path(n), vec, "path-pattern")
+    return _certified(make_path(n), _repeat(_PATTERN_A, n), "path-pattern")
 
 
 def cycle_one_vectors(n: int) -> tuple[WitnessVector, WitnessVector]:
@@ -62,8 +62,8 @@ def cycle_one_vectors(n: int) -> tuple[WitnessVector, WitnessVector]:
     if n <= 0 or n % 6 != 0:
         raise InvalidParameterError(f"need positive n divisible by 6, got {n}")
     g = make_cycle(n)
-    wa = _certified(g, [_pattern_a(i) for i in range(1, n + 1)], "cycle-pattern-a")
-    wb = _certified(g, [_pattern_b(i) for i in range(1, n + 1)], "cycle-pattern-b")
+    wa = _certified(g, _repeat(_PATTERN_A, n), "cycle-pattern-a")
+    wb = _certified(g, _repeat(_PATTERN_B, n), "cycle-pattern-b")
     # entries 1,2 are (1, 0) vs (1, 1): a 2x2 minor of determinant 1
     if wa.entries[0] * wb.entries[1] == wa.entries[1] * wb.entries[0]:
         raise InternalConsistencyError("cycle witnesses are not independent")
@@ -88,14 +88,11 @@ def lollipop_one_witness(n: int, r: int) -> WitnessVector | None:
         raise InvalidParameterError(f"need 3 <= r < n, got n={n} r={r}")
     g = make_lollipop(n, r)
     if r % 6 == 0:
-        vec = [_pattern_b(i) for i in range(1, r + 1)] + [0] * (n - r)
-        return _certified(g, vec, "cycle-block")
+        return _certified(g, _repeat(_PATTERN_B, r) + [0] * (n - r), "cycle-block")
     if r % 6 == 1 and n % 3 == 0:
-        vec = [_pattern_a(i) for i in range(1, n + 1)]
-        return _certified(g, vec, "unrolled-path")
+        return _certified(g, _repeat(_PATTERN_A, n), "unrolled-path")
     if r % 6 == 3 and n % 3 == 1:
-        vec = [_pattern_b(i) for i in range(1, r + 1)]
-        vec += [-2 * _pattern_b(i) for i in range(1, n - r + 1)]
+        vec = _repeat(_PATTERN_B, r) + [-2 * x for x in _repeat(_PATTERN_B, n - r)]
         return _certified(g, vec, "scaled-tail")
     return None
 
@@ -110,5 +107,5 @@ def compass_one_witness(p: CompassParams) -> WitnessVector | None:
     if p.r % 6 != 0 or p.r_prime != p.r // 2:
         return None
     g = make_compass(p)
-    vec = [0] * p.t + [_pattern_b(i) for i in range(1, p.r + 1)] + [0] * p.s
+    vec = [0] * p.t + _repeat(_PATTERN_B, p.r) + [0] * p.s
     return _certified(g, vec, "compass-cycle-block")

@@ -8,7 +8,9 @@ counts a graph whose components each have at most one cycle by the
 fraction-free leaf-to-root kernel instead, and any other graph by
 sparse_inertia. All must give the same Inertia everywhere, and the
 counts must match the path, cycle and lollipop closed forms at sizes the
-dense kernel could not reach in reasonable time.
+dense kernel could not reach in reasonable time. count_interval, which
+folds both ends of [a, b) in one walk of the leaf strip when a > 0, is
+checked at every pair of shifts against the dense negatives at its ends.
 """
 
 import collections
@@ -37,7 +39,13 @@ from unilap.graphs import (
     make_path,
 )
 from unilap.linalg import ExactMatrix, inertia
-from unilap.spectra import count_interval, laplacian, laplacian_rows, shifted_inertia
+from unilap.spectra import (
+    IntervalCount,
+    count_interval,
+    laplacian,
+    laplacian_rows,
+    shifted_inertia,
+)
 
 # 2 zeroes the whole diagonal of a cycle, so the 2x2 block path runs too
 SHIFTS = [
@@ -65,8 +73,18 @@ def _typed_entries(rows):
     return {(i, j): (type(x), x) for i, row in rows.items() for j, x in row.items()}
 
 
+def _assert_counts_between(g, negatives, shifts=SHIFTS):
+    """count_interval over [a, b) for every a < b of shifts (ascending), every
+    field of it, against the given negatives at both ends."""
+    for (i, a), (j, b) in itertools.combinations(enumerate(shifts), 2):
+        got = count_interval(g, a, b)
+        assert got == IntervalCount(a, b, negatives[j] - negatives[i]), (g.edges(), a, b)
+        assert type(got.a) is type(got.b) is Fraction
+
+
 def _assert_kernels_agree(g):
     lap = laplacian(g)
+    negatives = []
     for c in SHIFTS:
         dense = _dense_shifted(g, c)
         expected_rows = {
@@ -79,6 +97,8 @@ def _assert_kernels_agree(g):
         expected = dense_inertia(dense)
         assert shifted_inertia(g, c) == expected, (g.edges(), c)
         assert inertia(shifted) == expected, (g.edges(), c)
+        negatives.append(expected.negatives)
+    _assert_counts_between(g, negatives)
 
 
 class TestDifferential:
@@ -271,10 +291,25 @@ class TestIntAndFractionInput:
 
 
 def _assert_leaf_to_root_agrees(g, shifts=SHIFTS):
+    negatives = []
     for c in shifts:
         got = shifted_inertia(g, c)
+        dense = dense_inertia(_dense_shifted(g, c))
         assert got == _heap_inertia(g, c), (g.edges(), c)
-        assert got == dense_inertia(_dense_shifted(g, c)), (g.edges(), c)
+        assert got == dense, (g.edges(), c)
+        negatives.append(dense.negatives)
+    _assert_counts_between(g, negatives, shifts)
+    return negatives
+
+
+def _assert_zero_pivot_ends(g, c):
+    """The kernels agree at c, a shift with zero pivots, and count_interval
+    has c at either end: against the dense count at c and the heap kernel's
+    at c -+ 1/2."""
+    (at_c,) = _assert_leaf_to_root_agrees(g, [c])
+    half = Fraction(1, 2)
+    below, above = (_heap_inertia(g, c + d).negatives for d in (-half, half))
+    _assert_counts_between(g, [below, at_c, above], [c - half, c, c + half])
 
 
 class TestLeafToRootDifferential:
@@ -296,21 +331,22 @@ class TestLeafToRootDifferential:
     def test_zero_pivots(self):
         """Shifts at an eigenvalue: c = 1 on P_3k, C_6k and lollipops with 1
         in the spectrum, and c = 2 on every cycle (a zero diagonal, and
-        2 is an eigenvalue of C_n exactly when 4 divides n)."""
+        2 is an eigenvalue of C_n exactly when 4 divides n); each also as
+        either end of count_interval."""
         for k in range(1, 9):
             assert shifted_inertia(make_path(3 * k), 1).zeros == 1
             assert shifted_inertia(make_cycle(6 * k), 1).zeros == 2
-            _assert_leaf_to_root_agrees(make_path(3 * k), [Fraction(1)])
-            _assert_leaf_to_root_agrees(make_cycle(6 * k), [Fraction(1)])
+            _assert_zero_pivot_ends(make_path(3 * k), Fraction(1))
+            _assert_zero_pivot_ends(make_cycle(6 * k), Fraction(1))
         for n in range(3, 30):
             at_two = shifted_inertia(make_cycle(n), 2)
             assert at_two.zeros == (2 if n % 4 == 0 else 0), n
-            _assert_leaf_to_root_agrees(make_cycle(n), [Fraction(2)])
+            _assert_zero_pivot_ends(make_cycle(n), Fraction(2))
         with_one = 0
         for n in range(4, 22):
             for r in range(3, n):
                 g = make_lollipop(n, r)
-                _assert_leaf_to_root_agrees(g, [Fraction(1)])
+                _assert_zero_pivot_ends(g, Fraction(1))
                 with_one += shifted_inertia(g, 1).zeros > 0
         assert with_one > 20
 

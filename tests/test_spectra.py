@@ -241,6 +241,26 @@ class TestInterlacing:
         with pytest.raises(EdgeNotPresentError):
             check_interlacing(make_path(4), (0, 3))
 
+    @pytest.mark.parametrize("e", [(0, 3, 4), (), (0,)], ids=["three", "none", "one"])
+    def test_edge_is_exactly_two_vertex_ids(self, e):
+        """No id is dropped or made up: the min and max of (0, 3, 4) would
+        be the edge (0, 4) of C_5, and those of () raise ValueError."""
+        with pytest.raises(InvalidParameterError, match="two vertex ids"):
+            check_interlacing(make_cycle(5), e)
+
+    def test_compares_both_spectra_from_spectrum_float(self, monkeypatch, corpus):
+        """The one stacked eigvalsh call gives the chain, bit for bit, the
+        spectra of g and g - e that spectrum_float gives."""
+        seen = []
+        monkeypatch.setattr(spectra, "_interlaces", lambda *specs: seen.append(specs) or True)
+        rng = random.Random(17)
+        graphs = list(corpus) + [random_connected_graph(rng, 21, 3) for _ in range(5)]
+        for g in graphs:
+            for u, v in g.edges()[:: max(1, g.m // 4)]:
+                assert check_interlacing(g, (v, u)) is True
+                want = (spectrum_float(g), spectrum_float(g.with_edge_removed(u, v)))
+                assert seen.pop() == want, (g.edges(), u, v)
+
     @pytest.mark.parametrize(
         "spec_h, holds",
         [
@@ -251,12 +271,10 @@ class TestInterlacing:
             ([0.0, 1.0, 3.1], False),  # mu_3(g - e) above mu_3(g)
         ],
     )
-    def test_each_side_of_the_chain_is_checked(self, monkeypatch, spec_h, holds):
+    def test_each_side_of_the_chain_is_checked(self, spec_h, holds):
         """The chain compared on made-up spectra: g's is [1, 2, 3] and
-        g - e's is the second call's."""
-        spectra_seen = iter([[1.0, 2.0, 3.0], spec_h])
-        monkeypatch.setattr(spectra, "spectrum_float", lambda g: next(spectra_seen))
-        assert check_interlacing(make_path(3), (0, 1)) is holds
+        g - e's is spec_h."""
+        assert spectra._interlaces([1.0, 2.0, 3.0], spec_h) is holds
 
 
 class TestPendantAndAttachment:

@@ -1,14 +1,39 @@
 import pytest
 
-from unilap.errors import InvalidParameterError
+from unilap.errors import InternalConsistencyError, InvalidParameterError
 from unilap.graphs import CompassParams, make_compass, make_cycle, make_lollipop, make_path
 from unilap.spectra import laplacian_apply, multiplicity
 from unilap.witnesses import (
+    _certified,
     compass_one_witness,
     cycle_one_vectors,
     lollipop_one_witness,
     path_one_vector,
 )
+
+
+class TestCertified:
+    """_certified returns only vectors with L v = v, checked exactly."""
+
+    @pytest.mark.parametrize(
+        "vec",
+        [[1, 1, 1], [1, 0, 1], [2, 0, -1], [-1, 0, -1]],
+        ids=["eigenvalue-0", "sign", "scale", "both-ends"],
+    )
+    def test_rejects_a_vector_that_is_not_an_eigenvector(self, vec):
+        with pytest.raises(InternalConsistencyError, match="fails L v = v"):
+            _certified(make_path(3), vec, "p")
+
+    def test_rejects_one_wrong_entry_of_a_pattern(self):
+        entries = list(cycle_one_vectors(12)[0].entries)
+        for i in range(12):
+            bad = entries[:i] + [entries[i] + 1] + entries[i + 1 :]
+            with pytest.raises(InternalConsistencyError, match="fails L v = v"):
+                _certified(make_cycle(12), bad, "c")
+
+    def test_rejects_zero(self):
+        with pytest.raises(InternalConsistencyError, match="zero"):
+            _certified(make_path(3), [0, 0, 0], "p")
 
 
 class TestPathWitness:
