@@ -44,8 +44,6 @@ positions on one cycle). _fold_pivots folds each vertex of an order into
 its target, _close_cycle settles a cycle once its pendant trees have
 folded in, folding a cut cycle as a path by the same step with each
 target read off the path, and _cycle_inertia closes an intact one.
-spectra._negatives_between inlines the pivot step once for each end of an
-interval, so that one walk of the strip folds both.
 """
 
 import heapq

@@ -11,8 +11,8 @@ rational shift adds only the cost of multiplying O(n)-bit ints. It also
 beats the heap kernel at c = 1, so it serves every such graph; analyze and
 the sweeps take count01 from graphs._fold_at_one instead, the same fold at
 1 carrying gamma and the heights. Both folds take their pivot step and
-their cycle closer from linalg (_fold_pivots, _close_cycle); with a > 0,
-count_interval folds both ends in one walk of the strip. Any other
+their cycle closer from linalg (_fold_pivots, _close_cycle);
+count_interval strips a graph once and folds it at both ends. Any other
 graph goes to linalg.sparse_inertia, fed sparse rows of L - cI assembled
 straight from the adjacency lists. L is positive semidefinite, so the term
 at a <= 0 is zero and needs no elimination. laplacian(g) wraps the sparse
@@ -123,54 +123,6 @@ def _forest_inertia(
     return Inertia(*map(sum, zip(*counts)))
 
 
-def _negatives_between(
-    g: Graph, stripped: list[int], parent: list[int], cycles: list[list[int]], a: Fraction, b: Fraction
-) -> int:
-    """negatives(L(g) - bI) - negatives(L(g) - aI) for 0 < a < b, in one walk
-    of g's leaf strip: the pivot step of linalg._fold_pivots, counting
-    negatives only, runs for both shifts at each vertex, and then
-    linalg._close_cycle settles each cycle once per shift. A tree's root is
-    its own parent; folding it into itself writes only what is never read
-    again. One walk, not two _fold_pivots calls, reads each vertex and its
-    parent once: on the 15 interval items of the oracles benchmark (three
-    counts each, n = 38..42, strip included, best of 1000 passes in one
-    process, seeds 0..2) an item took 112 us by this loop against 115.5 us by
-    two such calls, and the loop won 50 of 60 interleaved rounds.
-    """
-    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
-    qqa, qqb = qa * qa, qb * qb
-    num_a = [qa * len(nbrs) - pa for nbrs in g.adj]
-    num_b = [qb * len(nbrs) - pb for nbrs in g.adj]
-    den_a, den_b, zero_a, zero_b = [1] * g.n, [1] * g.n, [0] * g.n, [0] * g.n
-    count = 0
-    for x in stripped:
-        u = parent[x]
-        y = num_a[x]
-        if zero_a[x]:
-            count -= 1  # paired with a zero child
-        elif not y:
-            zero_a[u] += 1
-        else:
-            d = den_a[x]
-            count -= (y > 0) is not (d > 0)
-            num_a[u] = num_a[u] * y - qqa * d * den_a[u]
-            den_a[u] *= y
-        y = num_b[x]
-        if zero_b[x]:
-            count += 1  # paired with a zero child
-        elif not y:
-            zero_b[u] += 1
-        else:
-            d = den_b[x]
-            count += (y > 0) is not (d > 0)
-            num_b[u] = num_b[u] * y - qqb * d * den_b[u]
-            den_b[u] *= y
-    for cycle in cycles:
-        count += _close_cycle(cycle, num_b, den_b, zero_b, qb)[0]
-        count -= _close_cycle(cycle, num_a, den_a, zero_a, qa)[0]
-    return count
-
-
 def _inertia(g: Graph, forest: tuple | None, c: int | Fraction) -> Inertia:
     """Inertia of L(g) - cI, given g's leaf strip from graphs._cycle_forest."""
     if forest is None:
@@ -188,14 +140,12 @@ def shifted_inertia(g: Graph, c: int | Fraction) -> Inertia:
 
 
 def count_interval(g: Graph, a: int | Fraction, b: int | Fraction) -> IntervalCount:
-    """Exact number of Laplacian eigenvalues in the half-open interval [a, b);
-    when a > 0 and g has a leaf strip, one walk of it folds both ends."""
+    """Exact number of Laplacian eigenvalues in the half-open interval [a, b),
+    from one leaf strip of g folded at both ends."""
     a, b = _fraction(a), _fraction(b)
     if a >= b:
         raise InvalidIntervalError(f"need a < b, got [{a}, {b})")
     forest = _cycle_forest(g)
-    if forest is not None and a > 0:
-        return IntervalCount(a, b, _negatives_between(g, *forest, a, b))
     below = [_inertia(g, forest, c).negatives if c > 0 else 0 for c in (a, b)]
     return IntervalCount(a, b, below[1] - below[0])
 

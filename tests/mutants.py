@@ -4,11 +4,11 @@ Each entry is (file, old, new, what it breaks): old must occur exactly once
 in file (tests/test_mutants.py checks that), and the mutant is that file
 with old replaced by new. The table covers every function on the routes
 that the retired test oracles used to guard: the pivot fold and cycle
-closers of linalg, the pair fold of spectra.count_interval, the leaf
-strip, the fold at 1, the cycle reach, the diameter's ends, the diametral
-path and the core of graphs, both determinant routes of charpoly, the
-necklace walk and the class builder of enumeration, the family generators,
-and the L v = v check of the witnesses.
+closers of linalg, the leaf strip, the fold at 1, the cycle reach, the
+diameter's ends, the diametral path and the core of graphs, both
+determinant routes of charpoly, the necklace walk and the class builder of
+enumeration, the family generators, and the L v = v check of the
+witnesses.
 
 Run from anywhere, with no arguments:
 
@@ -45,7 +45,6 @@ LINALG = "src/unilap/linalg.py"
 GRAPHS = "src/unilap/graphs.py"
 CHARPOLY = "src/unilap/charpoly.py"
 ENUMERATION = "src/unilap/enumeration.py"
-SPECTRA = "src/unilap/spectra.py"
 WITNESSES = "src/unilap/witnesses.py"
 # the head of _fold_pivots' loop body, which _close_cycle's loop does not share
 FOLD_PIVOTS = "        u = to[x]\n        a = num[x]\n        if zero_children[x]:\n"
@@ -112,43 +111,6 @@ MUTANTS = [
         "            nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]",
         "            nums = [num[v] for v in cycle]",
         "_close_cycle passes pivots with a negative den to _cycle_inertia unsigned",
-    ),
-    # spectra._negatives_between: count_interval's walk of the strip at both ends
-    (
-        SPECTRA,
-        "        if zero_a[x]:\n            count -= 1",
-        "        if zero_a[x]:\n            count -= 0",
-        "_negatives_between counts no negative for a paired vertex at a",
-    ),
-    (
-        SPECTRA,
-        "        if zero_b[x]:\n            count += 1",
-        "        if zero_b[x]:\n            count += 0",
-        "_negatives_between counts no negative for a paired vertex at b",
-    ),
-    (
-        SPECTRA,
-        "            zero_a[u] += 1",
-        "            zero_a[u] += 0",
-        "_negatives_between never pairs a parent with a zero child at a",
-    ),
-    (
-        SPECTRA,
-        "            zero_b[u] += 1",
-        "            zero_b[u] += 0",
-        "_negatives_between never pairs a parent with a zero child at b",
-    ),
-    (
-        SPECTRA,
-        "_close_cycle(cycle, num_a, den_a, zero_a, qa)",
-        "_close_cycle(cycle, num_a, den_a, zero_a, qb)",
-        "_negatives_between closes each cycle at a with b's denominator",
-    ),
-    (
-        SPECTRA,
-        "_close_cycle(cycle, num_b, den_b, zero_b, qb)",
-        "_close_cycle(cycle, num_b, den_b, zero_b, qa)",
-        "_negatives_between closes each cycle at b with a's denominator",
     ),
     # graphs._cycle_forest: the leaf strip every route reads
     (

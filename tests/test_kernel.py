@@ -9,8 +9,8 @@ fraction-free leaf-to-root kernel instead, and any other graph by
 sparse_inertia. All must give the same Inertia everywhere, and the
 counts must match the path, cycle and lollipop closed forms at sizes the
 dense kernel could not reach in reasonable time. count_interval, which
-folds both ends of [a, b) in one walk of the leaf strip when a > 0, is
-checked at every pair of shifts against the dense negatives at its ends.
+strips a graph once and folds it at both ends of [a, b), is checked at
+every pair of shifts against the dense negatives at its ends.
 """
 
 import collections

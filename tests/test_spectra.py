@@ -249,8 +249,10 @@ class TestInterlacing:
             check_interlacing(make_cycle(5), e)
 
     def test_compares_both_spectra_from_spectrum_float(self, monkeypatch, corpus):
-        """The one stacked eigvalsh call gives the chain, bit for bit, the
-        spectra of g and g - e that spectrum_float gives."""
+        """The one stacked eigvalsh call gives the chain the spectra of g and
+        g - e that spectrum_float gives, to within 1e-12: far below
+        INTERLACING_SLACK, and loose enough for a BLAS that rounds a matrix
+        differently at another offset in memory."""
         seen = []
         monkeypatch.setattr(spectra, "_interlaces", lambda *specs: seen.append(specs) or True)
         rng = random.Random(17)
@@ -259,7 +261,10 @@ class TestInterlacing:
             for u, v in g.edges()[:: max(1, g.m // 4)]:
                 assert check_interlacing(g, (v, u)) is True
                 want = (spectrum_float(g), spectrum_float(g.with_edge_removed(u, v)))
-                assert seen.pop() == want, (g.edges(), u, v)
+                got = seen.pop()
+                assert [len(spec) for spec in got] == [len(spec) for spec in want]
+                for spec, ref in zip(got, want):
+                    assert max(map(abs, map(float.__sub__, spec, ref))) < 1e-12, (g.edges(), u, v)
 
     @pytest.mark.parametrize(
         "spec_h, holds",
