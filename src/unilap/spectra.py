@@ -118,9 +118,11 @@ def _forest_inertia(
     num = [q * len(nbrs) - p for nbrs in g.adj]
     den = [1] * g.n
     zero_children = [0] * g.n
-    counts = [_fold_pivots(stripped, parent, num, den, zero_children, q * q)]
-    counts += [_close_cycle(cycle, num, den, zero_children, q) for cycle in cycles]
-    return Inertia(*map(sum, zip(*counts)))
+    neg, zero, pos = _fold_pivots(stripped, parent, num, den, zero_children, q * q)
+    for cycle in cycles:
+        cycle_neg, cycle_zero, cycle_pos = _close_cycle(cycle, num, den, zero_children, q)
+        neg, zero, pos = neg + cycle_neg, zero + cycle_zero, pos + cycle_pos
+    return Inertia(neg, zero, pos)
 
 
 def _inertia(g: Graph, forest: tuple | None, c: int | Fraction) -> Inertia:
@@ -146,8 +148,10 @@ def count_interval(g: Graph, a: int | Fraction, b: int | Fraction) -> IntervalCo
     if a >= b:
         raise InvalidIntervalError(f"need a < b, got [{a}, {b})")
     forest = _cycle_forest(g)
-    below = [_inertia(g, forest, c).negatives if c > 0 else 0 for c in (a, b)]
-    return IntervalCount(a, b, below[1] - below[0])
+    count = _inertia(g, forest, b).negatives if b > 0 else 0
+    if a > 0:
+        count -= _inertia(g, forest, a).negatives
+    return IntervalCount(a, b, count)
 
 
 def multiplicity(g: Graph, mu: int | Fraction) -> int:
