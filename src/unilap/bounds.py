@@ -22,10 +22,10 @@ from .graphs import (
     CompassParams,
     CoreClassification,
     Graph,
-    _close,
     _cycle_forest,
     _cycle_gamma,
     _far_ends,
+    _fold_at_one,
     _pendant_pass,
     _reduce_to_core,
     _unicyclic_strip,
@@ -102,18 +102,17 @@ def domination_number(g: Graph) -> int:
 
     A graph whose components each have at most one cycle, told apart by its
     leaf strip with no connectivity search, takes the linear DP at any n:
-    graphs._pendant_pass, then graphs._cycle_gamma on each cycle and each
-    tree's root, which closes no pivot. A graph with two cycles in one
-    component takes branch and bound over closed neighbourhoods, which is
-    exponential and so raises SizeCapExceededError when n exceeds
-    GAMMA_CAP_DEFAULT.
+    graphs._pendant_pass, then graphs._cycle_gamma, which closes no pivot,
+    on each cycle of the strip, a tree's root included. A graph with two
+    cycles in one component takes branch and bound over closed
+    neighbourhoods, which is exponential and so raises
+    SizeCapExceededError when n exceeds GAMMA_CAP_DEFAULT.
     """
     forest = _cycle_forest(g)
     if forest is not None:
         stripped, parent, cycles = forest
-        a, b, c = _pendant_pass(g, [x for x in stripped if parent[x] != x], parent)[5:8]
-        roots = [[x] for x in stripped if parent[x] == x]  # each closes as a one-vertex cycle
-        return sum(_cycle_gamma(cycle, a, b, c, g.n + 1) for cycle in cycles + roots)
+        a, b, c = _pendant_pass(g, stripped, parent)[5:8]
+        return sum(_cycle_gamma(cycle, a, b, c, g.n + 1) for cycle in cycles)
     if g.n > GAMMA_CAP_DEFAULT:
         raise SizeCapExceededError(f"branch and bound refuses n={g.n} > {GAMMA_CAP_DEFAULT}")
     return _branch_and_bound_gamma(g, diameter_and_path(g)[0] if g.is_connected() else None)
@@ -188,15 +187,11 @@ class BoundReport:
 
 def analyze(g: Graph) -> BoundReport:
     """Measure g exactly and check every applicable inequality on g itself."""
-    # one leaf strip, folded once at 1 (graphs._fold_at_one's pendant pass and closer,
-    # called straight), gives count01, mult1, gamma and the heights the diameter's ends
-    # are read off; the core is classified from the ends
+    # one leaf strip, folded once at 1, gives count01, mult1, gamma and the heights
+    # the diameter's ends are read off; the core is classified from the ends
     forest = _unicyclic_strip(g)
-    stripped, parent, (cycle,) = forest
-    r = len(cycle)
-    neg, zero, num, den, paired, a, b, c, down, second, lo = _pendant_pass(g, stripped, parent)
-    cneg, czero, gamma = _close(cycle, num, den, paired, a, b, c, g.n + 1)
-    count01, mult1 = neg + cneg, zero + czero
+    r = len(forest[2][0])
+    count01, mult1, gamma, down, second, lo = _fold_at_one(g, *forest)
     ends = _far_ends(g, forest, down, second, lo)
     d, core = ends[0], _reduce_to_core(g, forest, down, ends[1:])
 
@@ -212,11 +207,18 @@ def analyze(g: Graph) -> BoundReport:
         if cn % 3 == 0 and cr % 6 == 0 and alpha == 0 and 1 in (ct % 3, (cn - cr - ct) % 3):
             refined = ceil_div(d, 3) + ceil_div(r, 6)
     k = max(main, refined) if refined is not None else main
+    verdicts = _verdicts(count01, gamma, d, r, main, refined)
+    return BoundReport(g.n, r, d, count01, mult1, gamma, main, refined, alpha, k, verdicts, core)
 
+
+def _verdicts(count01: int, gamma: int, d: int, r: int, main: int, refined: int | None) -> dict:
+    """analyze's verdicts, in report order: the main bound, the refined one
+    when a core refines it, count01 <= gamma, and at r >= 7 the chain
+    d + 1 <= 3 main <= 3 count01 <= 3 gamma."""
     verdicts = {"main_bound": count01 >= main}
     if refined is not None:
         verdicts["refined_bound"] = count01 >= refined
     verdicts["hedetniemi"] = count01 <= gamma
     if r >= 7:
         verdicts["chain"] = d + 1 <= 3 * main and main <= count01 and count01 <= gamma
-    return BoundReport(g.n, r, d, count01, mult1, gamma, main, refined, alpha, k, verdicts, core)
+    return verdicts

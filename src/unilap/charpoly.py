@@ -245,13 +245,13 @@ def _forest_charpoly(diag: list[int], forest: tuple) -> IntPolynomial:
     subtree, at least (X - tr M)^s > 1 in size, so den[u] == 1 exactly while
     no child has touched u, and num[u] is still diag[u] - X: a product with
     it is a shift and a subtraction, and one with den = 1 is skipped. A tree
-    component's determinant is its root's num. On a cycle the pivots of the
-    pendant trees multiply to the product of the cycle's dens, and the
-    continuant of linalg._cycle_inertia at q = 1 is that product times the
-    determinant of the cycle's Schur complement, so its closing value is
-    the component's determinant. Evaluation is a ring map, so the result is
-    p(X) for p = det(xI - M), and p's coefficients are its base-2^b digits
-    taken from [-2^(b-1), 2^(b-1)).
+    component's determinant is its root's num, a one-vertex cycle's. On a
+    cycle the pivots of the pendant trees multiply to the product of the
+    cycle's dens, and the continuant of linalg._cycle_inertia at q = 1 is
+    that product times the determinant of the cycle's Schur complement, so
+    its closing value is the component's determinant. Evaluation is a ring
+    map, so the result is p(X) for p = det(xI - M), and p's coefficients
+    are its base-2^b digits taken from [-2^(b-1), 2^(b-1)).
 
     The width b = bitlen(prod(1 + diag)) + 1 is enough. p's roots are M's
     eigenvalues, all >= 0, so its coefficients alternate in sign and
@@ -283,12 +283,12 @@ def _forest_charpoly(diag: list[int], forest: tuple) -> IntPolynomial:
 
     for x in stripped:
         u, a = parent[x], num[x]
-        if u == x:
-            det *= a
-        else:
-            num[u] = times_num(u, a) - times_den(x, den[u])
-            den[u] = times_den(u, a)
+        num[u] = times_num(u, a) - times_den(x, den[u])
+        den[u] = times_den(u, a)
     for cycle in cycles:
+        if len(cycle) == 1:
+            det *= num[cycle[0]]
+            continue
         first, *middle, last = cycle
         f_prev, f = 1, num[first]
         w_prev, w = 0, den[first]

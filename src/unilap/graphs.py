@@ -53,9 +53,11 @@ class Graph:
         Each list must be strictly increasing, in range and loop-free, and w
         must list v exactly when v lists w. Visiting v in increasing order,
         the lists naming w are met in the order of w's own sorted list, so
-        one cursor per vertex checks symmetry.
+        one cursor per vertex checks symmetry. adj is stored as tuples first:
+        a caller's lists would leave the graph unhashable and open to edits.
         """
-        n, adj = self.n, self.adj
+        n, adj = self.n, tuple(map(tuple, self.adj))
+        object.__setattr__(self, "adj", adj)
         if n < 1:
             raise InvalidParameterError(f"graph needs at least one vertex, got n={n}")
         if len(adj) != n:
@@ -287,35 +289,38 @@ class UnicyclicDecomposition:
         return len(self.cycle)
 
 
-def _cycle_forest(g: Graph, left: list[int] | None = None) -> tuple | None:
+def _cycle_forest(g: Graph) -> tuple | None:
     """The leaf strip of g: (stripped, parent, cycles), or None when the
     2-core of g is not a set of disjoint cycles.
 
-    left[x] counts the neighbours of x not yet stripped (g's degrees, which
-    a caller may pass in) and others[x] sums them, so a leaf's parent is
-    others[x]. stripped lists each vertex after all of its children, and
-    parent[x] is the one neighbour x had left when stripped, or x itself at
-    a tree component's root and on a cycle. Each cycle is walked by
+    left[x] counts the neighbours of x not yet stripped and others[x] sums
+    them, so a leaf's parent is others[x]. stripped lists each vertex after
+    all of its children, and parent[x] is the one neighbour x had left when
+    stripped, or x itself on a cycle. A tree's root has no neighbour left
+    when reached: it is a one-vertex cycle. Each other cycle is walked by
     others[v] - prev from its smallest vertex, stepping first to the
     smaller neighbour (adjacency lists are sorted).
     """
     adj = g.adj
-    left = list(map(len, adj)) if left is None else left
+    left = list(map(len, adj))
     others = list(map(sum, adj))
     parent = list(range(g.n))
-    stripped = [v for v, k in enumerate(left) if k < 2]
-    for x in stripped:
+    leaves = [v for v, k in enumerate(left) if k < 2]
+    stripped, cycles = [], []
+    for x in leaves:
         if left[x]:
+            stripped.append(x)
             left[x] = 0
             u = parent[x] = others[x]
             others[u] -= x
             left[u] -= 1
             if left[u] == 1:
-                stripped.append(u)
+                leaves.append(u)
+        else:
+            cycles.append([x])
     if max(left) > 2:
         return None
-    cycles = []
-    start, walked = 0, len(stripped)
+    start, walked = 0, len(leaves)
     while walked < g.n:
         start = left.index(2, start)  # the smallest vertex not yet walked
         left[start] = 0
@@ -335,21 +340,19 @@ def _cycle_forest(g: Graph, left: list[int] | None = None) -> tuple | None:
 
 def _connected_strip(g: Graph) -> tuple | None:
     """The leaf strip of g when g is connected with at most one cycle, else
-    None. A component with at most one cycle has m - n + 1 of them, so on k
-    such components the strip leaves m - n + k cycles: k = 1 needs no search.
-    One degree list gives m, and then the strip, only when m <= n."""
-    left = list(map(len, g.adj))
-    forest = _cycle_forest(g, left) if (excess := sum(left) // 2 - g.n) <= 0 else None
-    return forest if forest and len(forest[2]) == excess + 1 else None
+    None: then the strip has exactly one entry in cycles, the cycle or a
+    tree's root."""
+    forest = _cycle_forest(g)
+    return forest if forest and len(forest[2]) == 1 else None
 
 
 def _unicyclic_strip(g: Graph) -> tuple:
     """The leaf strip of a connected unicyclic g. A disconnected g raises
-    NotConnectedError, before any other g raises NotUnicyclicError."""
+    NotConnectedError, before any other g, a tree too, NotUnicyclicError."""
     forest = _connected_strip(g)
     if forest is None and not g.is_connected():
         raise NotConnectedError("graph is not connected")
-    if forest is None or not forest[2]:
+    if forest is None or len(forest[2][0]) == 1:
         raise NotUnicyclicError(f"unicyclic graph needs |E| = n, got {g.m} != {g.n}")
     return forest
 
@@ -529,19 +532,10 @@ def _cycle_gamma(cycle: list[int], a: list, b: list, c: list, inf: int) -> int:
 
 def _fold_at_one(g: Graph, stripped: list[int], parent: list[int], cycles: list) -> tuple:
     """(count01, mult1, gamma, down, second, lo) of a tree or a connected unicyclic
-    g: _pendant_pass over its leaf strip, then _close on its cycle (a tree's root)."""
-    cycle, pendant = (cycles[0], stripped) if cycles else (stripped[-1:], stripped[:-1])
-    neg, zero, num, den, paired, a, b, c, down, second, lo = _pendant_pass(g, pendant, parent)
-    closed_neg, closed_zero, gamma = _close(cycle, num, den, paired, a, b, c, g.n + 1)
+    g: _pendant_pass over its leaf strip, then _close on its one cycle."""
+    neg, zero, num, den, paired, a, b, c, down, second, lo = _pendant_pass(g, stripped, parent)
+    closed_neg, closed_zero, gamma = _close(cycles[0], num, den, paired, a, b, c, g.n + 1)
     return neg + closed_neg, zero + closed_zero, gamma, down, second, lo
-
-
-def _heights(g: Graph, forest: tuple) -> tuple:
-    """(down, second, lo) of _pendant_pass over the leaf strip of a tree or a
-    connected unicyclic g, for _far_ends alone: the cycle (a tree's root, left
-    out of the order as in _fold_at_one) is not closed."""
-    stripped, parent, cycles = forest
-    return _pendant_pass(g, stripped if cycles else stripped[:-1], parent)[8:]
 
 
 def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:
@@ -589,8 +583,7 @@ def _far_ends(g: Graph, forest: tuple, down: list[int], second: list[int], lo: l
     the c_i above: the least is lo[c_j]. v is the least of these. A tree's
     cycle is its root alone: far = [0] and i = j always.
     """
-    stripped, parent, cycles = forest
-    cycle = cycles[0] if cycles else stripped[-1:]
+    _, parent, (cycle,) = forest
     heights = [down[c] for c in cycle]
     far = _cycle_reach(heights)
     reach = list(map(add, heights, far))
@@ -670,9 +663,9 @@ def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
     """
     forest = _connected_strip(g)
     if forest is not None:
-        stripped, parent, cycles = forest
-        d, *ends = _far_ends(g, forest, *_heights(g, forest))
-        return d, _diametral_path(parent, cycles[0] if cycles else stripped[-1:], *ends)
+        stripped, parent, (cycle,) = forest
+        d, *ends = _far_ends(g, forest, *_pendant_pass(g, stripped, parent)[8:])
+        return d, _diametral_path(parent, cycle, *ends)
     if not g.is_connected():
         raise NotConnectedError("diameter of a disconnected graph is undefined")
     # the first source of the largest eccentricity, and the smallest vertex
@@ -745,7 +738,7 @@ def reduce_to_core(g: Graph) -> CoreClassification:
     count01(g) + 1 by Cauchy interlacing.
     """
     forest = _unicyclic_strip(g)
-    down, second, lo = _heights(g, forest)
+    down, second, lo = _pendant_pass(g, *forest[:2])[8:]
     return _reduce_to_core(g, forest, down, _far_ends(g, forest, down, second, lo)[1:])
 
 

@@ -4,14 +4,15 @@ The half-open count m[a, b) is the package's primitive: eigenvalues of L in
 [a, b) number negatives(L - bI) - negatives(L - aI), and both terms are
 exact inertias of L - cI. For c = p/q, qL - pI has the same inertia and
 integer entries. When every component of the graph has at most one cycle,
-a fraction-free kernel folds its leaf strip (graphs._cycle_forest) in
-Python ints: its numbers are minors of qL - pI, so they have O(n) bits and
-no gcd ever runs, the cost is linear in n at an integer shift, and a
-rational shift adds only the cost of multiplying O(n)-bit ints. It also
-beats the heap kernel at c = 1, so it serves every such graph; analyze and
-the sweeps take count01 from graphs._fold_at_one instead, the same fold at
-1 carrying gamma and the heights. Both folds take their pivot step and
-their cycle closer from linalg (_fold_pivots, _close_cycle);
+a fraction-free kernel folds its leaf strip (graphs._cycle_forest, where a
+tree's root is a one-vertex cycle) in Python ints: its numbers are minors
+of qL - pI, so they have O(n) bits and no gcd ever runs, the cost is
+linear in n at an integer shift, and a rational shift adds only the cost
+of multiplying O(n)-bit ints. It also beats the heap kernel at c = 1, so
+it serves every such graph; analyze and the sweeps take count01 from
+graphs._fold_at_one instead, the same fold at 1 carrying gamma and the
+heights. Both folds take their pivot step and their cycle closer, which
+settles each root too, from linalg (_fold_pivots, _close_cycle);
 count_interval strips a graph once and folds it at both ends. Any other
 graph goes to linalg.sparse_inertia, fed sparse rows of L - cI assembled
 straight from the adjacency lists. L is positive semidefinite, so the term

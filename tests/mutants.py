@@ -7,8 +7,8 @@ that the retired test oracles used to guard: the pivot fold and cycle
 closers of linalg, the leaf strip, the fold at 1, the cycle reach, the
 diameter's ends, the diametral path and the core of graphs, both
 determinant routes of charpoly, the necklace walk and the class builder of
-enumeration, the family generators, and the L v = v check of the
-witnesses.
+enumeration, the verdicts of bounds, the family generators, and the
+L v = v check of the witnesses.
 
 Run from anywhere, with no arguments:
 
@@ -46,6 +46,7 @@ GRAPHS = "src/unilap/graphs.py"
 CHARPOLY = "src/unilap/charpoly.py"
 ENUMERATION = "src/unilap/enumeration.py"
 WITNESSES = "src/unilap/witnesses.py"
+BOUNDS = "src/unilap/bounds.py"
 # the head of _fold_pivots' loop body, which _close_cycle's loop does not share
 FOLD_PIVOTS = "        u = to[x]\n        a = num[x]\n        if zero_children[x]:\n"
 PAIRED = "            neg += 1\n            pos += 1\n"
@@ -102,15 +103,21 @@ MUTANTS = [
     # linalg._close_cycle: a cut cycle folds as a path, an intact one by _cycle_inertia
     (
         LINALG,
-        "    for x, u in zip(path, path[1:] + path[-1:]):",
-        "    for x, u in zip(path, path[-1:] + path[:-1]):",
+        "    for x, u in zip(path, path[1:]):",
+        "    for x, u in zip(path, path[-1:] + path[:-2]):",
         "_close_cycle folds each vertex of a cut cycle into the one before it",
     ),
     (
         LINALG,
-        "            nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]",
-        "            nums = [num[v] for v in cycle]",
+        "        nums = [num[v] if den[v] > 0 else -num[v] for v in cycle]",
+        "        nums = [num[v] for v in cycle]",
         "_close_cycle passes pivots with a negative den to _cycle_inertia unsigned",
+    ),
+    (
+        LINALG,
+        "            return int(a < 0), int(not a), int(a > 0)",
+        "            return int(a <= 0), 0, int(a > 0)",
+        "_close_cycle counts a tree's zero root as a negative",
     ),
     # graphs._cycle_forest: the leaf strip every route reads
     (
@@ -124,6 +131,18 @@ MUTANTS = [
         "    if max(left) > 2:\n        return None",
         "    if max(left) > 3:\n        return None",
         "_cycle_forest takes a 2-core with a degree-3 vertex for disjoint cycles",
+    ),
+    (
+        GRAPHS,
+        "            cycles.append([x])\n",
+        "            pass\n",
+        "_cycle_forest drops every tree's root",
+    ),
+    (
+        GRAPHS,
+        "    if forest is None or len(forest[2][0]) == 1:",
+        "    if forest is None:",
+        "_unicyclic_strip accepts a tree",
     ),
     # graphs._pendant_pass: the fold at 1 (pivots, domination states, heights)
     (
@@ -300,7 +319,7 @@ MUTANTS = [
     ),
     (
         CHARPOLY,
-        "            det *= a\n",
+        "            det *= num[cycle[0]]\n",
         "            det *= 1\n",
         "_forest_charpoly skips a tree root's factor",
     ),
@@ -334,6 +353,25 @@ MUTANTS = [
         "            up = parent + off if parent else i",
         "            up = parent + off if parent > 1 else i",
         "_graph hangs a tree vertex below the root's first child on the cycle",
+    ),
+    # bounds._verdicts: what analyze reports as checked
+    (
+        BOUNDS,
+        '{"main_bound": count01 >= main}',
+        '{"main_bound": count01 >= main - 1}',
+        "_verdicts accepts count01 one below the main bound",
+    ),
+    (
+        BOUNDS,
+        'verdicts["hedetniemi"] = count01 <= gamma',
+        'verdicts["hedetniemi"] = count01 <= gamma + 1',
+        "_verdicts accepts count01 one above gamma",
+    ),
+    (
+        BOUNDS,
+        'verdicts["chain"] = d + 1 <= 3 * main and main <= count01 and count01 <= gamma',
+        'verdicts["chain"] = True',
+        "_verdicts passes the chain always",
     ),
     # the family generators
     (

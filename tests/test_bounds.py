@@ -328,6 +328,33 @@ class TestAnalyze:
         assert rep.verdicts["main_bound"]
 
 
+class TestVerdicts:
+    """bounds._verdicts one step either side of each bound. No corpus
+    reaches these counts: correct code never measures count01 outside
+    [main, gamma], so only an off-by-one count shows a weakened verdict.
+    chain's first conjunct, d + 1 <= 3 main, holds at every d once r >= 7,
+    so the counts test its other two."""
+
+    @pytest.mark.parametrize("d, r", [(1, 7), (4, 7), (9, 12), (30, 40)])
+    def test_each_bound_fails_one_step_past_it(self, d, r):
+        main = main_lower_bound(d, r)
+        gamma = main + 2
+
+        def verdicts(count01):
+            got = bounds._verdicts(count01, gamma, d, r, main, None)
+            assert list(got) == ["main_bound", "hedetniemi", "chain"]
+            return tuple(got.values())
+
+        assert verdicts(main) == verdicts(gamma) == (True, True, True)
+        assert verdicts(main - 1) == (False, True, False)
+        assert verdicts(gamma + 1) == (True, False, False)
+
+    def test_refined_bound_comes_second_and_short_cycles_have_no_chain(self):
+        got = bounds._verdicts(5, 6, 9, 6, 3, 5)
+        assert list(got) == ["main_bound", "refined_bound", "hedetniemi"] and all(got.values())
+        assert not bounds._verdicts(4, 6, 9, 6, 3, 5)["refined_bound"]
+
+
 class TestInequalitySpotChecks:
     def test_cycle_display_bound(self):
         for n in range(3, 61):

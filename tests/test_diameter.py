@@ -409,8 +409,8 @@ class TestSingleConnectivityPass:
         ids=["one-vertex", "edge", "path", "star", "random"],
     )
     def test_no_search_on_a_tree(self, monkeypatch, g):
-        """A tree takes the unicyclic route, rooted at its last stripped
-        vertex, so its diameter and gamma need no search either."""
+        """A tree takes the unicyclic route, its root a one-vertex cycle of
+        the strip, so its diameter and gamma need no search either."""
 
         def forbidden(*args):
             raise AssertionError("searched a tree")

@@ -220,6 +220,17 @@ class TestGraphValue:
             assert Graph(g.n, g.adj) == g
         assert Graph(3, ((), (2,), (1,))).m == 1
 
+    def test_direct_construction_copies_lists(self):
+        """Lists from the caller are stored as tuples: the graph hashes, and
+        editing the lists afterwards leaves it as it was."""
+        adj = [[1, 2], [0, 2], [0, 1]]
+        g = Graph(3, adj)
+        assert g == make_cycle(3) and hash(g) == hash(make_cycle(3))
+        adj[0].append(3)
+        adj[2].pop()
+        assert g == make_cycle(3) and g.adj == ((1, 2), (0, 2), (0, 1))
+        assert girth(g) == 3
+
     def test_symmetry_invariant(self):
         g = make_lollipop(9, 4)
         for u in range(g.n):

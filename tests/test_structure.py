@@ -9,12 +9,13 @@ deque windows, and found the path by two BFS; both must give the same
 cycle, trees, diametral path and core classification on every input.
 """
 
+import itertools
 import random
 
 import pytest
 
 import structure_oracle as oracle
-from conftest import spider
+from conftest import forests_upto, one_cycle_unions, spider
 from unilap import graphs
 from unilap.bounds import analyze
 from unilap.enumeration import enumerate_unicyclic
@@ -208,3 +209,34 @@ class TestForest:
             assert (core.core is g) == (core.core_vertices == tuple(range(g.n)))
             whole += core.core is g
         assert whole >= 45  # every cycle and lollipop
+
+
+def _components(g: Graph) -> list[set[int]]:
+    """The vertex sets of g's components, by BFS from each unseen vertex."""
+    comps, seen = [], set()
+    for s in range(g.n):
+        if s not in seen:
+            comp = {v for v, dist in enumerate(graphs.bfs_distances(g, s)) if dist >= 0}
+            seen |= comp
+            comps.append(comp)
+    return comps
+
+
+class TestTreeRootsAreOneVertexCycles:
+    """_cycle_forest hands each tree component's root back as a one-vertex
+    cycle, never as a stripped vertex, so every reader of the strip meets
+    one root form."""
+
+    def test_every_forest_and_union(self):
+        count = 0
+        for g in itertools.chain(forests_upto(7), one_cycle_unions(8)):
+            stripped, parent, cycles = graphs._cycle_forest(g)
+            on_cycles = [v for cycle in cycles for v in cycle]
+            assert sorted(stripped + on_cycles) == list(range(g.n)), g.edges()
+            assert set(stripped) == {x for x in range(g.n) if parent[x] != x}, g.edges()
+            for comp in _components(g):
+                edges = sum(len(g.adj[v]) for v in comp) // 2
+                (cycle,) = [cycle for cycle in cycles if cycle[0] in comp]
+                assert (len(cycle) == 1) == (edges == len(comp) - 1), g.edges()
+            count += 1
+        assert count == 199 + 115
