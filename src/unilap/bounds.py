@@ -24,7 +24,6 @@ from .graphs import (
     Graph,
     _cycle_forest,
     _cycle_gamma,
-    _far_ends,
     _fold_at_one,
     _pendant_pass,
     _reduce_to_core,
@@ -74,9 +73,15 @@ def compass_bounds(p: CompassParams) -> tuple[int, int | None]:
     p.validate()
     base = main_lower_bound(p.d, p.r)
     strengthened = None
-    if p.n % 3 == 0 and p.r % 6 == 0 and p.r_prime == p.r // 2 and p.t % 3 == 1:
+    if _strengthens(p.n, p.r, p.r_prime, p.t):
         strengthened = ceil_div(p.d, 3) + ceil_div(p.r, 6)
     return base, strengthened
+
+
+def _strengthens(n: int, r: int, r_prime: int, t: int) -> bool:
+    """Whether the compass (n, r, r', t) meets the strengthened hypothesis,
+    3 | n, 6 | r, r' = r/2 and t = 1 (mod 3), read on the tail t alone."""
+    return n % 3 == 0 and r % 6 == 0 and r_prime == r // 2 and t % 3 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +192,12 @@ class BoundReport:
 
 def analyze(g: Graph) -> BoundReport:
     """Measure g exactly and check every applicable inequality on g itself."""
-    # one leaf strip, folded once at 1, gives count01, mult1, gamma and the heights
-    # the diameter's ends are read off; the core is classified from the ends
+    # one leaf strip, folded once at 1, gives count01, mult1, gamma, d and the
+    # diameter's ends; the core is classified from the ends
     forest = _unicyclic_strip(g)
     r = len(forest[2][0])
-    count01, mult1, gamma, down, second, lo = _fold_at_one(g, *forest)
-    ends = _far_ends(g, forest, down, second, lo)
-    d, core = ends[0], _reduce_to_core(g, forest, down, ends[1:])
+    count01, mult1, gamma, d, ends = _fold_at_one(g, forest)
+    core = _reduce_to_core(g, forest, *ends)
 
     main = main_lower_bound(d, r)
     refined: int | None = None
@@ -203,8 +207,8 @@ def analyze(g: Graph) -> BoundReport:
     elif core.kind == "compass":
         cn, cr, crp, ct = core.params
         alpha = cr // 2 - crp
-        # compass_bounds' strengthened case at d = r' + t + s; a tail swap is an isomorphism
-        if cn % 3 == 0 and cr % 6 == 0 and alpha == 0 and 1 in (ct % 3, (cn - cr - ct) % 3):
+        # compass_bounds' strengthened case on either tail: a tail swap is an isomorphism
+        if _strengthens(cn, cr, crp, ct) or _strengthens(cn, cr, crp, cn - cr - ct):
             refined = ceil_div(d, 3) + ceil_div(r, 6)
     k = max(main, refined) if refined is not None else main
     verdicts = _verdicts(count01, gamma, d, r, main, refined)

@@ -50,25 +50,26 @@ class Graph:
     def __post_init__(self) -> None:
         """Reject adjacency that is not a simple undirected graph, in O(n + m).
 
-        Each list must be strictly increasing, in range and loop-free, and w
-        must list v exactly when v lists w. Visiting v in increasing order,
-        the lists naming w are met in the order of w's own sorted list, so
-        one cursor per vertex checks symmetry. adj is stored as tuples first:
-        a caller's lists would leave the graph unhashable and open to edits.
+        n and each id must be an int, not a bool. Each list must be strictly
+        increasing, in range and loop-free, and w must list v exactly when v
+        lists w. Visiting v in increasing order, the lists naming w are met
+        in the order of w's own sorted list, so one cursor per vertex checks
+        symmetry. adj is stored as tuples first: a caller's lists would leave
+        the graph unhashable and open to edits.
         """
         n, adj = self.n, tuple(map(tuple, self.adj))
         object.__setattr__(self, "adj", adj)
-        if n < 1:
-            raise InvalidParameterError(f"graph needs at least one vertex, got n={n}")
+        if type(n) is not int or n < 1:
+            raise InvalidParameterError(f"graph needs an int n >= 1, got n={n!r}")
         if len(adj) != n:
             raise InvalidParameterError(f"need {n} adjacency lists, got {len(adj)}")
         cursor = [0] * n
         for v, nbrs in enumerate(adj):
             prev = -1
             for w in nbrs:
-                if not prev < w < n or w == v:
+                if type(w) is not int or not prev < w < n or w == v:
                     raise InvalidParameterError(
-                        f"adjacency of vertex {v} must be sorted, in range and loop-free: {nbrs}"
+                        f"adjacency of vertex {v} must be sorted, int, in range, loop-free: {nbrs}"
                     )
                 prev = w
                 k = cursor[w]
@@ -83,12 +84,12 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if n < 1:
-            raise InvalidParameterError(f"graph needs at least one vertex, got n={n}")
+        if type(n) is not int or n < 1:
+            raise InvalidParameterError(f"graph needs an int n >= 1, got n={n!r}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParameterError(f"edge ({u},{v}) out of range for n={n}")
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise InvalidParameterError(f"edge ({u!r},{v!r}) needs int ends in 0..{n - 1}")
             if u == v:
                 raise InvalidParameterError(f"self-loop at vertex {u}")
             if v in nbrs[u]:
@@ -451,7 +452,8 @@ def _cycle_reach(heights: list[int]) -> list[int]:
 def _pendant_pass(g: Graph, order: list[int], parent: list[int]) -> tuple:
     """One pass folding each x of order into parent[x], children first:
     (neg, zero) settled, then num, den, paired, a, b, c (a cycle vertex's
-    slot state, for _close) and down, second, lo (for _far_ends).
+    slot state, for linalg._close_cycle and _cycle_gamma) and down, second,
+    lo (for _far_ends).
 
     num[x] / den[x] is the pivot of L - I on x's subtree, and paired[x]
     its zero children, folded by the step of linalg._fold_pivots at qq = 1
@@ -498,17 +500,6 @@ def _pendant_pass(g: Graph, order: list[int], parent: list[int]) -> tuple:
     return neg, zero, num, den, paired, a, b, c, down, second, lo
 
 
-def _close(
-    cycle: list[int], num: list, den: list, paired: list, a: list, b: list, c: list, inf: int
-) -> tuple[int, int, int]:
-    """(neg, zero, gamma) settled on a cycle from the slot states at its
-    indices (vertex ids, or positions 0..r-1), with no graph: the pivots by
-    linalg._close_cycle, gamma by _cycle_gamma. A tree's root is a one-vertex
-    cycle."""
-    neg, zero, _ = _close_cycle(cycle, num, den, paired, 1)
-    return neg, zero, _cycle_gamma(cycle, a, b, c, inf)
-
-
 def _cycle_gamma(cycle: list[int], a: list, b: list, c: list, inf: int) -> int:
     """gamma settled on a cycle from the domination states at its indices,
     with no graph and no pivot: one walk up c_{r-1}..c_0 (the cycle less the
@@ -530,12 +521,18 @@ def _cycle_gamma(cycle: list[int], a: list, b: list, c: list, inf: int) -> int:
     return min(pa, pb, fa, la, lb, lc)
 
 
-def _fold_at_one(g: Graph, stripped: list[int], parent: list[int], cycles: list) -> tuple:
-    """(count01, mult1, gamma, down, second, lo) of a tree or a connected unicyclic
-    g: _pendant_pass over its leaf strip, then _close on its one cycle."""
+def _fold_at_one(g: Graph, forest: tuple) -> tuple:
+    """(count01, mult1, gamma, d, ends) of a tree or a connected unicyclic g
+    from its leaf strip forest: _pendant_pass, then on its one cycle
+    linalg._close_cycle (the pivots) and _cycle_gamma, then _far_ends.
+    ends = (down, (u, v, i, j)) is what _reduce_to_core reads besides g and
+    forest."""
+    stripped, parent, (cycle,) = forest
     neg, zero, num, den, paired, a, b, c, down, second, lo = _pendant_pass(g, stripped, parent)
-    closed_neg, closed_zero, gamma = _close(cycles[0], num, den, paired, a, b, c, g.n + 1)
-    return neg + closed_neg, zero + closed_zero, gamma, down, second, lo
+    closed_neg, closed_zero, _ = _close_cycle(cycle, num, den, paired, 1)
+    gamma = _cycle_gamma(cycle, a, b, c, g.n + 1)
+    d, *ends = _far_ends(g, forest, down, second, lo)
+    return neg + closed_neg, zero + closed_zero, gamma, d, (down, ends)
 
 
 def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:

@@ -30,7 +30,6 @@ from .graphs import (
     CompassParams,
     Graph,
     _connected_strip,
-    _far_ends,
     _fold_at_one,
     join_with_edge,
     make_compass,
@@ -381,11 +380,8 @@ def check_tree_chain(count: int = 200, max_n: int = 20, seed: int = 0) -> Verify
         for i in range(count):
             n = rng.randrange(2, max_n + 1)
             g = random_tree(rng, n)
-            # one fold of the leaf strip at 1 gives the count, gamma and the
-            # heights the diameter reads
-            forest = _connected_strip(g)
-            c, _, gamma, *heights = _fold_at_one(g, *forest)
-            d = _far_ends(g, forest, *heights)[0]
+            # one fold of the leaf strip at 1 gives the count, gamma and d
+            c, _, gamma, d, _ = _fold_at_one(g, _connected_strip(g))
             if not ceil_div(d + 1, 3) <= c <= gamma:
                 failures.append((i, n))
         return count, failures
@@ -481,10 +477,8 @@ def _measure(
     refined_bound: int | None,
 ) -> SweepRow:
     # g is a path or a connected unicyclic graph: one fold of its leaf strip
-    # at 1 gives the count, gamma and the heights the O(n) diameter reads
-    forest = _connected_strip(g)
-    count01, mult1, gamma, *heights = _fold_at_one(g, *forest)
-    measured = _far_ends(g, forest, *heights)[0]
+    # at 1 gives the count, gamma and the O(n) diameter
+    count01, mult1, gamma, measured, _ = _fold_at_one(g, _connected_strip(g))
     if measured != d:
         raise InternalConsistencyError(
             f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"

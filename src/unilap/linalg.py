@@ -37,8 +37,9 @@ one straight from the graph, and inertia(ExactMatrix) checks symmetry and
 eliminates a per-row copy, so it costs O(n + m) on a graph Laplacian.
 
 The fold of the leaf strip shares its pivot step and its cycle closer
-between spectra._forest_inertia (every shift) and graphs._close (at 1,
-closing gamma too); they live here because graphs cannot import spectra.
+between spectra._forest_inertia (every shift) and graphs._fold_at_one (at
+1, which closes gamma by graphs._cycle_gamma too); they live here because
+graphs cannot import spectra.
 None of the three reads a graph, only states at indices (vertex ids, or
 positions on one cycle). _fold_pivots folds each vertex of an order into
 its target, _close_cycle settles a cycle once its pendant trees have

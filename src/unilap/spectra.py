@@ -9,12 +9,12 @@ tree's root is a one-vertex cycle) in Python ints: its numbers are minors
 of qL - pI, so they have O(n) bits and no gcd ever runs, the cost is
 linear in n at an integer shift, and a rational shift adds only the cost
 of multiplying O(n)-bit ints. It also beats the heap kernel at c = 1, so
-it serves every such graph; analyze and the sweeps take count01 from
-graphs._fold_at_one instead, the same fold at 1 carrying gamma and the
-heights. Both folds take their pivot step and their cycle closer, which
-settles each root too, from linalg (_fold_pivots, _close_cycle);
-count_interval strips a graph once and folds it at both ends. Any other
-graph goes to linalg.sparse_inertia, fed sparse rows of L - cI assembled
+it serves every such graph; analyze, the sweeps and check_tree_chain take
+count01 from graphs._fold_at_one instead, the same fold at 1, which also
+closes gamma and reads d and the diameter's ends. Both folds take their
+pivot step and their cycle closer, which settles each root too, from
+linalg (_fold_pivots, _close_cycle); count_interval strips a graph once
+and folds it at both ends. Any other graph goes to linalg.sparse_inertia, fed sparse rows of L - cI assembled
 straight from the adjacency lists. L is positive semidefinite, so the term
 at a <= 0 is zero and needs no elimination. laplacian(g) wraps the sparse
 rows at c = 0 in an ExactMatrix. The floating-point spectrum (LAPACK's

@@ -7,7 +7,9 @@ that the retired test oracles used to guard: the pivot fold and cycle
 closers of linalg, the leaf strip, the fold at 1, the cycle reach, the
 diameter's ends, the diametral path and the core of graphs, both
 determinant routes of charpoly, the necklace walk and the class builder of
-enumeration, the verdicts of bounds, the family generators, and the
+enumeration, the main bound, the strengthened-compass predicate and the
+verdicts of bounds, the exhaustive suite's failure list, the interlacing
+chain, Graph's int check on vertex ids, the family generators, and the
 L v = v check of the witnesses.
 
 Run from anywhere, with no arguments:
@@ -47,6 +49,8 @@ CHARPOLY = "src/unilap/charpoly.py"
 ENUMERATION = "src/unilap/enumeration.py"
 WITNESSES = "src/unilap/witnesses.py"
 BOUNDS = "src/unilap/bounds.py"
+HARNESS = "src/unilap/harness.py"
+SPECTRA = "src/unilap/spectra.py"
 # the head of _fold_pivots' loop body, which _close_cycle's loop does not share
 FOLD_PIVOTS = "        u = to[x]\n        a = num[x]\n        if zero_children[x]:\n"
 PAIRED = "            neg += 1\n            pos += 1\n"
@@ -372,6 +376,51 @@ MUTANTS = [
         'verdicts["chain"] = d + 1 <= 3 * main and main <= count01 and count01 <= gamma',
         'verdicts["chain"] = True',
         "_verdicts passes the chain always",
+    ),
+    # bounds: the main bound and the strengthened-compass hypothesis
+    (
+        BOUNDS,
+        "    return ceil_div(d, 3) + ceil_div(r, 6) - 1\n",
+        "    return ceil_div(d, 3) + ceil_div(r, 6) - 2\n",
+        "main_lower_bound returns one below the bound",
+    ),
+    (
+        BOUNDS,
+        "    return n % 3 == 0 and r % 6 == 0 and r_prime == r // 2 and t % 3 == 1",
+        "    return False",
+        "_strengthens never strengthens a compass",
+    ),
+    (
+        BOUNDS,
+        " or _strengthens(cn, cr, crp, cn - cr - ct)",
+        "",
+        "analyze tries only the core's t for the strengthened compass bound",
+    ),
+    # the suites' failure lists and the interlacing chain
+    (
+        HARNESS,
+        "                        failures.append((name, n, g.edges()))",
+        "                        pass",
+        "suite_exhaustive drops its failures",
+    ),
+    (
+        SPECTRA,
+        "        a <= b + INTERLACING_SLACK and b <= c + INTERLACING_SLACK\n",
+        "        a <= b + INTERLACING_SLACK\n",
+        "_interlaces checks one side of the chain",
+    ),
+    # Graph's int check on n and every vertex id
+    (
+        GRAPHS,
+        "                if type(w) is not int or not prev < w < n or w == v:",
+        "                if not prev < w < n or w == v:",
+        "Graph accepts a vertex id that is not an int",
+    ),
+    (
+        GRAPHS,
+        "            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):",
+        "            if not (0 <= u < n and 0 <= v < n):",
+        "Graph.from_edges accepts an edge end that is not an int",
     ),
     # the family generators
     (

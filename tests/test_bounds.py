@@ -87,6 +87,25 @@ class TestBoundFormulas:
         assert compass_bounds(CompassParams(14, 8, 4, 3)) == (5, None)
         assert compass_bounds(CompassParams(12, 6, 3, 1)) == (3, 4)
         assert compass_bounds(CompassParams(8, 3, 1, 1)) == (2, None)
+        # compass_bounds reads its own labelling's t alone; analyze of this
+        # graph tries the other tail too and refines to 4
+        assert compass_bounds(CompassParams(12, 6, 3, 2)) == (3, None)
+
+    @pytest.mark.parametrize(
+        "params, holds",
+        [
+            ((12, 6, 3, 1), True),
+            ((12, 6, 3, 4), True),
+            ((13, 6, 3, 1), False),  # 3 does not divide n
+            ((12, 8, 4, 1), False),  # 6 does not divide r
+            ((12, 6, 2, 1), False),  # r' != r/2
+            ((12, 6, 3, 2), False),  # t != 1 (mod 3)
+        ],
+    )
+    def test_strengthened_hypothesis_fails_on_each_condition(self, params, holds):
+        """The one predicate compass_bounds and analyze both decide by, fed
+        parameters that miss one condition each."""
+        assert bounds._strengthens(*params) is holds
 
 
 class TestDomination:

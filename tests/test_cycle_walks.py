@@ -143,9 +143,9 @@ def _assert_brute_force(g: Graph) -> None:
     assert diameter_and_path(g) == (d, path), g.edges()
     forest = graphs._connected_strip(g)
     parent, (cycle,) = forest[1:]
-    ends = graphs._far_ends(g, forest, *graphs._fold_at_one(g, *forest)[3:])
-    assert ends[:3] == (d, u, v), g.edges()
-    assert (cycle[ends[3]], cycle[ends[4]]) == (_root(parent, u), _root(parent, v)), g.edges()
+    got, (_, (got_u, got_v, i, j)) = graphs._fold_at_one(g, forest)[3:]
+    assert (got, got_u, got_v) == (d, u, v), g.edges()
+    assert (cycle[i], cycle[j]) == (_root(parent, u), _root(parent, v)), g.edges()
     rep = analyze(g)
     core_vertices, r = _brute_core_vertices(g, dist, path)
     kind, params = structure_oracle.classify_rebuilt(g, forest, path)[:2]

@@ -350,7 +350,7 @@ class TestOnlyTheFoldTheAnswerReads:
 
     @pytest.mark.parametrize("g", UNICYCLIC, ids=IDS)
     def test_diameter_and_core_close_no_cycle(self, monkeypatch, g):
-        closes = _count_calls(monkeypatch, ["_close"])
+        closes = _count_calls(monkeypatch, ["_close_cycle", "_cycle_gamma"])
         diameter_and_path(g)
         reduce_to_core(g)
         diameter_and_path(random_tree(random.Random(g.n), g.n))

@@ -2,16 +2,20 @@
 
 graphs._fold_at_one carries the pivot of L - I, the domination states and
 the pendant-tree heights and deepest labels through one pass over the leaf
-strip (_pendant_pass), then closes the cycle once for each (_close, which
-reads no graph: TestGraphFreeClose closes every class with n <= 12 from
-per-rank slot states alone). count01 and mult1 are checked against
+strip (_pendant_pass), closes the cycle once for the pivots
+(linalg._close_cycle) and once for gamma (_cycle_gamma), neither of which
+reads a graph (TestGraphFreeClose closes every class with n <= 12 from
+per-rank slot states alone), then reads d and the diameter's ends off the
+heights (_far_ends). count01 and mult1 are checked against
 linalg.sparse_inertia on the rows of L - I, which eliminates by a heap
 over rows and shares no step with the strip; the heights and deepest
-labels against every vertex's climb; gamma against subset search and
-branch and bound in test_bounds. The core reduction classifies from the
-diameter's ends and builds the diametral path, the core vertices and the
-core only when each is read; structure_oracle rebuilds the core from
-parent edges and classifies it from its degrees.
+labels against every vertex's climb, and d and the ends against _far_ends
+fed those climbs (test_cycle_walks checks them against all-pairs search);
+gamma against subset search and branch and bound in test_bounds. The
+core reduction classifies from the diameter's ends and builds the
+diametral path, the core vertices and the core only when each is read;
+structure_oracle rebuilds the core from parent edges and classifies it
+from its degrees.
 """
 
 import random
@@ -62,10 +66,13 @@ def _spiders() -> list[Graph]:
 
 def _assert_fold(g: Graph) -> None:
     forest = graphs._connected_strip(g)
-    neg, zero, _, down, second, lo = graphs._fold_at_one(g, *forest)
+    neg, zero, _, d, (down, ends) = graphs._fold_at_one(g, forest)
     at_one = linalg.sparse_inertia(spectra._shifted_rows(g, 1))
     assert (neg, zero) == (at_one.negatives, at_one.zeros), g.edges()
-    assert (down, second, lo) == _climbs(forest[1]), g.edges()
+    climbs = _climbs(forest[1])
+    assert graphs._pendant_pass(g, *forest[:2])[8:] == climbs, g.edges()
+    assert down == climbs[0], g.edges()
+    assert (d, *ends) == graphs._far_ends(g, forest, *climbs), g.edges()
 
 
 def _climbs(parent: list[int]) -> tuple[list[int], list[int], list[int]]:
@@ -114,7 +121,7 @@ class TestFoldAgainstTheHeapKernelAndClimbs:
             for rays in range(1, r + 1):
                 _assert_fold(_sun(r, rays))
         sun = _sun(30, 30)  # each ray and its cycle vertex: one negative, one positive
-        assert graphs._fold_at_one(sun, *graphs._connected_strip(sun))[:2] == (30, 0)
+        assert graphs._fold_at_one(sun, graphs._connected_strip(sun))[:2] == (30, 0)
 
     def test_cycles_whose_closing_minor_vanishes(self):
         """1 is a double eigenvalue of C_r exactly when 6 | r, so the intact
@@ -122,7 +129,7 @@ class TestFoldAgainstTheHeapKernelAndClimbs:
         for r in range(3, 61):
             g = make_cycle(r)
             _assert_fold(g)
-            _, zero, gamma = graphs._fold_at_one(g, *graphs._connected_strip(g))[:3]
+            _, zero, gamma = graphs._fold_at_one(g, graphs._connected_strip(g))[:3]
             assert zero == (2 if r % 6 == 0 else 0), r
             assert gamma == -(-r // 3), r
 
@@ -240,7 +247,8 @@ def _close_class(n: int, slots: list[tuple]) -> tuple[int, int, int, int]:
     inf = n + 1
     a, b, c = ([inf if x is None else x for x in col] for col in sets)
     cycle = list(range(len(slots)))
-    closed_neg, closed_zero, gamma = graphs._close(cycle, num, den, paired, a, b, c, inf)
+    closed_neg, closed_zero, _ = linalg._close_cycle(cycle, num, den, paired, 1)
+    gamma = graphs._cycle_gamma(cycle, a, b, c, inf)
     d = max(max(diameters), max(map(add, heights, graphs._cycle_reach(heights))))
     return sum(neg) + closed_neg, sum(zero) + closed_zero, gamma, d
 
@@ -248,9 +256,10 @@ def _close_class(n: int, slots: list[tuple]) -> tuple[int, int, int, int]:
 class TestGraphFreeClose:
     def test_every_class_to_twelve_from_rank_slots(self, monkeypatch):
         """Each rank of the tree alphabet is folded once; each class with
-        n <= 12 then closes from its rank sequence's slot states by _close
-        and _cycle_reach alone, with no Graph built, and gives analyze's
-        count01, mult1, gamma and diameter."""
+        n <= 12 then closes from its rank sequence's slot states by
+        linalg._close_cycle, _cycle_gamma and _cycle_reach alone, with no
+        Graph built, and gives analyze's count01, mult1, gamma and
+        diameter."""
         alpha = enumeration._alphabet(10)
         slots = {x: _rank_slot(alpha.rows[x]) for x in alpha.capped[10]}
 

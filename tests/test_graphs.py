@@ -194,6 +194,14 @@ class TestGraphValue:
             Graph.from_edges(2, [(0, 2)])
         with pytest.raises(InvalidParameterError):
             Graph.from_edges(3, [(0, 1), (1, 0)])
+        # ends and n must be ints: a float or str once raised a bare
+        # TypeError, and a bool was taken for 0 or 1
+        for edge in [(0, 1.0), (0.0, 1), ("0", 1), (0, "1"), (False, True)]:
+            with pytest.raises(InvalidParameterError):
+                Graph.from_edges(2, [edge])
+        for n in [2.0, "2", True]:
+            with pytest.raises(InvalidParameterError):
+                Graph.from_edges(n, [])
 
     @pytest.mark.parametrize(
         "n,adj",
@@ -208,6 +216,11 @@ class TestGraphValue:
             (2, ((-1,), ())),                   # negative label
             (3, ((1,), (0,))),                  # too few lists
             (0, ()),                            # no vertex
+            (2, ((1.0,), (0.0,))),              # float ids
+            (2, (("1",), ("0",))),              # str ids
+            (2, ((True,), (False,))),           # bool ids
+            (2.0, ((1,), (0,))),                # float n
+            (True, ((),)),                      # bool n
         ],
     )
     def test_direct_construction_validates(self, n, adj):

@@ -135,9 +135,9 @@ class TestSuites:
             d, _ = diameter_and_path(g)
             c = count_interval(g, 0, 1).count
             gamma = domination_number(g)
-            forest = graphs._connected_strip(g)
-            count01, _, strip_gamma, *heights = graphs._fold_at_one(g, *forest)
-            measured = graphs._far_ends(g, forest, *heights)[0]
+            count01, _, strip_gamma, measured, _ = graphs._fold_at_one(
+                g, graphs._connected_strip(g)
+            )
             assert (measured, count01, strip_gamma) == (d, c, gamma)
             assert max(max(bfs_distances(g, v)) for v in range(g.n)) == d
             if not ceil_div(d + 1, 3) <= c <= gamma:
@@ -309,8 +309,8 @@ class TestSweep:
     )
     def test_one_diameter_per_row_below_cap(self, monkeypatch, family, n_hi):
         """Every row, a path's included, reads one forest diameter off the
-        ends of its leaf strip, from the heights of one fold at 1, and no
-        row searches, builds a diametral path or builds a decomposition."""
+        ends of its leaf strip, inside its one fold at 1, and no row
+        searches, builds a diametral path or builds a decomposition."""
         calls, folds = [], []
         original, fold = graphs._far_ends, graphs._fold_at_one
 
@@ -321,9 +321,9 @@ class TestSweep:
             calls.append(g.n)
             return original(g, forest, *heights)
 
-        def counted_fold(g, *forest):
+        def counted_fold(g, forest):
             folds.append(g.n)
-            return fold(g, *forest)
+            return fold(g, forest)
 
         for module in (graphs, bounds, harness):
             # harness no longer imports it; set it there anyway, so a call
@@ -332,7 +332,7 @@ class TestSweep:
         monkeypatch.setattr(graphs, "bfs_distances", forbidden)
         monkeypatch.setattr(graphs, "_diametral_path", forbidden)
         monkeypatch.setattr(graphs, "UnicyclicDecomposition", forbidden)
-        monkeypatch.setattr(harness, "_far_ends", counted)
+        monkeypatch.setattr(graphs, "_far_ends", counted)
         monkeypatch.setattr(harness, "_fold_at_one", counted_fold)
         rows = list(sweep(family, 4, n_hi))
         assert len(rows) > n_hi - 4
