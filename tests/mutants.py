@@ -396,7 +396,7 @@ MUTANTS = [
         "",
         "analyze tries only the core's t for the strengthened compass bound",
     ),
-    # the suites' failure lists and the interlacing chain
+    # suite_exhaustive's failure list and the interlacing chain
     (
         HARNESS,
         "                        failures.append((name, n, g.edges()))",
