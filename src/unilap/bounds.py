@@ -192,12 +192,12 @@ class BoundReport:
 
 def analyze(g: Graph) -> BoundReport:
     """Measure g exactly and check every applicable inequality on g itself."""
-    # one leaf strip, folded once at 1, gives count01, mult1, gamma, d and the
-    # diameter's ends; the core is classified from the ends
+    # one leaf strip, folded once at 1, gives count01, mult1, gamma and d; the
+    # core finds the diameter's ends from the rest of the fold
     forest = _unicyclic_strip(g)
     r = len(forest[2][0])
-    count01, mult1, gamma, d, ends = _fold_at_one(g, forest)
-    core = _reduce_to_core(g, forest, *ends)
+    count01, mult1, gamma, d, fold = _fold_at_one(g, forest)
+    core = _reduce_to_core(g, forest, d, fold)
 
     main = main_lower_bound(d, r)
     refined: int | None = None

@@ -114,13 +114,15 @@ class Graph:
         return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise InvalidParameterError(f"vertex {v} out of range for n={self.n}")
+        if type(v) is not int or not 0 <= v < self.n:
+            raise InvalidParameterError(f"vertex {v!r} needs to be an int in 0..{self.n - 1}")
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InvalidParameterError(f"edge ({u},{v}) out of range for n={self.n}")
+        """Whether (u, v) is an edge; u and v must be int ids in range, as in
+        the edge edits, which check their ends here."""
+        if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
+            raise InvalidParameterError(f"edge ({u!r},{v!r}) needs int ends in 0..{self.n - 1}")
         return v in self.adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
@@ -147,8 +149,8 @@ class Graph:
         """Delete vertex v; remaining vertices are reindexed preserving order."""
         if self.n <= 1:
             raise InvalidParameterError("cannot delete the last vertex")
-        if not 0 <= v < self.n:
-            raise InvalidParameterError(f"vertex {v} out of range")
+        if type(v) is not int or not 0 <= v < self.n:
+            raise InvalidParameterError(f"vertex {v!r} needs to be an int in 0..{self.n - 1}")
         relabel = {u: (u if u < v else u - 1) for u in range(self.n) if u != v}
         edges = [(relabel[a], relabel[b]) for a, b in self.edges() if v not in (a, b)]
         return Graph.from_edges(self.n - 1, edges)
@@ -162,8 +164,10 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 def join_with_edge(g1: Graph, u: int, g2: Graph, v: int) -> Graph:
     """Disjoint union of g1 and g2 plus the bridge (u, g1.n + v)."""
-    if not (0 <= u < g1.n and 0 <= v < g2.n):
-        raise InvalidParameterError(f"bridge ({u},{v}) out of range for n={g1.n} and n={g2.n}")
+    if not (type(u) is int and type(v) is int and 0 <= u < g1.n and 0 <= v < g2.n):
+        raise InvalidParameterError(
+            f"bridge ({u!r},{v!r}) needs int ends in range for n={g1.n} and n={g2.n}"
+        )
     return disjoint_union(g1, g2).with_edge_added(u, g1.n + v)
 
 
@@ -453,7 +457,7 @@ def _pendant_pass(g: Graph, order: list[int], parent: list[int]) -> tuple:
     """One pass folding each x of order into parent[x], children first:
     (neg, zero) settled, then num, den, paired, a, b, c (a cycle vertex's
     slot state, for linalg._close_cycle and _cycle_gamma) and down, second,
-    lo (for _far_ends).
+    lo (the heights, for _diameter and _far_ends).
 
     num[x] / den[x] is the pivot of L - I on x's subtree, and paired[x]
     its zero children, folded by the step of linalg._fold_pivots at qq = 1
@@ -522,17 +526,17 @@ def _cycle_gamma(cycle: list[int], a: list, b: list, c: list, inf: int) -> int:
 
 
 def _fold_at_one(g: Graph, forest: tuple) -> tuple:
-    """(count01, mult1, gamma, d, ends) of a tree or a connected unicyclic g
+    """(count01, mult1, gamma, d, fold) of a tree or a connected unicyclic g
     from its leaf strip forest: _pendant_pass, then on its one cycle
-    linalg._close_cycle (the pivots) and _cycle_gamma, then _far_ends.
-    ends = (down, (u, v, i, j)) is what _reduce_to_core reads besides g and
-    forest."""
+    linalg._close_cycle (the pivots), _cycle_gamma and _diameter. fold is
+    what _far_ends reads besides g, forest and d, so only a caller that
+    needs the diameter's ends (_reduce_to_core) pays for them."""
     stripped, parent, (cycle,) = forest
     neg, zero, num, den, paired, a, b, c, down, second, lo = _pendant_pass(g, stripped, parent)
     closed_neg, closed_zero, _ = _close_cycle(cycle, num, den, paired, 1)
     gamma = _cycle_gamma(cycle, a, b, c, g.n + 1)
-    d, *ends = _far_ends(g, forest, down, second, lo)
-    return neg + closed_neg, zero + closed_zero, gamma, d, (down, ends)
+    d, fold = _diameter(cycle, down, second, lo)
+    return neg + closed_neg, zero + closed_zero, gamma, d, fold
 
 
 def _walk_to(g: Graph, u: int, v: int) -> tuple[int, ...]:
@@ -555,52 +559,65 @@ def _where(xs: list[int], value: int) -> list[int]:
     return found
 
 
-def _far_ends(g: Graph, forest: tuple, down: list[int], second: list[int], lo: list[int]) -> tuple:
-    """(d, u, v, i, j) of a tree or a connected unicyclic graph from its
-    strip and fold, with no eccentricity pass: d is the diameter, (u, v) the
-    smallest pair d apart, and c_i, c_j the roots of their pendant trees.
+def _diameter(cycle: list[int], down: list[int], second: list[int], lo: list[int]) -> tuple:
+    """(d, fold) of a tree or a connected unicyclic graph from its cycle and
+    the heights of its fold, with no eccentricity pass: d is the diameter,
+    and fold = (down, second, lo, apex, reach) what _far_ends reads.
 
-    Proof. A walk leaving the pendant tree T_i returns through c_i, so two
+    A walk leaving the pendant tree T_i returns through c_i, so two
     vertices of T_i lie in two branches of their apex w (w itself a branch
     of depth 0), at most down[w] + second[w] <= 2 H_i apart, and vertices
-    of T_i and T_j, j != i, at most H_i + far_i apart (H_i = down[c_i], far
-    from _cycle_reach). Both bounds are attained, so d is the larger. No
-    apex reaches the cycle's best when 2 max H_i falls short of it, so the
-    apex sums are read only otherwise, and listed only when one reaches d.
-    A pair d apart ends at deepest vertices of two branches of an apex w
-    with down[w] + second[w] = d (or at w if second[w] = 0), or of T_i and
-    T_j with H_i + far_i = d = H_j + far_j. So u is the least lo[c_i] over
-    those i and, over those w, lo[w] and the least lo of a child of w
-    reaching second[w] - 1 (w itself if second[w] = 0). A vertex d from u
-    in T_i meets u's climb at an ancestor a, k up, whose other branches
-    reach at most d - k (an O(1) test on down and second): the least is
-    the least lo of a child of a off u's branch reaching d - k - 1, found
-    by one scan of a's neighbours (a itself if k = d). One in T_j needs
-    depth(u) + far_i = d and H_j + cdist(i, j) = far_i, so c_j is among
-    the c_i above: the least is lo[c_j]. v is the least of these. A tree's
-    cycle is its root alone: far = [0] and i = j always.
+    of T_i and T_j, j != i, at most reach[i] = H_i + far_i apart (H_i =
+    down[c_i], far from _cycle_reach). Both bounds are attained, so d is
+    the larger. No apex passes the cycle's best unless 2 max H_i does, so
+    apex, the best apex sum, is read only then and is -1 otherwise. At
+    2 max H_i = max reach an apex can reach d only on the cycle, at c_i
+    with the largest H_i, and then reach[i] = d already names it.
+    """
+    heights = [down[c] for c in cycle]
+    reach = list(map(add, heights, _cycle_reach(heights)))
+    d, apex = max(reach), -1
+    if 2 * max(heights) > d:
+        apex = max(map(add, down, second))
+        if apex > d:
+            d = apex
+    return d, (down, second, lo, apex, reach)
+
+
+def _far_ends(g: Graph, forest: tuple, d: int, fold: tuple) -> tuple:
+    """(u, v, i, j) of a tree or a connected unicyclic graph from its strip,
+    its diameter d and the fold of _diameter: (u, v) is the smallest pair d
+    apart, and c_i, c_j the roots of their pendant trees.
+
+    Proof. A pair d apart ends at deepest vertices of two branches of an
+    apex w with down[w] + second[w] = d (or at w if second[w] = 0), or of
+    T_i and T_j with reach[i] = d = reach[j] (see _diameter; the apexes
+    are listed only when the best sum, apex, reaches d). So u is the least
+    lo[c_i] over those i and, over those w, lo[w] and the least lo of a
+    child of w reaching second[w] - 1 (w itself if second[w] = 0). A
+    vertex d from u in T_i meets u's climb at an ancestor a, k up, whose
+    other branches reach at most d - k (an O(1) test on down and second):
+    the least is the least lo of a child of a off u's branch reaching
+    d - k - 1, found by one scan of a's neighbours (a itself if k = d). One
+    in T_j needs depth(u) + far_i = d and H_j + cdist(i, j) = far_i, so c_j
+    is among the c_i above: the least is lo[c_j]. v is the least of these.
+    A tree's cycle is its root alone: reach = [H] and i = j always.
     """
     _, parent, (cycle,) = forest
-    heights = [down[c] for c in cycle]
-    far = _cycle_reach(heights)
-    reach = list(map(add, heights, far))
-    d = max(reach)
+    down, second, lo, apex, reach = fold
     u = len(parent)
-    if 2 * max(heights) >= d:
-        best = max(map(add, down, second))
-        if best >= d:
-            d = best
-            # an apex w pairs lo[w] with w itself or a deepest vertex of its second branch
-            for w in _where(list(map(add, down, second)), d):
-                t = second[w]
-                if lo[w] < u:
-                    u = lo[w]
-                if not t:
-                    u = w if w < u else u
-                else:
-                    for y in g.adj[w]:
-                        if parent[y] == w and down[y] == t - 1 and lo[y] < u:
-                            u = lo[y]
+    if apex == d:
+        # an apex w pairs lo[w] with w itself or a deepest vertex of its second branch
+        for w in _where(list(map(add, down, second)), d):
+            t = second[w]
+            if lo[w] < u:
+                u = lo[w]
+            if not t:
+                u = w if w < u else u
+            else:
+                for y in g.adj[w]:
+                    if parent[y] == w and down[y] == t - 1 and lo[y] < u:
+                        u = lo[y]
     tight = _where(reach, d)
     for i in tight:
         if lo[cycle[i]] < u:
@@ -619,13 +636,14 @@ def _far_ends(g: Graph, forest: tuple, down: list[int], second: list[int], lo: l
             break
         x, k, below, skip = parent[x], k + 1, down[x] + 1, lo[x]
     i = j = cycle.index(x)
-    if k + far[i] == d:
+    far = reach[i] - down[x]
+    if k + far == d:
         r = len(cycle)
         for y in tight:
             arc = abs(y - i)
-            if y != i and heights[y] + min(arc, r - arc) == far[i] and lo[cycle[y]] < v:
+            if y != i and down[cycle[y]] + min(arc, r - arc) == far and lo[cycle[y]] < v:
                 v, j = lo[cycle[y]], y
-    return d, u, v, i, j
+    return u, v, i, j
 
 
 def _diametral_path(parent: list[int], cycle: list[int], u: int, v: int, i: int, j: int) -> tuple:
@@ -653,16 +671,16 @@ def diameter_and_path(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     Ties break to the lexicographically smallest endpoint pair (u, v) with
     u < v, then to the lexicographically smallest vertex sequence from u.
-    A tree or a unicyclic g takes O(n) time and memory and no search: the
-    ends read off the fold at 1 and the cycle's reach (_far_ends), then
-    the path read off the leaf strip. Any other g takes one BFS per vertex,
-    O(n m) time, and O(n) memory.
+    A tree or a unicyclic g takes O(n) time and memory and no search: d
+    and the ends read off the heights of the fold at 1 and the cycle's
+    reach (_diameter, then _far_ends), then the path off the leaf strip.
+    Any other g takes one BFS per vertex, O(n m) time, and O(n) memory.
     """
     forest = _connected_strip(g)
     if forest is not None:
         stripped, parent, (cycle,) = forest
-        d, *ends = _far_ends(g, forest, *_pendant_pass(g, stripped, parent)[8:])
-        return d, _diametral_path(parent, cycle, *ends)
+        d, fold = _diameter(cycle, *_pendant_pass(g, stripped, parent)[8:])
+        return d, _diametral_path(parent, cycle, *_far_ends(g, forest, d, fold))
     if not g.is_connected():
         raise NotConnectedError("diameter of a disconnected graph is undefined")
     # the first source of the largest eccentricity, and the smallest vertex
@@ -735,16 +753,19 @@ def reduce_to_core(g: Graph) -> CoreClassification:
     count01(g) + 1 by Cauchy interlacing.
     """
     forest = _unicyclic_strip(g)
-    down, second, lo = _pendant_pass(g, *forest[:2])[8:]
-    return _reduce_to_core(g, forest, down, _far_ends(g, forest, down, second, lo)[1:])
+    stripped, parent, (cycle,) = forest
+    return _reduce_to_core(g, forest, *_diameter(cycle, *_pendant_pass(g, stripped, parent)[8:]))
 
 
-def _reduce_to_core(g: Graph, forest: tuple, down: list[int], ends: tuple) -> CoreClassification:
-    """reduce_to_core in O(1) from g's strip, heights and (u, v, i, j) of
-    _far_ends. Ends in one pendant tree make the core "other". Otherwise the
-    path is a tail of H_i, an arc of cdist(i, j) >= 1 and a tail of H_j: no
-    tail makes a cycle, one a lollipop and two a compass."""
+def _reduce_to_core(g: Graph, forest: tuple, d: int, fold: tuple) -> CoreClassification:
+    """reduce_to_core from g's strip, its diameter d and the fold of
+    _diameter. The diameter's ends (u, v, i, j) are found here, by
+    _far_ends: of the callers of _fold_at_one, only analyze's core reads
+    them. Ends in one pendant tree make the core "other". Otherwise the
+    path is a tail of H_i, an arc of cdist(i, j) >= 1 and a tail of H_j:
+    no tail makes a cycle, one a lollipop and two a compass."""
     _, parent, (cycle,) = forest
+    down, ends = fold[0], _far_ends(g, forest, d, fold)
     r, (i, j) = len(cycle), ends[2:]
     kind, params = "other", ()
     if i != j:

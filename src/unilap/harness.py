@@ -13,6 +13,7 @@ import random
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import TextIO
 
 from .bounds import (
@@ -110,14 +111,21 @@ def suite_paths(max_n: int = 120, seed: int = 0) -> VerifyReport:
         failures = []
         for n in range(1, max_n + 1):
             g = make_path(n)
-            got = count_interval(g, 0, 1).count
-            if got != ceil_div(n, 3):
-                failures.append(("count", n, got))
-            if (multiplicity(g, 1) == 1) != (n % 3 == 0):
-                failures.append(("mult1", n))
+            failures += _path_failures(n, count_interval(g, 0, 1).count, multiplicity(g, 1))
         return max_n, failures
 
     return _timed(run, "paths")
+
+
+def _path_failures(n: int, count: int, mult1: int) -> list:
+    """What suite_paths reports for P_n measured at count[0,1) = count and
+    multiplicity(1) = mult1."""
+    failures = []
+    if count != ceil_div(n, 3):
+        failures.append(("count", n, count))
+    if (mult1 == 1) != (n % 3 == 0):
+        failures.append(("mult1", n))
+    return failures
 
 
 def suite_cycles(max_n: int = 120, seed: int = 0) -> VerifyReport:
@@ -128,17 +136,23 @@ def suite_cycles(max_n: int = 120, seed: int = 0) -> VerifyReport:
         sizes = range(3, max_n + 1)
         for n in sizes:
             g = make_cycle(n)
-            got = count_interval(g, 0, 1).count
-            if got != 2 * ceil_div(n, 6) - 1:
-                failures.append(("count", n, got))
-            if (multiplicity(g, 1) == 2) != (n % 6 == 0):
-                failures.append(("mult1", n))
-            d = n // 2
-            if got < main_lower_bound(d, n):
-                failures.append(("bound", n))
+            failures += _cycle_failures(n, count_interval(g, 0, 1).count, multiplicity(g, 1))
         return len(sizes), failures
 
     return _timed(run, "cycles")
+
+
+def _cycle_failures(n: int, count: int, mult1: int) -> list:
+    """What suite_cycles reports for C_n measured at count[0,1) = count and
+    multiplicity(1) = mult1; C_n has diameter n // 2."""
+    failures = []
+    if count != 2 * ceil_div(n, 6) - 1:
+        failures.append(("count", n, count))
+    if (mult1 == 2) != (n % 6 == 0):
+        failures.append(("mult1", n))
+    if count < main_lower_bound(n // 2, n):
+        failures.append(("bound", n))
+    return failures
 
 
 def suite_lollipops(max_n: int = 40, seed: int = 0) -> VerifyReport:
@@ -150,24 +164,31 @@ def suite_lollipops(max_n: int = 40, seed: int = 0) -> VerifyReport:
         for n in range(3, max_n + 1):
             for r in range(3, n + 1):
                 checked += 1
-                g = make_lollipop(n, r)
-                d = n - ceil_div(r, 2)
-                count = count_interval(g, 0, 1).count
-                if count < main_lower_bound(d, r):
-                    failures.append(("bound", n, r))
-                if count < refined_lollipop_bound(d, r):
-                    failures.append(("refined", n, r))
-                if r < n:
-                    exact = lollipop_exact_count(n, r)
-                    if exact is not None and count != exact:
-                        failures.append(("exact", n, r, count, exact))
-                    if d % 3 == 0 and r % 6 != 0:
-                        value = eval_at(phi_lollipop(n, r), 1)
-                        if value != PHI_AT_ONE_BY_R_MOD6[r % 6]:
-                            failures.append(("phi_at_one", n, r, value))
+                failures += _lollipop_failures(n, r, count_interval(make_lollipop(n, r), 0, 1).count)
+                if r < n and lollipop_exact_count(n, r) is not None:  # 3 | d and r % 6 != 0
+                    value = eval_at(phi_lollipop(n, r), 1)
+                    if value != PHI_AT_ONE_BY_R_MOD6[r % 6]:
+                        failures.append(("phi_at_one", n, r, value))
         return checked, failures
 
     return _timed(run, "lollipops")
+
+
+def _lollipop_failures(n: int, r: int, count: int) -> list:
+    """What suite_lollipops reports for the lollipop (n, r) measured at
+    count[0,1) = count: the main and refined bounds, and the exact count
+    where it applies (r < n)."""
+    failures = []
+    d = n - ceil_div(r, 2)
+    if count < main_lower_bound(d, r):
+        failures.append(("bound", n, r))
+    if count < refined_lollipop_bound(d, r):
+        failures.append(("refined", n, r))
+    if r < n:
+        exact = lollipop_exact_count(n, r)
+        if exact is not None and count != exact:
+            failures.append(("exact", n, r, count, exact))
+    return failures
 
 
 def compass_params_for_n(n: int) -> Iterator[CompassParams]:
@@ -194,16 +215,23 @@ def suite_compasses(max_n: int = 26, seed: int = 0) -> VerifyReport:
         checked = 0
         for p in valid_compass_params(max_n):
             checked += 1
-            g = make_compass(p)
-            count = count_interval(g, 0, 1).count
-            base, strengthened = compass_bounds(p)
-            if count < base:
-                failures.append(("base", p.n, p.r, p.r_prime, p.t))
-            if strengthened is not None and count < strengthened:
-                failures.append(("strengthened", p.n, p.r, p.r_prime, p.t))
+            failures += _compass_failures(p, count_interval(make_compass(p), 0, 1).count)
         return checked, failures
 
     return _timed(run, "compasses")
+
+
+def _compass_failures(p: CompassParams, count: int) -> list:
+    """What suite_compasses reports for the compass p measured at
+    count[0,1) = count: the base bound, and the strengthened one where its
+    hypothesis holds."""
+    failures = []
+    base, strengthened = compass_bounds(p)
+    if count < base:
+        failures.append(("base", p.n, p.r, p.r_prime, p.t))
+    if strengthened is not None and count < strengthened:
+        failures.append(("strengthened", p.n, p.r, p.r_prime, p.t))
+    return failures
 
 
 def suite_witnesses(max_n: int = 60, seed: int = 0) -> VerifyReport:
@@ -452,17 +480,15 @@ class SweepRow:
     hedetniemi_ok: bool
 
     def to_csv_fields(self) -> list[str]:
-        def fmt(x):
-            if x is None:
-                return ""
-            if isinstance(x, bool):
-                return "true" if x else "false"
-            return str(x)
-
-        return [fmt(getattr(self, col)) for col in CSV_COLUMNS]
+        """Each column as text: None empty, a bool (not an int) lower case."""
+        return [
+            "" if x is None else ("true" if x else "false") if type(x) is bool else str(x)
+            for x in _csv_values(self)
+        ]
 
 
 CSV_COLUMNS = [f.name for f in fields(SweepRow)]
+_csv_values = attrgetter(*CSV_COLUMNS)
 
 
 def _measure(
@@ -477,7 +503,8 @@ def _measure(
     refined_bound: int | None,
 ) -> SweepRow:
     # g is a path or a connected unicyclic graph: one fold of its leaf strip
-    # at 1 gives the count, gamma and the O(n) diameter
+    # at 1 gives the count, gamma and the O(n) diameter, and no row needs
+    # the diameter's ends
     count01, mult1, gamma, measured, _ = _fold_at_one(g, _connected_strip(g))
     if measured != d:
         raise InternalConsistencyError(

@@ -5,12 +5,13 @@ in file (tests/test_mutants.py checks that), and the mutant is that file
 with old replaced by new. The table covers every function on the routes
 that the retired test oracles used to guard: the pivot fold and cycle
 closers of linalg, the leaf strip, the fold at 1, the cycle reach, the
-diameter's ends, the diametral path and the core of graphs, both
+diameter, its ends, the diametral path and the core of graphs, both
 determinant routes of charpoly, the necklace walk and the class builder of
 enumeration, the main bound, the strengthened-compass predicate and the
-verdicts of bounds, the exhaustive suite's failure list, the interlacing
-chain, Graph's int check on vertex ids, the family generators, and the
-L v = v check of the witnesses.
+verdicts of bounds, the laws of the family suites, the scan CSV's text,
+the exhaustive suite's failure list, the interlacing chain, Graph's int
+check on vertex ids, the family generators, and the L v = v check of the
+witnesses.
 
 Run from anywhere, with no arguments:
 
@@ -223,14 +224,28 @@ MUTANTS = [
         "        x, y = heights[j], heights[j]",
         "_cycle_reach drops the second antipode on an odd cycle",
     ),
-    # graphs._far_ends: the diameter and its smallest pair of ends. Left out
-    # as equivalent: reading the apex sums only when 2 max H_i > d. When
-    # 2 max H_i = d only an apex on the cycle, c_i with H_i the max, can
-    # reach d, and then reach[i] = d, so lo[c_i] is a candidate already.
+    # graphs._diameter: d from the heights, the cycle reach and the apex sums.
+    # Left out as equivalent: reading the apex sums when 2 max H_i >= d, not
+    # only when 2 max H_i > d. When 2 max H_i = d only an apex on the cycle,
+    # c_i with H_i the max, can reach d, and then reach[i] = d, so lo[c_i]
+    # is a candidate for _far_ends already.
     (
         GRAPHS,
-        "    if k + far[i] == d:",
-        "    if k + far[i] > d:",
+        "    if 2 * max(heights) > d:",
+        "    if False:",
+        "_diameter never reads the apex sums",
+    ),
+    (
+        GRAPHS,
+        "    reach = list(map(add, heights, _cycle_reach(heights)))",
+        "    reach = heights",
+        "_diameter ignores the cycle reach",
+    ),
+    # graphs._far_ends: the diameter's smallest pair of ends
+    (
+        GRAPHS,
+        "    if k + far == d:",
+        "    if k + far > d:",
         "_far_ends never looks across the cycle for the second end",
     ),
     (
@@ -396,6 +411,38 @@ MUTANTS = [
         "",
         "analyze tries only the core's t for the strengthened compass bound",
     ),
+    # the laws of the family suites, each decided by one helper
+    (
+        HARNESS,
+        "    if (mult1 == 1) != (n % 3 == 0):",
+        "    if False:",
+        "suite_paths skips its multiplicity law",
+    ),
+    (
+        HARNESS,
+        "    if count < main_lower_bound(n // 2, n):",
+        "    if count < main_lower_bound(n // 2, n) - 1:",
+        "suite_cycles accepts a count one under the main bound",
+    ),
+    (
+        HARNESS,
+        "    if count < refined_lollipop_bound(d, r):",
+        "    if count < refined_lollipop_bound(d, r) - 1:",
+        "suite_lollipops accepts a count one under the refined bound",
+    ),
+    (
+        HARNESS,
+        "    if strengthened is not None and count < strengthened:",
+        "    if strengthened is not None and count < strengthened - 1:",
+        "suite_compasses accepts a count one under the strengthened bound",
+    ),
+    # SweepRow.to_csv_fields: the scan CSV's text
+    (
+        HARNESS,
+        '("true" if x else "false") if type(x) is bool else str(x)',
+        '("true" if x else "false") if x in (0, 1) else str(x)',
+        "to_csv_fields writes the ints 0 and 1 as false and true",
+    ),
     # suite_exhaustive's failure list and the interlacing chain
     (
         HARNESS,
@@ -409,7 +456,8 @@ MUTANTS = [
         "        a <= b + INTERLACING_SLACK\n",
         "_interlaces checks one side of the chain",
     ),
-    # Graph's int check on n and every vertex id
+    # Graph's int check on n and every vertex id, in both constructors, the
+    # queries and the edits
     (
         GRAPHS,
         "                if type(w) is not int or not prev < w < n or w == v:",
@@ -421,6 +469,38 @@ MUTANTS = [
         "            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):",
         "            if not (0 <= u < n and 0 <= v < n):",
         "Graph.from_edges accepts an edge end that is not an int",
+    ),
+    (
+        GRAPHS,
+        "        if type(v) is not int or not 0 <= v < self.n:\n"
+        '            raise InvalidParameterError(f"vertex {v!r} needs to be an int in 0..{self.n - 1}")\n'
+        "        return len(self.adj[v])",
+        "        if not 0 <= v < self.n:\n"
+        '            raise InvalidParameterError(f"vertex {v!r} needs to be an int in 0..{self.n - 1}")\n'
+        "        return len(self.adj[v])",
+        "Graph.degree accepts a vertex id that is not an int",
+    ),
+    (
+        GRAPHS,
+        "        if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):",
+        "        if not (0 <= u < self.n and 0 <= v < self.n):",
+        "Graph.has_edge accepts an edge end that is not an int",
+    ),
+    (
+        GRAPHS,
+        "        if type(v) is not int or not 0 <= v < self.n:\n"
+        '            raise InvalidParameterError(f"vertex {v!r} needs to be an int in 0..{self.n - 1}")\n'
+        "        relabel",
+        "        if not 0 <= v < self.n:\n"
+        '            raise InvalidParameterError(f"vertex {v!r} needs to be an int in 0..{self.n - 1}")\n'
+        "        relabel",
+        "Graph.without_vertex accepts a vertex id that is not an int",
+    ),
+    (
+        GRAPHS,
+        "    if not (type(u) is int and type(v) is int and 0 <= u < g1.n and 0 <= v < g2.n):",
+        "    if not (0 <= u < g1.n and 0 <= v < g2.n):",
+        "join_with_edge accepts a bridge end that is not an int",
     ),
     # the family generators
     (

@@ -143,7 +143,8 @@ def _assert_brute_force(g: Graph) -> None:
     assert diameter_and_path(g) == (d, path), g.edges()
     forest = graphs._connected_strip(g)
     parent, (cycle,) = forest[1:]
-    got, (_, (got_u, got_v, i, j)) = graphs._fold_at_one(g, forest)[3:]
+    got, fold = graphs._fold_at_one(g, forest)[3:]
+    got_u, got_v, i, j = graphs._far_ends(g, forest, got, fold)
     assert (got, got_u, got_v) == (d, u, v), g.edges()
     assert (cycle[i], cycle[j]) == (_root(parent, u), _root(parent, v)), g.edges()
     rep = analyze(g)

@@ -319,19 +319,20 @@ class TestStructureOncePerAnalyze:
         ids=["compass", "lollipop", "random"],
     )
     def test_decompose_and_diameter_run_once(self, monkeypatch, g):
-        """One leaf strip and one read of the diameter's ends, no path and
-        no decomposition."""
+        """One leaf strip, one diameter step, one read of the diameter's
+        ends, no path and no decomposition."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("analyze built a UnicyclicDecomposition")
 
         strips = _count_calls(monkeypatch, ["_cycle_forest"])
+        diameters = _count_calls(monkeypatch, ["_diameter"])
         ends = _count_calls(monkeypatch, ["_far_ends"])
         paths = _count_calls(monkeypatch, ["diameter_and_path", "_diametral_path"])
         monkeypatch.setattr(graphs, "UnicyclicDecomposition", forbidden)
         bounds.analyze(g)
         assert strips == [g]
-        assert len(ends) == 1 and paths == []
+        assert len(diameters) == len(ends) == 1 and paths == []
 
 
 class TestOnlyTheFoldTheAnswerReads:

@@ -5,12 +5,13 @@ the pendant-tree heights and deepest labels through one pass over the leaf
 strip (_pendant_pass), closes the cycle once for the pivots
 (linalg._close_cycle) and once for gamma (_cycle_gamma), neither of which
 reads a graph (TestGraphFreeClose closes every class with n <= 12 from
-per-rank slot states alone), then reads d and the diameter's ends off the
-heights (_far_ends). count01 and mult1 are checked against
-linalg.sparse_inertia on the rows of L - I, which eliminates by a heap
-over rows and shares no step with the strip; the heights and deepest
-labels against every vertex's climb, and d and the ends against _far_ends
-fed those climbs (test_cycle_walks checks them against all-pairs search);
+per-rank slot states alone), then reads d off the heights (_diameter),
+leaving the diameter's ends to the core (_far_ends). count01 and mult1
+are checked against linalg.sparse_inertia on the rows of L - I, which
+eliminates by a heap over rows and shares no step with the strip; the
+heights and deepest labels against every vertex's climb, and d and the
+rest of the fold against _diameter fed those climbs (test_cycle_walks
+checks d and the ends against all-pairs search);
 gamma against subset search and branch and bound in test_bounds. The
 core reduction classifies from the diameter's ends and builds the
 diametral path, the core vertices and the core only when each is read;
@@ -66,13 +67,12 @@ def _spiders() -> list[Graph]:
 
 def _assert_fold(g: Graph) -> None:
     forest = graphs._connected_strip(g)
-    neg, zero, _, d, (down, ends) = graphs._fold_at_one(g, forest)
+    neg, zero, _, d, fold = graphs._fold_at_one(g, forest)
     at_one = linalg.sparse_inertia(spectra._shifted_rows(g, 1))
     assert (neg, zero) == (at_one.negatives, at_one.zeros), g.edges()
     climbs = _climbs(forest[1])
     assert graphs._pendant_pass(g, *forest[:2])[8:] == climbs, g.edges()
-    assert down == climbs[0], g.edges()
-    assert (d, *ends) == graphs._far_ends(g, forest, *climbs), g.edges()
+    assert (d, fold) == graphs._diameter(forest[2][0], *climbs), g.edges()
 
 
 def _climbs(parent: list[int]) -> tuple[list[int], list[int], list[int]]:

@@ -322,6 +322,36 @@ class TestVertexIdsOutOfRange:
             join_with_edge(make_path(3), u, make_path(2), v)
 
 
+class TestVertexIdsThatAreNotInts:
+    """A float, str or bool id once passed the range checks: degree(True)
+    read vertex 1, has_edge(0, 1.0) and has_edge(True, 2) answered True,
+    with_edge_removed(True, 2) removed (1, 2), and degree(1.0) leaked a bare
+    TypeError."""
+
+    @pytest.mark.parametrize("v", [1.0, "1", True, False])
+    def test_degree_and_without_vertex(self, v):
+        g = make_path(3)
+        with pytest.raises(InvalidParameterError):
+            g.degree(v)
+        with pytest.raises(InvalidParameterError):
+            g.without_vertex(v)
+
+    @pytest.mark.parametrize("u, v", [(0, 1.0), (0.0, 2), (True, 2), (1, False), ("0", 1)])
+    def test_edge_queries_and_edits(self, u, v):
+        g = make_path(3)
+        with pytest.raises(InvalidParameterError):
+            g.has_edge(u, v)
+        with pytest.raises(InvalidParameterError):
+            g.with_edge_removed(u, v)
+        with pytest.raises(InvalidParameterError):
+            make_cycle(4).with_edge_added(u, v)
+
+    @pytest.mark.parametrize("u, v", [(True, 0), (0, True), (1.0, 0), (0, "1")])
+    def test_join(self, u, v):
+        with pytest.raises(InvalidParameterError):
+            join_with_edge(make_path(3), u, make_path(2), v)
+
+
 class TestDecomposition:
     def test_lollipop_decomposition(self):
         dec = unicyclic_decompose(make_lollipop(12, 8))

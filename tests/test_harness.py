@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -111,17 +112,30 @@ class TestSuites:
         assert report.ok, report.failures[:5]
 
     def test_tree_chain_strips_each_tree_once(self, monkeypatch):
-        calls = []
-        strip = graphs._cycle_forest
+        """Each tree is stripped once and reads d off one graphs._diameter
+        call, inside its one fold at 1, and never looks for the diameter's
+        ends."""
+        calls, diameters = [], []
+        strip, diameter = graphs._cycle_forest, graphs._diameter
 
         def counted(g, *left):
             calls.append(g.n)
             return strip(g, *left)
 
+        def counted_diameter(cycle, down, *heights):
+            diameters.append(len(down))
+            return diameter(cycle, down, *heights)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("check_tree_chain looked for the diameter's ends")
+
         for module in (graphs, spectra, charpoly):
             monkeypatch.setattr(module, "_cycle_forest", counted)
+        monkeypatch.setattr(graphs, "_diameter", counted_diameter)
+        monkeypatch.setattr(graphs, "_far_ends", forbidden)
         report = check_tree_chain(count=50, max_n=20, seed=3)
-        assert report.checked == 50 and len(calls) == 50
+        assert report.ok and report.checked == 50
+        assert calls == diameters and len(calls) == 50
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tree_chain_matches_the_public_route(self, seed):
@@ -208,6 +222,42 @@ class TestSuites:
         }
 
 
+class TestSuiteLaws:
+    """Each family suite decides its laws in one helper; fed a count or a
+    multiplicity one off, the helper names the law that failed."""
+
+    def test_path_law(self):
+        assert harness._path_failures(6, 2, 1) == harness._path_failures(4, 2, 0) == []
+        assert harness._path_failures(6, 1, 1) == [("count", 6, 1)]
+        assert harness._path_failures(6, 2, 0) == [("mult1", 6)]
+        assert harness._path_failures(4, 2, 1) == [("mult1", 4)]
+
+    def test_cycle_law(self):
+        assert harness._cycle_failures(6, 1, 2) == harness._cycle_failures(7, 3, 0) == []
+        assert harness._cycle_failures(6, 1, 1) == [("mult1", 6)]
+        # C_6 has d = 3, so the main bound is 1: a count of 0 misses the law and the bound
+        assert harness._cycle_failures(6, 0, 2) == [("count", 6, 0), ("bound", 6)]
+
+    def test_lollipop_law(self):
+        # (7, 7) is C_7: d = 3, main bound 2, refined bound 3, no exact count
+        assert harness._lollipop_failures(7, 7, 3) == []
+        assert harness._lollipop_failures(7, 7, 2) == [("refined", 7, 7)]
+        assert harness._lollipop_failures(7, 7, 1) == [("bound", 7, 7), ("refined", 7, 7)]
+        # (8, 4): d = 6, refined bound 3 = the exact count
+        assert harness._lollipop_failures(8, 4, 3) == []
+        assert harness._lollipop_failures(8, 4, 2) == [("refined", 8, 4), ("exact", 8, 4, 2, 3)]
+
+    def test_compass_law(self):
+        # (9, 6, 3, 1) meets the strengthened hypothesis: base 2, strengthened 3
+        p = CompassParams(9, 6, 3, 1)
+        assert harness._compass_failures(p, 3) == []
+        assert harness._compass_failures(p, 2) == [("strengthened", 9, 6, 3, 1)]
+        assert harness._compass_failures(p, 1) == [
+            ("base", 9, 6, 3, 1), ("strengthened", 9, 6, 3, 1)
+        ]
+        assert harness._compass_failures(CompassParams(9, 6, 3, 2), 1) == [("base", 9, 6, 3, 2)]
+
+
 class TestSweep:
     def test_header_exact(self):
         buf = io.StringIO()
@@ -244,6 +294,26 @@ class TestSweep:
         for row in rows:
             assert row.r is None and row.main_bound is None and row.bound_ok is None
             assert row.count01 == ceil_div(row.n, 3)
+
+    @pytest.mark.parametrize("family", ["path", "cycle", "lollipop", "compass"])
+    def test_scan_bytes_pinned(self, capsys, family):
+        """The scan CSV of each family for n = 3..24, pinned by its sha256."""
+        golden = json.loads((Path(__file__).parent / "golden" / "scan_n3_24_sha256.json").read_text())
+        assert main(["scan", "--family", family, "--n-range", "3..24"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == golden[family]["rows"] + 1
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == golden[family]["sha256"]
+
+    def test_csv_fields_tell_bools_from_ints(self):
+        """0 and 1 stay digits, False and True become words and None is empty."""
+        row = harness.SweepRow(
+            family="path", n=1, r=0, r_prime=1, t=None, d=0, girth=1, main_bound=0,
+            refined_bound=1, count01=0, mult1=1, gamma=0, bound_ok=False, hedetniemi_ok=True,
+        )
+        want = ["path", "1", "0", "1", "", "0", "1", "0", "1", "0", "1", "0", "false", "true"]
+        assert row.to_csv_fields() == want
+        row.bound_ok, row.hedetniemi_ok = None, False
+        assert row.to_csv_fields()[-2:] == ["", "false"]
 
     def test_byte_identical_reruns(self):
         a, b = io.StringIO(), io.StringIO()
@@ -309,17 +379,18 @@ class TestSweep:
     )
     def test_one_diameter_per_row_below_cap(self, monkeypatch, family, n_hi):
         """Every row, a path's included, reads one forest diameter off the
-        ends of its leaf strip, inside its one fold at 1, and no row
-        searches, builds a diametral path or builds a decomposition."""
+        heights of its leaf strip (graphs._diameter), inside its one fold
+        at 1, and no row finds the diameter's ends, searches, builds a
+        diametral path or builds a decomposition."""
         calls, folds = [], []
-        original, fold = graphs._far_ends, graphs._fold_at_one
+        original, fold = graphs._diameter, graphs._fold_at_one
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a sweep row searched, built a path or decomposed")
+            raise AssertionError("a sweep row found the ends, searched, built a path or decomposed")
 
-        def counted(g, forest, *heights):
-            calls.append(g.n)
-            return original(g, forest, *heights)
+        def counted(cycle, down, *heights):
+            calls.append(len(down))
+            return original(cycle, down, *heights)
 
         def counted_fold(g, forest):
             folds.append(g.n)
@@ -332,7 +403,8 @@ class TestSweep:
         monkeypatch.setattr(graphs, "bfs_distances", forbidden)
         monkeypatch.setattr(graphs, "_diametral_path", forbidden)
         monkeypatch.setattr(graphs, "UnicyclicDecomposition", forbidden)
-        monkeypatch.setattr(graphs, "_far_ends", counted)
+        monkeypatch.setattr(graphs, "_far_ends", forbidden)
+        monkeypatch.setattr(graphs, "_diameter", counted)
         monkeypatch.setattr(harness, "_fold_at_one", counted_fold)
         rows = list(sweep(family, 4, n_hi))
         assert len(rows) > n_hi - 4
