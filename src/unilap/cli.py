@@ -22,7 +22,7 @@ from .graphs import (
     read_edge_list,
     write_edge_list,
 )
-from .harness import CSV_COLUMNS, SUITES, SWEEP_FAMILIES, _row, run_suite, sweep, write_csv
+from .harness import CSV_COLUMNS, SUITES, SWEEP_FAMILIES, SweepRow, run_suite, sweep, write_csv
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -52,7 +52,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze(g)
     core = report.core
     r_prime, t = core.params[2:] if core.kind == "compass" else (None, None)
-    row = _row(
+    row = SweepRow(
         core.kind, report.n, report.girth, r_prime, t, report.diameter, report.main_bound,
         report.refined_bound, report.count01, report.mult1, report.gamma,
     )

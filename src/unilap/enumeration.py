@@ -35,8 +35,8 @@ ENUMERATION_MAX_N = 16
 @lru_cache(maxsize=None)
 def rooted_trees(size: int) -> tuple[TreeCode, ...]:
     """All rooted trees on `size` vertices, as canonical codes."""
-    if size < 1:
-        raise InvalidParameterError(f"need size >= 1, got {size}")
+    if type(size) is not int or size < 1:
+        raise InvalidParameterError(f"need an int size >= 1, got {size!r}")
     if size == 1:
         return ((),)
     out: list[TreeCode] = []
@@ -181,9 +181,9 @@ def enumerate_unicyclic(n: int) -> Iterator[Graph]:
     is yielded as soon as it is found. n is checked here, at call time;
     all the work, the tree alphabet included, waits for the first next().
     """
-    if not 3 <= n <= ENUMERATION_MAX_N:
+    if type(n) is not int or not 3 <= n <= ENUMERATION_MAX_N:
         raise InvalidParameterError(
-            f"need 3 <= n <= {ENUMERATION_MAX_N}, got {n}"
+            f"need an int 3 <= n <= {ENUMERATION_MAX_N}, got {n!r}"
         )
     return _classes(n)
 

@@ -188,14 +188,14 @@ def _path_adj(n: int) -> list[tuple[int, ...]]:
 
 
 def make_path(n: int) -> Graph:
-    if n < 1:
-        raise InvalidParameterError(f"path needs n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise InvalidParameterError(f"path needs an int n >= 1, got {n!r}")
     return Graph._trusted(n, tuple(_path_adj(n)))
 
 
 def make_cycle(n: int) -> Graph:
-    if n < 3:
-        raise InvalidParameterError(f"cycle needs n >= 3, got {n}")
+    if type(n) is not int or n < 3:
+        raise InvalidParameterError(f"cycle needs an int n >= 3, got {n!r}")
     return make_lollipop(n, n)
 
 
@@ -204,8 +204,8 @@ def make_lollipop(n: int, r: int) -> Graph:
 
     r = n is allowed and degenerates to the plain cycle.
     """
-    if not 3 <= r <= n:
-        raise InvalidParameterError(f"lollipop needs 3 <= r <= n, got n={n} r={r}")
+    if type(n) is not int or type(r) is not int or not 3 <= r <= n:
+        raise InvalidParameterError(f"lollipop needs ints 3 <= r <= n, got n={n!r} r={r!r}")
     adj = _path_adj(n)  # plus the closing edge (0, r-1)
     adj[0] = (1, r - 1)
     adj[r - 1] = (0,) + adj[r - 1]
@@ -237,6 +237,9 @@ class CompassParams:
         return self.r_prime + self.t + self.s
 
     def validate(self) -> None:
+        if not (type(self.n) is int and type(self.r) is int
+                and type(self.r_prime) is int and type(self.t) is int):
+            raise InvalidParameterError(f"compass needs int parameters, got {self}")
         if not 3 <= self.r <= self.n - 2:
             raise InvalidParameterError(f"compass needs 3 <= r <= n-2, got {self}")
         if not 1 <= self.r_prime <= self.r // 2:

@@ -12,7 +12,7 @@ import csv
 import random
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import TextIO
 
@@ -464,20 +464,28 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> VerifyRepor
 
 @dataclass
 class SweepRow:
+    """One scan row: the eleven fields a caller gives, and girth, bound_ok
+    and hedetniemi_ok, which the row derives from them."""
+
     family: str
     n: int
     r: int | None
     r_prime: int | None
     t: int | None
     d: int
-    girth: int | None
+    girth: int | None = field(init=False)
     main_bound: int | None
     refined_bound: int | None
     count01: int
     mult1: int
     gamma: int
-    bound_ok: bool | None
-    hedetniemi_ok: bool
+    bound_ok: bool | None = field(init=False)
+    hedetniemi_ok: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.girth = self.r
+        self.bound_ok = None if self.main_bound is None else self.count01 >= self.main_bound
+        self.hedetniemi_ok = self.count01 <= self.gamma
 
     def to_csv_fields(self) -> list[str]:
         """Each column as text: None empty, a bool (not an int) lower case."""
@@ -490,55 +498,6 @@ class SweepRow:
 CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 _csv_values = attrgetter(*CSV_COLUMNS)
 
-
-def _measure(
-    family: str,
-    g: Graph,
-    *,
-    r: int | None,
-    r_prime: int | None,
-    t: int | None,
-    d: int,
-    main_bound: int | None,
-    refined_bound: int | None,
-) -> SweepRow:
-    # g is a path or a connected unicyclic graph: one fold of its leaf strip
-    # at 1 gives the count, gamma and the O(n) diameter, and no row needs
-    # the diameter's ends
-    count01, mult1, gamma, measured, _ = _fold_at_one(g, _connected_strip(g))
-    if measured != d:
-        raise InternalConsistencyError(
-            f"{family} n={g.n}: formula gives d={d}, graph has d={measured}"
-        )
-    return _row(family, g.n, r, r_prime, t, d, main_bound, refined_bound, count01, mult1, gamma)
-
-
-def _row(
-    family: str,
-    n: int,
-    r: int | None,
-    r_prime: int | None,
-    t: int | None,
-    d: int,
-    main_bound: int | None,
-    refined_bound: int | None,
-    count01: int,
-    mult1: int,
-    gamma: int,
-) -> SweepRow:
-    """The one builder of SweepRow, for sweeps and the CLI alike.
-
-    It derives girth, bound_ok and hedetniemi_ok from the measured fields.
-    """
-    return SweepRow(
-        family=family, n=n, r=r, r_prime=r_prime, t=t, d=d, girth=r,
-        main_bound=main_bound, refined_bound=refined_bound,
-        count01=count01, mult1=mult1, gamma=gamma,
-        bound_ok=None if main_bound is None else count01 >= main_bound,
-        hedetniemi_ok=count01 <= gamma,
-    )
-
-
 SWEEP_FAMILIES = ("path", "cycle", "lollipop", "compass")
 
 
@@ -550,6 +509,8 @@ def sweep(family: str, n_lo: int, n_hi: int) -> Iterator[SweepRow]:
     """
     if family not in SWEEP_FAMILIES:
         raise InvalidParameterError(f"unknown sweep family {family!r}")
+    if type(n_lo) is not int or type(n_hi) is not int:
+        raise InvalidParameterError(f"sweep range needs ints, got {n_lo!r}..{n_hi!r}")
     if n_lo > n_hi:
         raise InvalidParameterError(f"empty range {n_lo}..{n_hi}")
     return _sweep_rows(family, n_lo, n_hi)
@@ -559,33 +520,34 @@ def sweep(family: str, n_lo: int, n_hi: int) -> Iterator[SweepRow]:
 _SWEEP_MIN_N = {"path": 1, "cycle": 3, "lollipop": 4, "compass": 5}
 
 
+def _members(family: str, n: int) -> Iterator[tuple]:
+    """Each member of family on n vertices, in row order, as (graph, r, r',
+    t, formula d, main bound, refined bound)."""
+    if family == "path":
+        yield make_path(n), None, None, None, n - 1, None, None
+    elif family == "cycle":
+        yield make_cycle(n), n, None, None, n // 2, main_lower_bound(n // 2, n), None
+    elif family == "lollipop":
+        for r in range(3, n):
+            d = n - ceil_div(r, 2)
+            yield make_lollipop(n, r), r, None, None, d, main_lower_bound(d, r), refined_lollipop_bound(d, r)
+    else:  # compass
+        for p in compass_params_for_n(n):
+            yield make_compass(p), p.r, p.r_prime, p.t, p.d, *compass_bounds(p)
+
+
 def _sweep_rows(family: str, n_lo: int, n_hi: int) -> Iterator[SweepRow]:
     for n in range(max(n_lo, _SWEEP_MIN_N[family]), n_hi + 1):
-        if family == "path":
-            yield _measure(
-                "path", make_path(n), r=None, r_prime=None, t=None, d=n - 1,
-                main_bound=None, refined_bound=None,
-            )
-        elif family == "cycle":
-            yield _measure(
-                "cycle", make_cycle(n), r=n, r_prime=None, t=None, d=n // 2,
-                main_bound=main_lower_bound(n // 2, n), refined_bound=None,
-            )
-        elif family == "lollipop":
-            for r in range(3, n):
-                d = n - ceil_div(r, 2)
-                yield _measure(
-                    "lollipop", make_lollipop(n, r), r=r, r_prime=None, t=None, d=d,
-                    main_bound=main_lower_bound(d, r),
-                    refined_bound=refined_lollipop_bound(d, r),
+        for g, r, r_prime, t, d, main_bound, refined_bound in _members(family, n):
+            # g is a path or a connected unicyclic graph: one fold of its leaf
+            # strip at 1 gives the count, gamma and the O(n) diameter, and no
+            # row needs the diameter's ends
+            count01, mult1, gamma, measured, _ = _fold_at_one(g, _connected_strip(g))
+            if measured != d:
+                raise InternalConsistencyError(
+                    f"{family} n={n}: formula gives d={d}, graph has d={measured}"
                 )
-        else:  # compass
-            for p in compass_params_for_n(n):
-                base, strengthened = compass_bounds(p)
-                yield _measure(
-                    "compass", make_compass(p), r=p.r, r_prime=p.r_prime, t=p.t,
-                    d=p.d, main_bound=base, refined_bound=strengthened,
-                )
+            yield SweepRow(family, n, r, r_prime, t, d, main_bound, refined_bound, count01, mult1, gamma)
 
 
 def write_csv(rows: Iterator[SweepRow], dest: TextIO) -> int:

@@ -26,8 +26,8 @@ from unilap.graphs import (
     unicyclic_decompose,
     write_edge_list,
 )
-from unilap.enumeration import enumerate_unicyclic
-from unilap.harness import random_unicyclic, valid_compass_params
+from unilap.enumeration import enumerate_unicyclic, rooted_trees
+from unilap.harness import random_unicyclic, sweep, valid_compass_params
 from unilap.spectra import check_interlacing
 import random
 
@@ -350,6 +350,52 @@ class TestVertexIdsThatAreNotInts:
     def test_join(self, u, v):
         with pytest.raises(InvalidParameterError):
             join_with_edge(make_path(3), u, make_path(2), v)
+
+
+class TestSizesThatAreNotInts:
+    """The generators write through Graph._trusted, past Graph's own int
+    check, so each checks its sizes itself: make_path(True) once built a
+    Graph with n=True, rooted_trees(True) answered ((),), and a float size
+    leaked a bare TypeError, from sweep and enumerate_unicyclic only at the
+    first row."""
+
+    @pytest.mark.parametrize("n", [3.0, "3", True])
+    def test_path(self, n):
+        with pytest.raises(InvalidParameterError):
+            make_path(n)
+
+    @pytest.mark.parametrize("n", [4.0, "4", True])
+    def test_cycle(self, n):
+        with pytest.raises(InvalidParameterError):
+            make_cycle(n)
+
+    @pytest.mark.parametrize("n, r", [(5.0, 3), (5, 3.0), ("5", 3), (5, "3"), (True, 3), (4, True)])
+    def test_lollipop(self, n, r):
+        with pytest.raises(InvalidParameterError):
+            make_lollipop(n, r)
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("bad", [float, str, bool])
+    def test_compass(self, k, bad):
+        values = [9, 4, 2, 2]  # s = 3, so t = True leaves a valid compass
+        values[k] = bad(values[k])
+        with pytest.raises(InvalidParameterError):
+            make_compass(CompassParams(*values))
+
+    @pytest.mark.parametrize("size", [3.0, "3", True])
+    def test_rooted_trees(self, size):
+        with pytest.raises(InvalidParameterError):
+            rooted_trees(size)
+
+    @pytest.mark.parametrize("n", [5.0, "5", True])
+    def test_enumerate_unicyclic_at_call_time(self, n):
+        with pytest.raises(InvalidParameterError):
+            enumerate_unicyclic(n)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 3), (1, 3.0), ("1", 3), (1, "3"), (True, 3), (1, True)])
+    def test_sweep_range_at_call_time(self, lo, hi):
+        with pytest.raises(InvalidParameterError):
+            sweep("path", lo, hi)
 
 
 class TestDecomposition:

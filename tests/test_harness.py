@@ -258,6 +258,84 @@ class TestSuiteLaws:
         assert harness._compass_failures(CompassParams(9, 6, 3, 2), 1) == [("base", 9, 6, 3, 2)]
 
 
+class TestVerifyLawsFedAWrongMeasurement:
+    """Each random or family check that no tier-1 corpus fails, fed a
+    measurement one off (or False) on a tiny corpus, reports the law it
+    broke: a check that let such a measurement through would pass here."""
+
+    @pytest.mark.parametrize("wrong", ["above_gamma", "below_ceil"])
+    def test_tree_chain(self, monkeypatch, wrong):
+        fold = harness._fold_at_one
+
+        def off_by_one(g, forest):
+            c, mult1, gamma, d, rest = fold(g, forest)
+            c = gamma + 1 if wrong == "above_gamma" else ceil_div(d + 1, 3) - 1
+            return c, mult1, gamma, d, rest
+
+        monkeypatch.setattr(harness, "_fold_at_one", off_by_one)
+        report = check_tree_chain(count=6, max_n=8)
+        assert len(report.failures) == report.checked == 6
+
+    def test_pendant_monotone_flags_a_rise_of_one(self, monkeypatch):
+        original, calls = harness.count_interval, []
+
+        def rising(g, a, b):
+            # before, then after = before + 1
+            calls.append(calls[-1] + 1 if len(calls) % 2 else original(g, a, b).count)
+            return spectra.IntervalCount(a, b, calls[-1])
+
+        monkeypatch.setattr(harness, "count_interval", rising)
+        assert len(harness.check_pendant_monotone(count=6, max_n=8).failures) == 6
+
+    def test_attachment_invariance_flags_a_change_of_one(self, monkeypatch):
+        # multiplicity(h, 1) is asked first, then multiplicity(g, 1)
+        original, calls = harness.multiplicity, []
+
+        def changed(g, mu):
+            calls.append(original(g, mu) + (1 - len(calls) % 2))
+            return calls[-1]
+
+        monkeypatch.setattr(harness, "multiplicity", changed)
+        assert len(harness.check_attachment_invariance(count=6, max_n=6).failures) == 6
+
+    def test_witnesses_flag_a_lollipop_multiplicity_one_short(self, monkeypatch):
+        original = harness.multiplicity
+        monkeypatch.setattr(harness, "multiplicity", lambda g, mu: original(g, mu) - 1)
+        failures = harness.suite_witnesses(max_n=9).failures
+        # every lollipop with a multiplicity claim: 6 | r, or 3 | n with r % 6 = 1,
+        # or n % 3 = 1 with r % 6 = 3
+        claimed = [(n, r) for n in range(4, 10) for r in range(3, n)
+                   if r % 6 == 0 or (r % 6, n % 3) in ((1, 0), (3, 1))]
+        assert [f[1:3] for f in failures if f[0] == "lollipop-mult"] == claimed
+
+    def test_witnesses_flag_a_compass_without_the_eigenvalue(self, monkeypatch):
+        monkeypatch.setattr(harness, "multiplicity", lambda g, mu: 0)
+        failures = harness.suite_witnesses(max_n=9).failures
+        compasses = [(n, 6, t) for n in (8, 9) for t in range(1, n - 6)]
+        assert [f[1:] for f in failures if f[0] == "compass-mult"] == compasses
+
+    def test_lollipops_flag_a_wrong_phi_at_one(self, monkeypatch):
+        original = harness.eval_at
+        monkeypatch.setattr(harness, "eval_at", lambda poly, x: original(poly, x) + 1)
+        failures = harness.suite_lollipops(max_n=8).failures
+        assert failures and all(f[0] == "phi_at_one" for f in failures)
+
+    def test_charpoly_reports_every_failed_identity(self, monkeypatch):
+        original = harness._identity_checks
+        monkeypatch.setattr(
+            harness, "_identity_checks",
+            lambda n_max: [(name, params, False) for name, params, _ in original(n_max)],
+        )
+        report = harness.suite_charpoly(max_n=4)
+        identities = report.checked - harness.CHARPOLY_RANDOM_JOINS
+        assert identities > 0 and len(report.failures) == identities
+
+    def test_interlacing_reports_every_failure(self, monkeypatch):
+        monkeypatch.setattr(harness, "check_interlacing", lambda g, e: False)
+        report = harness.check_interlacing_random(count=5, max_n=6)
+        assert [f[0] for f in report.failures] == list(range(5))
+
+
 class TestSweep:
     def test_header_exact(self):
         buf = io.StringIO()
@@ -307,13 +385,23 @@ class TestSweep:
     def test_csv_fields_tell_bools_from_ints(self):
         """0 and 1 stay digits, False and True become words and None is empty."""
         row = harness.SweepRow(
-            family="path", n=1, r=0, r_prime=1, t=None, d=0, girth=1, main_bound=0,
-            refined_bound=1, count01=0, mult1=1, gamma=0, bound_ok=False, hedetniemi_ok=True,
+            family="path", n=1, r=0, r_prime=1, t=None, d=0, main_bound=1,
+            refined_bound=0, count01=0, mult1=1, gamma=0,
         )
-        want = ["path", "1", "0", "1", "", "0", "1", "0", "1", "0", "1", "0", "false", "true"]
+        want = ["path", "1", "0", "1", "", "0", "0", "1", "0", "0", "1", "0", "false", "true"]
         assert row.to_csv_fields() == want
         row.bound_ok, row.hedetniemi_ok = None, False
         assert row.to_csv_fields()[-2:] == ["", "false"]
+
+    @pytest.mark.parametrize(
+        "main, count01, gamma, bound_ok, hedetniemi_ok",
+        [(None, 2, 2, None, True), (2, 2, 2, True, True), (3, 2, 1, False, False)],
+    )
+    def test_row_derives_girth_and_verdicts(self, main, count01, gamma, bound_ok, hedetniemi_ok):
+        """girth is r, bound_ok is count01 >= main_bound (None without one)
+        and hedetniemi_ok is count01 <= gamma, both ties included."""
+        row = harness.SweepRow("cycle", 6, 6, None, None, 3, main, None, count01, 2, gamma)
+        assert (row.girth, row.bound_ok, row.hedetniemi_ok) == (6, bound_ok, hedetniemi_ok)
 
     def test_byte_identical_reruns(self):
         a, b = io.StringIO(), io.StringIO()
@@ -355,12 +443,13 @@ class TestSweep:
 
     @staticmethod
     def _corrupt_formula_diameter(monkeypatch):
-        original = harness._measure
+        original = harness._members
 
-        def off_by_one(*args, d, **kwargs):
-            return original(*args, d=d + 1, **kwargs)
+        def off_by_one(family, n):
+            for g, r, r_prime, t, d, *bounds in original(family, n):
+                yield (g, r, r_prime, t, d + 1, *bounds)
 
-        monkeypatch.setattr(harness, "_measure", off_by_one)
+        monkeypatch.setattr(harness, "_members", off_by_one)
 
     def test_corrupted_formula_diameter_raises(self, monkeypatch):
         self._corrupt_formula_diameter(monkeypatch)
